@@ -125,6 +125,34 @@ const std::string& SnapshotPlusTailDir(size_t n) {
   return it->second;
 }
 
+// Durable directory with a snapshot of `n` annotations plus a tail of n/10
+// more, each its own Commit and so its own WAL record: the interactive
+// annotate flow between checkpoints. Built with group commit only to keep
+// set-up short; the records are the same under either sync policy.
+const std::string& SingleCommitTailDir(size_t n) {
+  static auto* dirs = new std::map<size_t, std::string>();
+  auto it = dirs->find(n);
+  if (it == dirs->end()) {
+    std::string dir = BenchDir("single_tail", n);
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+    DurabilityOptions options;
+    options.wal.sync_policy = graphitti::persist::WalOptions::SyncPolicy::kInterval;
+    auto g = Graphitti::OpenDurable(dir, options);
+    if (!g.ok()) std::abort();
+    if (!(*g)->RegisterCoordinateSystem("atlas", 2).ok()) std::abort();
+    std::vector<AnnotationBuilder> corpus = MakeCorpus(n + n / 10);
+    std::vector<AnnotationBuilder> head(corpus.begin(), corpus.begin() + static_cast<long>(n));
+    if (!(*g)->CommitBatch(head).ok()) std::abort();
+    if (!(*g)->Checkpoint().ok()) std::abort();
+    for (size_t i = n; i < corpus.size(); ++i) {
+      if (!(*g)->Commit(corpus[i]).ok()) std::abort();
+    }
+    it = dirs->emplace(n, dir).first;
+  }
+  return it->second;
+}
+
 // Durable directory that was never checkpointed: recovery replays the whole
 // WAL through the commit pipeline (the cost checkpoints exist to bound).
 const std::string& WalOnlyCorpusDir(size_t n) {
@@ -248,6 +276,30 @@ void BM_Recovery_SnapshotPlusWalTailFirstQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_Recovery_SnapshotPlusWalTailFirstQuery)
     ->Arg(10000)
+    ->Arg(50000)
+    ->Unit(benchmark::kMillisecond);
+
+// Open + first query over a tail of one-annotation records: replay runs one
+// CommitBatch per record, so any per-batch cost proportional to the engine
+// (rather than to the batch) is paid n/10 times here.
+void BM_Recovery_SingleCommitTailFirstQuery(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::string& dir = SingleCommitTailDir(n);
+  for (auto _ : state) {
+    auto g = Graphitti::OpenDurable(dir);
+    if (!g.ok()) std::abort();
+    auto r = (*g)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"gamma\" }");
+    if (!r.ok() || r->items.empty()) std::abort();
+    benchmark::DoNotOptimize(*r);
+    state.PauseTiming();
+    g->reset();
+    state.ResumeTiming();
+  }
+  state.counters["annotations"] = static_cast<double>(n);
+  state.counters["tail_records"] = static_cast<double>(n / 10);
+}
+BENCHMARK(BM_Recovery_SingleCommitTailFirstQuery)
+    ->Arg(20000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
 

@@ -152,12 +152,19 @@ util::Result<uint32_t> AGraph::DenseIndex(NodeRef ref) const {
 }
 
 void AGraph::Reserve(size_t additional_nodes) {
-  size_t total = refs_.size() + additional_nodes;
-  index_.reserve(total);
-  refs_.reserve(total);
-  node_labels_.reserve(total);
-  out_.reserve(total);
-  in_.reserve(total);
+  // The four dense arrays grow in lockstep, so refs_ speaks for all of them.
+  const size_t needed = refs_.size() + additional_nodes;
+  if (needed <= refs_.capacity()) return;
+  const size_t target = std::max(needed, 2 * refs_.capacity());
+  refs_.reserve(target);
+  node_labels_.reserve(target);
+  out_.reserve(target);
+  in_.reserve(target);
+  // unordered_map::reserve may also shrink the bucket array (libstdc++
+  // rehashes to the smallest prime that fits), so only ever grow it.
+  if (static_cast<float>(target) > index_.bucket_count() * index_.max_load_factor()) {
+    index_.reserve(target);
+  }
 }
 
 uint32_t AGraph::InsertNodeUnchecked(NodeRef ref, std::string label) {

@@ -155,10 +155,14 @@ class AGraph {
   AGraph(AGraph&&) = default;
   AGraph& operator=(AGraph&&) = default;
 
-  /// Pre-sizes node storage (dense arrays + the ref index) for
-  /// `additional_nodes` more nodes, so a batched commit pays one growth
-  /// instead of repeated reallocations and hash rehashes. Edge adjacency is
-  /// per-node and grows on demand. Idempotent and never shrinks.
+  /// Makes room in node storage (dense arrays + the ref index) for
+  /// `additional_nodes` more nodes. Growth is geometric: when the free
+  /// capacity does not suffice, capacity becomes the larger of the exact
+  /// need and twice the current capacity, so a large batch is sized in one
+  /// shot and a stream of small batches on a large graph reallocates and
+  /// rehashes O(log n) times in total rather than once per call. A call that
+  /// fits the free capacity costs O(1). Edge adjacency is per-node and
+  /// grows on demand. Never shrinks.
   void Reserve(size_t additional_nodes);
 
   /// Adds a node with a display label; AlreadyExists when present.

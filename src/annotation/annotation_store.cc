@@ -11,6 +11,21 @@
 namespace graphitti {
 namespace annotation {
 
+namespace {
+
+// Makes room for `additional` more entries with the same amortized policy
+// as AGraph::Reserve: no rehash while they fit, growth to at least twice
+// the current size, and never the shrinking rehash unordered_map::reserve
+// performs when asked for less than it already has.
+template <typename HashMap>
+void ReserveAmortized(HashMap* map, size_t additional) {
+  const size_t needed = map->size() + additional;
+  if (static_cast<float>(needed) <= map->bucket_count() * map->max_load_factor()) return;
+  map->reserve(std::max(needed, 2 * map->size()));
+}
+
+}  // namespace
+
 AnnotationStore::AnnotationStore(spatial::IndexManager* indexes, agraph::AGraph* graph)
     : indexes_(indexes), graph_(graph) {}
 
@@ -316,18 +331,21 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   }
 
   // --- Stage: annotation records, referent interning with spatial
-  // insertion deferred into per-domain accumulators, a-graph nodes/edges
-  // (with capacity reserved from batch totals), and keyword tokens.
+  // insertion deferred into per-domain accumulators, a-graph nodes/edges,
+  // and keyword tokens. Capacity for the batch is reserved up front, but
+  // amortized: every per-batch cost here is proportional to the batch, not
+  // to the store, because a WAL tail replays one batch per record.
   graph_->Reserve(node_estimate);
-  referent_by_key_.reserve(referent_by_key_.size() + total_marks);
-  lower_text_.reserve(lower_text_.size() + builders.size());
+  ReserveAmortized(&referent_by_key_, total_marks);
+  ReserveAmortized(&lower_text_, builders.size());
   BatchStaging staging;
-  // Token posting appends go straight onto the shared lists; first_size
-  // records each touched list's pre-batch length (SIZE_MAX = untouched) so
-  // the flush can restore sortedness with at most one sort + merge per
-  // touched token instead of a global sort over every (token, id) pair.
-  std::vector<size_t> first_size(postings_.size(), SIZE_MAX);
-  std::vector<uint32_t> touched;
+  // Token posting appends go straight onto the shared lists, which stay
+  // sorted while ids arrive ascending and above every id already listed —
+  // every batch without out-of-order forced ids. A list's first
+  // out-of-order append records the length of its still-sorted prefix, so
+  // the flush repairs it with one sort + merge; lists that stay sorted
+  // cost no bookkeeping at all.
+  std::unordered_map<uint32_t, size_t> sorted_prefix;
   // Scratch reused across the whole batch: the tokenization buffer, its
   // word views, and the token-lookup key.
   std::string text_buf;
@@ -390,12 +408,8 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     lower_text_.emplace(id, std::string(text_buf.data(), content_len));
     for (std::string_view w : words) {
       uint32_t tid = InternToken(w);
-      if (tid >= first_size.size()) first_size.resize(postings_.size(), SIZE_MAX);
       std::vector<AnnotationId>& posting = postings_[tid];
-      if (first_size[tid] == SIZE_MAX) {
-        first_size[tid] = posting.size();
-        touched.push_back(tid);
-      }
+      if (!posting.empty() && posting.back() > id) sorted_prefix.emplace(tid, posting.size());
       posting.push_back(id);
     }
 
@@ -407,25 +421,19 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   }
   next_annotation_id_ = std::max(next_annotation_id_, next_id);
 
-  // --- Flush: one bulk tree build per touched domain, one sorted merge
-  // pass over the batch's postings.
+  // --- Flush: one bulk tree build per touched domain, one sort + merge
+  // per posting list an out-of-order forced id left unsorted.
   for (auto& [domain, entries] : staging.intervals) {
     GRAPHITTI_RETURN_NOT_OK(indexes_->BulkLoadIntervals(domain, std::move(entries)));
   }
   for (auto& [system, entries] : staging.regions) {
     GRAPHITTI_RETURN_NOT_OK(indexes_->BulkLoadRegions(system, std::move(entries)));
   }
-  for (uint32_t tid : touched) {
+  for (const auto& [tid, prefix_len] : sorted_prefix) {
     std::vector<AnnotationId>& posting = postings_[tid];
-    const size_t old_size = first_size[tid];
-    auto appended = posting.begin() + static_cast<std::ptrdiff_t>(old_size);
-    // Batch ids ascend except when forced ids interleave, so the appended
-    // run is almost always already sorted and the merge below the
-    // pre-batch prefix almost always skips.
-    if (!std::is_sorted(appended, posting.end())) std::sort(appended, posting.end());
-    if (old_size > 0 && posting[old_size] < posting[old_size - 1]) {
-      std::inplace_merge(posting.begin(), appended, posting.end());
-    }
+    auto rest = posting.begin() + static_cast<std::ptrdiff_t>(prefix_len);
+    std::sort(rest, posting.end());
+    std::inplace_merge(posting.begin(), rest, posting.end());
   }
   return ids;
 }

@@ -84,9 +84,10 @@ class AnnotationStore {
   /// per-canonical-system region accumulators that flush through
   /// IndexManager::BulkLoadIntervals / BulkLoadRegions (one tree build per
   /// touched domain); keyword postings append in one pass (ids ascend, so
-  /// appends are already sorted) with per-touched-token sortedness repair
-  /// at flush for out-of-order forced ids; a-graph node capacity is
-  /// reserved from batch totals and edges wire by dense index. On
+  /// appends are already sorted) with a sort + merge at flush for each
+  /// list an out-of-order forced id left unsorted; a-graph node storage
+  /// grows geometrically (AGraph::Reserve) and edges wire by dense index.
+  /// Per-batch costs are proportional to the batch, not to the store. On
   /// success, observable state (assigned ids, query answers, a-graph
   /// shape, integrity) is identical to committing the builders one by one.
   /// `forced_ids`, when non-empty, must have one entry per builder

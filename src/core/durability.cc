@@ -839,13 +839,14 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
   // The WAL is read (and its torn tail identified) now in either mode:
   // every crash-safety decision happens at open. A torn tail was already
   // cut at the first bad length/CRC; everything before it is a committed
-  // prefix and replays cleanly.
-  std::vector<persist::WalRecord> wal_records;
+  // prefix and replays cleanly. This is the only read of the file: the
+  // writer reopen below reuses `wal` for its generation check and torn-tail
+  // truncation.
+  persist::WalContents wal;
   if (plan.has_wal) {
-    GRAPHITTI_ASSIGN_OR_RETURN(persist::WalContents wal,
-                               persist::ReadWal(*env, plan.wal_path));
-    wal_records = std::move(wal.records);
+    GRAPHITTI_ASSIGN_OR_RETURN(wal, persist::ReadWal(*env, plan.wal_path));
   }
+  std::vector<persist::WalRecord> wal_records = std::move(wal.records);
   if (options.eager_restore) {
     // The engine is brand new: its initial version has no observers, so
     // recovery rebuilds it in place.
@@ -884,10 +885,12 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
     // Reopening an existing WAL truncates any torn tail before appending;
     // a missing one (crash between snapshot rename and WAL creation) is
     // created fresh.
+    const std::string wal_path = directory + "/" + persist::WalFileName(plan.generation);
     GRAPHITTI_ASSIGN_OR_RETURN(
-        g->wal_, persist::WalWriter::Open(
-                     env, directory + "/" + persist::WalFileName(plan.generation),
-                     plan.generation, options.wal));
+        g->wal_, plan.has_wal ? persist::WalWriter::Reopen(env, wal_path, plan.generation,
+                                                           wal, options.wal)
+                              : persist::WalWriter::Open(env, wal_path, plan.generation,
+                                                         options.wal));
     for (const std::string& stale : plan.stale_files) (void)env->RemoveFile(stale);
     (void)env->SyncDir(directory);
   }

@@ -64,6 +64,17 @@ uint64_t ScanRecords(std::string_view data, std::vector<WalRecord>* out) {
   return pos;
 }
 
+// Parses a whole WAL image: the header, then records up to the first torn
+// one. Intact records are copied out only when `keep_records` is set.
+Result<WalContents> ParseWal(std::string_view data, const std::string& path,
+                             bool keep_records) {
+  WalContents contents;
+  GRAPHITTI_ASSIGN_OR_RETURN(contents.generation, DecodeHeader(data, path));
+  contents.valid_bytes = ScanRecords(data, keep_records ? &contents.records : nullptr);
+  contents.truncated_tail = contents.valid_bytes < data.size();
+  return contents;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env, const std::string& path,
@@ -71,21 +82,9 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env, const std::string& 
                                                    const WalOptions& options) {
   if (env->FileExists(path)) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string data, env->ReadFileToString(path));
-    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t file_gen, DecodeHeader(data, path));
-    if (file_gen != generation) {
-      return Status::Internal("WAL '" + path + "' is generation " + std::to_string(file_gen) +
-                              ", expected " + std::to_string(generation));
-    }
-    uint64_t valid = ScanRecords(data, nullptr);
-    if (valid < data.size()) {
-      // Torn tail from a crash mid-append: cut it off so new records extend
-      // a clean prefix instead of hiding behind garbage.
-      GRAPHITTI_RETURN_NOT_OK(env->TruncateFile(path, valid));
-    }
-    GRAPHITTI_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
-                               env->NewWritableFile(path, /*truncate=*/false));
-    return std::unique_ptr<WalWriter>(
-        new WalWriter(env, path, generation, options, std::move(file)));
+    GRAPHITTI_ASSIGN_OR_RETURN(WalContents contents,
+                               ParseWal(data, path, /*keep_records=*/false));
+    return Reopen(env, path, generation, contents, options);
   }
 
   GRAPHITTI_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
@@ -95,6 +94,26 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env, const std::string& 
   // Pin the file's existence: without this a crash could lose the whole WAL
   // even after records inside it were fsynced.
   GRAPHITTI_RETURN_NOT_OK(env->SyncDir(ParentDir(path)));
+  return std::unique_ptr<WalWriter>(
+      new WalWriter(env, path, generation, options, std::move(file)));
+}
+
+Result<std::unique_ptr<WalWriter>> WalWriter::Reopen(Env* env, const std::string& path,
+                                                     uint64_t generation,
+                                                     const WalContents& contents,
+                                                     const WalOptions& options) {
+  if (contents.generation != generation) {
+    return Status::Internal("WAL '" + path + "' is generation " +
+                            std::to_string(contents.generation) + ", expected " +
+                            std::to_string(generation));
+  }
+  if (contents.truncated_tail) {
+    // Torn tail from a crash mid-append: cut it off so new records extend
+    // a clean prefix instead of hiding behind garbage.
+    GRAPHITTI_RETURN_NOT_OK(env->TruncateFile(path, contents.valid_bytes));
+  }
+  GRAPHITTI_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                             env->NewWritableFile(path, /*truncate=*/false));
   return std::unique_ptr<WalWriter>(
       new WalWriter(env, path, generation, options, std::move(file)));
 }
@@ -134,11 +153,7 @@ Status WalWriter::Sync() {
 
 Result<WalContents> ReadWal(const Env& env, const std::string& path) {
   GRAPHITTI_ASSIGN_OR_RETURN(std::string data, env.ReadFileToString(path));
-  WalContents contents;
-  GRAPHITTI_ASSIGN_OR_RETURN(contents.generation, DecodeHeader(data, path));
-  contents.valid_bytes = ScanRecords(data, &contents.records);
-  contents.truncated_tail = contents.valid_bytes < data.size();
-  return contents;
+  return ParseWal(data, path, /*keep_records=*/true);
 }
 
 }  // namespace persist

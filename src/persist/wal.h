@@ -60,6 +60,18 @@ struct WalOptions {
   int interval_ms = 10;
 };
 
+struct WalRecord {
+  WalRecordType type;
+  std::string payload;
+};
+
+struct WalContents {
+  uint64_t generation = 0;
+  std::vector<WalRecord> records;
+  uint64_t valid_bytes = 0;  // prefix length up to the last intact record
+  bool truncated_tail = false;  // file had bytes past valid_bytes (torn tail)
+};
+
 /// Appender. Not thread-safe and deliberately mutex-free: the engine is
 /// the only caller and reaches it exclusively through its `wal_` handle,
 /// which is GUARDED_BY(commit_mu_) in core/graphitti.h — so the clang
@@ -74,6 +86,16 @@ class WalWriter {
   static util::Result<std::unique_ptr<WalWriter>> Open(Env* env, const std::string& path,
                                                        uint64_t generation,
                                                        const WalOptions& options);
+
+  /// Reopens the existing WAL at `path` whose contents the caller has just
+  /// read with ReadWal, so the file is neither read nor checksummed again:
+  /// the generation is checked against `contents`, and a torn tail past
+  /// contents.valid_bytes is truncated before the first append. The file
+  /// must not have changed since it was read.
+  static util::Result<std::unique_ptr<WalWriter>> Reopen(Env* env, const std::string& path,
+                                                         uint64_t generation,
+                                                         const WalContents& contents,
+                                                         const WalOptions& options);
 
   /// Appends one record and applies the sync policy. On any error the WAL
   /// file may hold a torn tail; the caller must stop appending (the engine
@@ -102,18 +124,6 @@ class WalWriter {
   std::unique_ptr<WritableFile> file_;
   bool synced_since_append_ = true;
   std::chrono::steady_clock::time_point last_sync_ = std::chrono::steady_clock::now();
-};
-
-struct WalRecord {
-  WalRecordType type;
-  std::string payload;
-};
-
-struct WalContents {
-  uint64_t generation = 0;
-  std::vector<WalRecord> records;
-  uint64_t valid_bytes = 0;  // prefix length up to the last intact record
-  bool truncated_tail = false;  // file had bytes past valid_bytes (torn tail)
 };
 
 /// Reads a WAL, stopping cleanly at the first torn record. Fails with

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -269,6 +270,67 @@ TEST(CommitBatch, ForcedIdCollisionsRejected) {
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(*ids, (std::vector<AnnotationId>{7, 8}));
   EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
+// Forced ids that descend within the batch and fall below (and between)
+// ids already in shared posting lists: every such list is appended out of
+// order and must be repaired at flush. The result must equal a loop of
+// store-level Commit with the same forced ids, list for list.
+TEST(CommitBatch, OutOfOrderForcedIdsKeepPostingsSorted) {
+  const std::vector<AnnotationBuilder> corpus = MakeCorpus(17, 120);
+  constexpr size_t kPre = 40;
+  // Pre-batch annotations take even ids 500..890. Batch ids are odd and
+  // descend from 1001 to 53, so they start above every listed id, then
+  // interleave with them, then fall below them all; every ninth is 0
+  // (fresh), which a loop of Commit assigns above everything seen so far.
+  std::vector<AnnotationId> forced;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    if (i < kPre) {
+      forced.push_back(500 + 10 * i);
+    } else {
+      forced.push_back((i - kPre) % 9 == 8 ? 0 : 1001 - 12 * (i - kPre));
+    }
+  }
+
+  auto loop = FreshEngine();
+  std::vector<AnnotationId> loop_ids;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    auto id = loop->annotations().Commit(corpus[i], forced[i]);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    loop_ids.push_back(*id);
+  }
+
+  auto batched = FreshEngine();
+  for (size_t i = 0; i < kPre; ++i) {
+    ASSERT_TRUE(batched->annotations().Commit(corpus[i], forced[i]).ok());
+  }
+  const std::vector<AnnotationBuilder> rest(corpus.begin() + kPre, corpus.end());
+  const std::vector<AnnotationId> rest_forced(forced.begin() + kPre, forced.end());
+  auto batch_ids = batched->annotations().CommitBatch(rest, rest_forced);
+  ASSERT_TRUE(batch_ids.ok()) << batch_ids.status().ToString();
+  EXPECT_EQ(std::vector<AnnotationId>(loop_ids.begin() + kPre, loop_ids.end()), *batch_ids);
+
+  const annotation::AnnotationStore& store = batched->annotations();
+  ASSERT_EQ(store.NumTokens(), loop->annotations().NumTokens());
+  // Lists where a batch id landed below a pre-batch id: the repair ran.
+  size_t repaired = 0;
+  for (uint32_t tid = 0; tid < store.NumTokens(); ++tid) {
+    const std::string token(store.TokenString(tid));
+    const std::vector<AnnotationId>& posting = store.PostingsOf(tid);
+    EXPECT_TRUE(std::adjacent_find(posting.begin(), posting.end(),
+                                   std::greater_equal<AnnotationId>()) == posting.end())
+        << "posting of '" << token << "' not strictly ascending";
+    EXPECT_EQ(posting, loop->annotations().SearchKeyword(token)) << "token " << token;
+    const bool has_pre = std::any_of(posting.begin(), posting.end(), [](AnnotationId id) {
+      return id >= 500 && id < 900 && id % 2 == 0;
+    });
+    if (has_pre && posting.front() < 500) ++repaired;
+  }
+  EXPECT_GT(repaired, 0u) << "no list had batch ids land below its pre-batch ids";
+  EXPECT_EQ(loop->ExportAGraph(), batched->ExportAGraph());
+  ExpectSameAnswers(*loop, *batched);
+  EXPECT_TRUE(loop->ValidateIntegrity().ok());
+  EXPECT_TRUE(batched->ValidateIntegrity().ok());
 }
 
 // Regression for the ISSUE-5 bugfix: a mark that fails partway through

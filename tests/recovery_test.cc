@@ -3,6 +3,7 @@
 // covers the recovery state machine on intact (or hand-damaged) directories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/graphitti.h"
@@ -309,6 +310,86 @@ TEST(RecoveryTest, CheckpointRightAfterOpenHydratesFirst) {
   auto g = MustOpen(&env);
   EXPECT_EQ(g->generation(), 1u);
   EXPECT_EQ(g->Stats().num_annotations, 2u);
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
+// Tail builder: three interval domains with repeating offsets (so tail
+// annotations share referents with each other and with the snapshot) and
+// a small vocabulary (so their postings land in shared lists).
+AnnotationBuilder TailBuilder(size_t i) {
+  AnnotationBuilder b;
+  std::string body = "tail word" + std::to_string(i % 13);
+  if (i % 5 == 0) body += " gamma";
+  b.Title("t" + std::to_string(i)).Creator("tester").Body(body);
+  const int64_t lo = static_cast<int64_t>((i * 37) % 600);
+  b.MarkInterval("flu:seg" + std::to_string(i % 3), lo, lo + 25);
+  return b;
+}
+
+// Keyword answers, then interval-window answers, over TailBuilder's
+// vocabulary and domains.
+std::vector<std::vector<uint64_t>> TailAnswers(const Graphitti& g) {
+  std::vector<std::vector<uint64_t>> out;
+  for (const char* word : {"tail", "word0", "word7", "gamma", "nosuchword"}) {
+    out.push_back(g.annotations().SearchKeyword(word));
+  }
+  for (int s = 0; s < 3; ++s) {
+    for (int64_t lo = 0; lo < 600; lo += 150) {
+      std::vector<uint64_t> ids;
+      for (const spatial::IntervalEntry& e :
+           g.indexes().QueryIntervals("flu:seg" + std::to_string(s), {lo, lo + 100})) {
+        ids.push_back(e.id);
+      }
+      std::sort(ids.begin(), ids.end());
+      out.push_back(std::move(ids));
+    }
+  }
+  return out;
+}
+
+TEST(RecoveryTest, LongTailOfSmallRecordsReplaysToLiveState) {
+  FaultInjectionEnv env;
+  std::string stats, agraph;
+  std::vector<std::vector<uint64_t>> answers;
+  {
+    auto g = MustOpen(&env);
+    std::vector<AnnotationBuilder> base;
+    for (size_t i = 0; i < 200; ++i) base.push_back(TailBuilder(i));
+    auto base_ids = g->CommitBatch(base);
+    ASSERT_TRUE(base_ids.ok()) << base_ids.status().ToString();
+    ASSERT_TRUE(g->Checkpoint().ok());
+    // The tail: one record per Commit, a CommitBatch of 8 every 50th step,
+    // and a remove every 7th step, alternating between snapshot and tail ids.
+    std::vector<annotation::AnnotationId> tail_ids;
+    size_t next = 200;
+    for (size_t step = 0; step < 400; ++step) {
+      if (step % 50 == 49) {
+        std::vector<AnnotationBuilder> batch;
+        for (int k = 0; k < 8; ++k) batch.push_back(TailBuilder(next++));
+        auto ids = g->CommitBatch(batch);
+        ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+        tail_ids.insert(tail_ids.end(), ids->begin(), ids->end());
+      } else {
+        auto id = g->Commit(TailBuilder(next++));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        tail_ids.push_back(*id);
+      }
+      if (step % 7 == 6) {
+        const annotation::AnnotationId victim =
+            step % 14 == 6 ? (*base_ids)[step / 7] : tail_ids[step / 14];
+        ASSERT_TRUE(g->RemoveAnnotation(victim).ok());
+      }
+    }
+    stats = g->Stats().ToString();
+    agraph = g->ExportAGraph();
+    answers = TailAnswers(*g);
+    ASSERT_TRUE(g->ValidateIntegrity().ok());
+  }
+  // Deferred hydration (the default) replays the whole tail on first use.
+  auto g = MustOpen(&env);
+  EXPECT_EQ(g->Stats().ToString(), stats);
+  EXPECT_EQ(g->ExportAGraph(), agraph);
+  EXPECT_EQ(TailAnswers(*g), answers);
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 }
 
