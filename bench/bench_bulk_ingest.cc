@@ -1,13 +1,10 @@
 // BULK: corpus-scale ingest. A loop of per-annotation Commit versus one
-// CommitBatch at 1k/10k/50k annotations, and cold persistence reload
-// (Graphitti::LoadFrom) of a large saved corpus — the path that packs the
-// interval trees / R-trees via the median / STR bulk builds instead of
-// replaying one tree insert and one posting append per referent.
+// CommitBatch at 1k/10k/50k annotations — the batch packs the interval
+// trees / R-trees via the median / STR bulk builds instead of replaying one
+// tree insert and one posting append per referent.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,8 +13,6 @@
 #include "util/random.h"
 
 namespace {
-
-namespace fs = std::filesystem;
 
 using graphitti::annotation::AnnotationBuilder;
 using graphitti::core::Graphitti;
@@ -111,48 +106,6 @@ void BM_BulkIngest_CommitBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BulkIngest_CommitBatch)
     ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Unit(benchmark::kMillisecond);
-
-// Saved-corpus directory, built once per size and reused across iterations
-// (SaveTo output is deterministic for a given corpus).
-const std::string& SavedCorpusDir(size_t n) {
-  static std::map<size_t, std::string>* dirs = new std::map<size_t, std::string>();
-  auto it = dirs->find(n);
-  if (it == dirs->end()) {
-    fs::path dir = fs::temp_directory_path() / ("graphitti_bulk_ingest_" + std::to_string(n));
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    auto g = FreshEngine();
-    for (const AnnotationBuilder& b : MakeCorpus(n)) {
-      if (!g->Commit(b).ok()) std::abort();
-    }
-    if (!g->SaveTo(dir.string()).ok()) std::abort();
-    it = dirs->emplace(n, dir.string()).first;
-  }
-  return it->second;
-}
-
-// Cold reload: every iteration rebuilds a full engine from disk. This is
-// the ISSUE-5 headline number — persistence replay packs the spatial trees
-// once per domain instead of replaying one insert per referent.
-void BM_BulkIngest_LoadFrom(benchmark::State& state) {
-  const std::string& dir = SavedCorpusDir(static_cast<size_t>(state.range(0)));
-  size_t loaded = 0;
-  for (auto _ : state) {
-    auto g = Graphitti::LoadFrom(dir);
-    if (!g.ok()) std::abort();
-    benchmark::DoNotOptimize(*g);
-    state.PauseTiming();
-    loaded += (*g)->Stats().num_annotations;
-    g->reset();  // teardown is not reload cost
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(loaded));
-  state.counters["annotations"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_BulkIngest_LoadFrom)
     ->Arg(10000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);

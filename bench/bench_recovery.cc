@@ -1,8 +1,8 @@
-// RECOVERY: crash-safe restart cost. The headline comparison is cold-start
-// time at 50k annotations — legacy XML LoadFrom versus binary snapshot
-// restore (OpenDurable) — plus the WAL-tail replay and Checkpoint costs
-// that bound recovery time between checkpoints, and the small-batch
-// BulkLoad fallback cliff in the spatial index manager.
+// RECOVERY: crash-safe restart cost. The headline number is cold-start
+// time at 50k annotations — binary snapshot restore (OpenDurable), open
+// alone and open plus first query — plus the WAL-tail replay and
+// Checkpoint costs that bound recovery time between checkpoints, and the
+// small-batch BulkLoad fallback cliff in the spatial index manager.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -27,12 +27,6 @@ using graphitti::spatial::Interval;
 using graphitti::spatial::IntervalEntry;
 using graphitti::spatial::Rect;
 using graphitti::util::Rng;
-
-std::unique_ptr<Graphitti> FreshEngine() {
-  auto g = std::make_unique<Graphitti>();
-  (void)g->RegisterCoordinateSystem("atlas", 2);
-  return g;
-}
 
 // Same mixed shape as bench_bulk_ingest's corpus: intervals on several
 // domains, some image regions, skewed keywords.
@@ -63,23 +57,6 @@ std::string BenchDir(const std::string& tag, size_t n) {
   return (fs::temp_directory_path() / ("graphitti_bench_recovery_" + tag + "_" +
                                        std::to_string(n)))
       .string();
-}
-
-// Legacy XML directory: the pre-durability restart path and the baseline
-// the snapshot restore is measured against.
-const std::string& XmlCorpusDir(size_t n) {
-  static auto* dirs = new std::map<size_t, std::string>();
-  auto it = dirs->find(n);
-  if (it == dirs->end()) {
-    std::string dir = BenchDir("xml", n);
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    auto g = FreshEngine();
-    if (!g->CommitBatch(MakeCorpus(n)).ok()) std::abort();
-    if (!g->SaveTo(dir).ok()) std::abort();
-    it = dirs->emplace(n, dir).first;
-  }
-  return it->second;
 }
 
 // Durable directory checkpointed after the full corpus: recovery is a pure
@@ -170,20 +147,6 @@ const std::string& WalOnlyCorpusDir(size_t n) {
   }
   return it->second;
 }
-
-void BM_Recovery_XmlLoadFrom(benchmark::State& state) {
-  const std::string& dir = XmlCorpusDir(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto g = Graphitti::LoadFrom(dir);
-    if (!g.ok()) std::abort();
-    benchmark::DoNotOptimize(*g);
-    state.PauseTiming();
-    g->reset();
-    state.ResumeTiming();
-  }
-  state.counters["annotations"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_Recovery_XmlLoadFrom)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 // Default OpenDurable: the open is I/O-bound (read + CRC-verify the
 // snapshot, settle the WAL); the state build is deferred to first access.

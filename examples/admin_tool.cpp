@@ -1,8 +1,10 @@
 // The administration workflow (the demo's third tab): statistics, integrity
 // validation, a-graph analytics, query EXPLAIN plans, and save/load of the
-// whole engine state.
+// whole engine state. Exits non-zero when the save/load round trip fails,
+// changes the statistics, or reloads an engine that fails its integrity
+// check.
 //
-//   $ ./build/examples/admin_tool [save-directory]
+//   $ ./build/admin_tool [save-directory]
 #include <cstdio>
 #include <filesystem>
 
@@ -73,6 +75,7 @@ int main(int argc, char** argv) {
 
   // --- persistence round trip ---
   std::printf("== persistence ==\n");
+  const std::string saved_stats = g.Stats().ToString();
   auto saved = g.SaveTo(save_dir);
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
@@ -84,9 +87,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "load failed: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  std::printf("reloaded: %s\n", (*loaded)->Stats().ToString().c_str());
-  std::printf("reloaded integrity: %s\n",
-              (*loaded)->ValidateIntegrity().ToString().c_str());
+  const std::string reloaded_stats = (*loaded)->Stats().ToString();
+  auto reloaded_integrity = (*loaded)->ValidateIntegrity();
+  std::printf("reloaded: %s\n", reloaded_stats.c_str());
+  std::printf("reloaded integrity: %s\n", reloaded_integrity.ToString().c_str());
+  if (reloaded_stats != saved_stats || !reloaded_integrity.ok()) {
+    std::fprintf(stderr, "round trip mismatch: saved %s\n", saved_stats.c_str());
+    return 1;
+  }
 
   // --- vacuum ---
   for (size_t i = 0; i < 20; ++i) {

@@ -91,13 +91,13 @@ class AnnotationStore {
   /// success, observable state (assigned ids, query answers, a-graph
   /// shape, integrity) is identical to committing the builders one by one.
   /// `forced_ids`, when non-empty, must have one entry per builder
-  /// (0 = assign fresh) — the persistence-reload path.
+  /// (0 = assign fresh) — the WAL-replay path.
   ///
   /// `prebuilt_contents`, when non-null, must have one document per
   /// builder; a non-empty document is *consumed* (moved, id attribute
   /// restamped) as that annotation's content instead of re-serializing the
-  /// builder through BuildContentXml — the reload fast path, where the
-  /// content was just parsed from disk. An empty document falls back to
+  /// builder through BuildContentXml — the WAL-replay fast path, where the
+  /// content was just parsed from the log. An empty document falls back to
   /// BuildContentXml. Callers must pass documents that round-trip to the
   /// builder (FromContentXml(doc) == builder), or stored content and
   /// search text will disagree with the per-commit path.
@@ -109,7 +109,7 @@ class AnnotationStore {
   /// Consuming overload: identical observable semantics, but each
   /// annotation's metadata (Dublin Core fields, body, user tags, ontology
   /// refs) is moved out of its builder instead of copied — for callers
-  /// that discard the builders afterwards, like persistence reload.
+  /// that discard the builders afterwards, like WAL replay.
   util::Result<std::vector<AnnotationId>> CommitBatch(
       std::vector<AnnotationBuilder>&& builders,
       const std::vector<AnnotationId>& forced_ids = {},

@@ -1,5 +1,7 @@
 // Crash-safe durability for a Graphitti instance: WAL record payloads,
-// binary snapshot body encode/restore, recovery, and checkpointing.
+// binary snapshot body encode/restore, recovery, checkpointing, and
+// SaveTo/LoadFrom, which write and read the same snapshot files as
+// Checkpoint/OpenDurable (the engine's only on-disk format).
 //
 // Division of labor with src/persist/: persist owns the file-level
 // protocol (record framing + CRCs, atomic snapshot writes, generation
@@ -16,16 +18,11 @@
 //   referents (with their a-graph of-object edge bit), annotations
 //   (metadata + the serialized content XML byte-exact + the pre-lowered
 //   phrase-search text), and the next annotation/referent ids.
-//
-// Restore cost model: the two expensive parts of the legacy XML reload
-// are parsing 50k content documents and re-tokenizing them into the
-// keyword index. The snapshot sidesteps both — content XML is parked
-// cold in the store (hydrated lazily on first access) and the keyword
-// index is adopted verbatim.
 #include "core/durability.h"
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -296,8 +293,7 @@ std::string EncodeCommitBatch(const AnnotationStore& store,
     enc.PutU64(id);
     // The post-commit content XML (with the id attribute stamped) is the
     // replay unit: FromContentXml reconstructs the builder and the parsed
-    // document rides along as the prebuilt content, exactly like the
-    // legacy XML reload path.
+    // document rides along as the prebuilt content.
     enc.PutString(ann == nullptr ? std::string() : store.ContentXml(*ann));
   }
   return enc.Take();
@@ -520,7 +516,7 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
 
   // Tables: schema + index descriptors + rows in scan order. Objects below
   // reference rows by scan ordinal (restore re-inserts contiguously, so
-  // ordinal == RowId there — the same trick as the legacy XML save).
+  // ordinal == RowId there).
   std::vector<std::string> table_names = state.catalog.TableNames();
   enc.PutU32(static_cast<uint32_t>(table_names.size()));
   std::map<std::string, std::unordered_map<RowId, uint64_t>> ordinals;
@@ -544,10 +540,10 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
   }
 
   // Objects and ontologies live in engine metadata, not the versioned
-  // state; meta_mu_ covers the reads. A registration racing this encode
-  // would reference a row the snapshot's `state` lacks — the ordinal skip
-  // below drops it, matching the snapshot's version cut. (Checkpoint holds
-  // commit_mu_, so in practice no such race exists there.)
+  // state; meta_mu_ covers the reads. Checkpoint encodes under commit_mu_,
+  // but SaveTo encodes a pinned version while writers keep committing: an
+  // object registered after the pin references a row the pinned `state`
+  // lacks, and the ordinal skip below drops it, matching the version cut.
   {
     util::MutexLock meta(meta_mu_);
     std::vector<std::pair<const ObjectInfo*, uint64_t>> live;
@@ -968,19 +964,48 @@ Result<std::unique_ptr<Graphitti>> Graphitti::OpenDurable(const std::string& dir
   GRAPHITTI_RETURN_NOT_OK(env->CreateDirs(directory));
   GRAPHITTI_ASSIGN_OR_RETURN(persist::RecoveryPlan plan,
                              persist::PlanRecovery(*env, directory));
-  if (plan.kind == persist::RecoveryPlan::Kind::kLegacyXml) {
-    // Pre-WAL XML save: load through the legacy path (real filesystem —
-    // legacy saves predate the Env seam), then immediately checkpoint
-    // into the binary format (snapshot-1 + wal-1; later recoveries take
-    // the binary branch and ignore the legacy files).
-    GRAPHITTI_ASSIGN_OR_RETURN(std::unique_ptr<Graphitti> g, LoadFrom(directory));
-    g->env_ = env;
-    g->durable_dir_ = directory;
-    g->wal_options_ = options.wal;
-    GRAPHITTI_RETURN_NOT_OK(g->Checkpoint());
-    return g;
-  }
   return RecoverBinary(env, directory, options, std::move(plan), /*attach_wal=*/true);
+}
+
+Status Graphitti::SaveTo(const std::string& directory) const {
+  GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
+  persist::Env* env = persist::Env::Default();
+  GRAPHITTI_RETURN_NOT_OK(env->CreateDirs(directory));
+  // A save is snapshot-1 with no WAL: exactly what a durable engine leaves
+  // after its first Checkpoint, so LoadFrom and OpenDurable both open it.
+  // Any other generation file belongs to a durable engine. Writing beside
+  // it would orphan that engine's log, or be swept as stale by
+  // PlanRecovery (with only wal-0 present, recovery would choose
+  // snapshot-1 and delete wal-0 with its commits).
+  GRAPHITTI_ASSIGN_OR_RETURN(std::vector<std::string> names, env->ListDir(directory));
+  for (const std::string& name : names) {
+    std::optional<uint64_t> snapshot_gen = persist::ParseGeneration(name, "snapshot-");
+    if (persist::ParseGeneration(name, "wal-") || (snapshot_gen && *snapshot_gen != 1)) {
+      return Status::AlreadyExists("'" + directory +
+                                   "' holds a durable engine's WAL or snapshot files; "
+                                   "SaveTo will not write over them");
+    }
+  }
+  std::string body;
+  {
+    // One pinned version, so the save is commit-consistent without
+    // blocking readers or writers.
+    util::EpochPin pin = epochs_->PinCurrent();
+    body = EncodeSnapshotBody(*static_cast<const EngineState*>(pin.get()));
+  }
+  return persist::WriteSnapshotFile(env, directory + "/" + persist::SnapshotFileName(1),
+                                    /*generation=*/1, body);
+}
+
+Result<std::unique_ptr<Graphitti>> Graphitti::LoadFrom(const std::string& directory) {
+  persist::Env* env = persist::Env::Default();
+  GRAPHITTI_ASSIGN_OR_RETURN(persist::RecoveryPlan plan,
+                             persist::PlanRecovery(*env, directory));
+  if (plan.kind == persist::RecoveryPlan::Kind::kFresh) {
+    return Status::NotFound("no saved engine in '" + directory + "'");
+  }
+  return RecoverBinary(env, directory, DurabilityOptions{}, std::move(plan),
+                       /*attach_wal=*/false);
 }
 
 Status Graphitti::Checkpoint() {

@@ -507,6 +507,29 @@ util::Result<std::vector<uint64_t>> Graphitti::SearchObjects(
   return SearchObjectsIn(*static_cast<const EngineState*>(pin.get()), table, filter);
 }
 
+util::Status Graphitti::RestoreObjectInto(EngineState& state, uint64_t object_id,
+                                          std::string_view table, relational::RowId row,
+                                          std::string label) {
+  if (object_id == 0) return Status::InvalidArgument("object id 0 is reserved");
+  if (state.catalog.GetTable(table) == nullptr) {
+    return Status::NotFound("table '" + std::string(table) + "' not found");
+  }
+  util::MutexLock meta(meta_mu_);
+  if (objects_.count(object_id) > 0) {
+    return Status::AlreadyExists("object id " + std::to_string(object_id) + " in use");
+  }
+  ObjectInfo info;
+  info.id = object_id;
+  info.table = std::string(table);
+  info.row = row;
+  info.label = std::move(label);
+  state.graph.EnsureNode(agraph::NodeRef::Object(object_id), info.label);
+  object_by_row_[info.table][row] = object_id;
+  objects_.emplace(object_id, std::move(info));
+  next_object_id_ = std::max(next_object_id_, object_id + 1);
+  return Status::OK();
+}
+
 // --- Annotation ---
 
 util::Status Graphitti::AdmitCommit(util::AdmissionController::Ticket* ticket) {
@@ -743,6 +766,114 @@ std::string Graphitti::ExportAGraph() const {
   (void)EnsureHydrated();
   util::EpochPin pin = epochs_->PinCurrent();
   return static_cast<const EngineState*>(pin.get())->graph.ToText();
+}
+
+util::Status Graphitti::ValidateIntegrity() const {
+  GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
+  // One pinned version is checked end to end; cross-checks against engine
+  // metadata (object registrations) copy it out under meta_mu_ first.
+  util::EpochPin pin = epochs_->PinCurrent();
+  const auto& state = *static_cast<const EngineState*>(pin.get());
+  std::map<uint64_t, ObjectInfo> objects_copy;
+  {
+    util::MutexLock meta(meta_mu_);
+    objects_copy.insert(objects_.begin(), objects_.end());
+  }
+  // 1. Every referent is backed by the right index entry (spatial kinds) and
+  //    an a-graph node.
+  for (annotation::ReferentId rid : state.store->ReferentIds()) {
+    const annotation::Referent* ref = state.store->GetReferent(rid);
+    if (ref == nullptr) return Status::Internal("referent table inconsistent");
+    const auto& sub = ref->substructure;
+    if (!state.graph.HasNode(agraph::NodeRef::Referent(rid))) {
+      return Status::Internal("referent " + std::to_string(rid) + " missing from a-graph");
+    }
+    if (sub.type() == substructure::SubType::kInterval) {
+      bool found = false;
+      for (const auto& e : state.indexes.QueryIntervals(sub.domain(), sub.interval())) {
+        if (e.id == rid && e.interval == sub.interval()) found = true;
+      }
+      if (!found) {
+        return Status::Internal("referent " + std::to_string(rid) +
+                                " missing from interval index '" + sub.domain() + "'");
+      }
+    } else if (sub.type() == substructure::SubType::kRegion) {
+      auto hits = state.indexes.QueryRegions(sub.domain(), sub.rect());
+      if (!hits.ok()) return hits.status();
+      bool found = false;
+      for (const auto& e : *hits) {
+        if (e.id == rid) found = true;
+      }
+      if (!found) {
+        return Status::Internal("referent " + std::to_string(rid) +
+                                " missing from region index '" + sub.domain() + "'");
+      }
+    }
+    if (ref->refcount == 0) {
+      return Status::Internal("referent " + std::to_string(rid) + " has zero refcount");
+    }
+  }
+
+  // 2. Every annotation's content node exists and its referents resolve.
+  for (annotation::AnnotationId id : state.store->Ids()) {
+    const annotation::Annotation* ann = state.store->Get(id);
+    if (!state.graph.HasNode(agraph::NodeRef::Content(id))) {
+      return Status::Internal("annotation " + std::to_string(id) + " missing from a-graph");
+    }
+    if (!state.store->HasContent(*ann)) {
+      return Status::Internal("annotation " + std::to_string(id) + " has empty content");
+    }
+    for (annotation::ReferentId rid : ann->referents) {
+      if (state.store->GetReferent(rid) == nullptr) {
+        return Status::Internal("annotation " + std::to_string(id) +
+                                " references dead referent " + std::to_string(rid));
+      }
+    }
+  }
+
+  // 3. Every a-graph content/referent node has a backing record; object
+  //    nodes have registrations.
+  Status status = Status::OK();
+  state.graph.ForEachNode([&](agraph::NodeRef ref, std::string_view) {
+    if (!status.ok()) return;
+    switch (ref.kind) {
+      case agraph::NodeKind::kContent:
+        if (state.store->Get(ref.id) == nullptr) {
+          status = Status::Internal("a-graph content node " + std::to_string(ref.id) +
+                                    " has no stored annotation");
+        }
+        break;
+      case agraph::NodeKind::kReferent:
+        if (state.store->GetReferent(ref.id) == nullptr) {
+          status = Status::Internal("a-graph referent node " + std::to_string(ref.id) +
+                                    " has no referent record");
+        }
+        break;
+      case agraph::NodeKind::kDataObject:
+        if (objects_copy.find(ref.id) == objects_copy.end()) {
+          status = Status::Internal("a-graph object node " + std::to_string(ref.id) +
+                                    " is not registered");
+        }
+        break;
+      case agraph::NodeKind::kOntologyTerm:
+        if (state.store->TermName(ref).empty()) {
+          status = Status::Internal("a-graph term node " + std::to_string(ref.id) +
+                                    " has no interned name");
+        }
+        break;
+    }
+  });
+  GRAPHITTI_RETURN_NOT_OK(status);
+
+  // 4. Objects point at live rows.
+  for (const auto& [id, info] : objects_copy) {
+    const relational::Table* table = state.catalog.GetTable(info.table);
+    if (table == nullptr || table->Get(info.row) == nullptr) {
+      return Status::Internal("object " + std::to_string(id) + " points at a dead row in '" +
+                              info.table + "'");
+    }
+  }
+  return Status::OK();
 }
 
 void Graphitti::VacuumTables() {

@@ -403,21 +403,24 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
 
   // --- Persistence ---
 
-  /// [read] Saves the full engine state (tables, objects, coordinate
-  /// systems, ontologies, annotations) under `directory` (created if
-  /// needed). Pins the current version for the whole dump, so the save is
-  /// commit-consistent and never blocks concurrent readers or writers.
-  /// Every file is written atomically (temp + fsync + rename + directory
-  /// fsync): a crash mid-save leaves the previous save intact, never a
-  /// torn file.
+  /// [read] Saves the full engine state as one binary snapshot,
+  /// `directory`/snapshot-1 (directory created if needed): the same file a
+  /// durable engine writes at its first Checkpoint, so both LoadFrom and
+  /// OpenDurable open the result. Pins the current version for the encode,
+  /// so the save is commit-consistent and never blocks concurrent readers
+  /// or writers. The write is atomic (temp + fsync + rename + directory
+  /// fsync): a crash mid-save leaves the previous save intact, and a
+  /// second save into the same directory replaces the first. A directory
+  /// holding a durable engine's files (any wal-<g>, or snapshot-<g> with
+  /// g != 1) is refused with kAlreadyExists.
   util::Status SaveTo(const std::string& directory) const;
-  /// [boot] Rebuilds an engine from a directory written by SaveTo — or, when the
-  /// directory holds a durable engine's snapshot-<g>/wal-<g> files, by
-  /// binary recovery (snapshot restore + WAL-tail replay; a torn final WAL
-  /// record is truncated, mismatched snapshot/WAL generations are refused
-  /// with kInternal). The returned engine is NOT durable — new mutations
-  /// are not logged; use OpenDurable for that. Annotation ids and object
-  /// ids are preserved; spatial indexes and the a-graph are reconstructed.
+  /// [boot] Rebuilds an engine from a directory written by SaveTo or by a
+  /// durable engine: snapshot restore plus WAL-tail replay (a torn final
+  /// WAL record is truncated; mismatched snapshot/WAL generations are
+  /// refused with kInternal). kNotFound when the directory is missing or
+  /// holds no snapshot or WAL. The returned engine is NOT durable — new
+  /// mutations are not logged; use OpenDurable for that. Annotation ids
+  /// and object ids are preserved.
   static util::Result<std::unique_ptr<Graphitti>> LoadFrom(const std::string& directory);
 
   // --- Durability (crash safety: WAL + checkpoints) ---
@@ -426,10 +429,9 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// recovers the newest valid snapshot, replays the WAL tail (a torn
   /// final record is a clean truncation point, not an error), attaches
   /// the WAL, and from then on logs every [durable]-tagged mutation
-  /// before it publishes. A directory written by legacy SaveTo is
-  /// upgraded in place (XML load + immediate Checkpoint). Refuses
-  /// directories whose snapshot/WAL generations cannot be recovered
-  /// faithfully.
+  /// before it publishes. A directory written by SaveTo opens at
+  /// generation 1. Refuses directories whose snapshot/WAL generations
+  /// cannot be recovered faithfully.
   ///
   /// Restart cost: by default the open itself is I/O-bound — it reads and
   /// CRC-verifies the snapshot and settles the WAL (torn-tail truncation,
@@ -439,8 +441,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   ///
   /// NOT durable (not logged, in-memory only until the next Checkpoint):
   /// mutations through the unversioned substrate accessors (catalog()/
-  /// graph()/annotations()), direct Table handles (CreateTable's return,
-  /// secondary CreateIndex calls), and RestoreObject.
+  /// graph()/annotations()) and direct Table handles (CreateTable's
+  /// return, secondary CreateIndex calls).
   static util::Result<std::unique_ptr<Graphitti>> OpenDurable(
       const std::string& directory, const DurabilityOptions& options = {});
 
@@ -487,11 +489,6 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-
-  /// [commit] Restores an object registration with an explicit id
-  /// (persistence/admin use only; fails on id collision).
-  util::Status RestoreObject(uint64_t object_id, std::string_view table,
-                             relational::RowId row, std::string label);
 
   // --- Admin tab ---
 
@@ -582,8 +579,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
                                          std::string label) REQUIRES(commit_mu_);
 
   /// Registers object metadata + a-graph node into `state` directly (boot
-  /// and recovery; no versioning). Shared by snapshot restore, WAL object
-  /// replay, and LoadFrom.
+  /// and recovery; no versioning). Shared by snapshot restore and WAL
+  /// object replay.
   util::Status RestoreObjectInto(EngineState& state, uint64_t object_id,
                                  std::string_view table, relational::RowId row,
                                  std::string label);

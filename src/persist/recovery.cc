@@ -26,7 +26,11 @@ Result<RecoveryPlan> PlanRecovery(const Env& env, const std::string& dir) {
   }
 
   if (snapshot_gens.empty() && wal_gens.empty()) {
-    plan.kind = has_manifest ? RecoveryPlan::Kind::kLegacyXml : RecoveryPlan::Kind::kFresh;
+    if (has_manifest) {
+      return Status::Unsupported("'" + dir +
+                                 "' holds a retired XML/TSV save (manifest.txt); only "
+                                 "snapshot/WAL directories can be opened");
+    }
     return plan;
   }
   plan.kind = RecoveryPlan::Kind::kBinary;

@@ -16,8 +16,9 @@
 //     kInternal rather than silently recovering stale state.
 //   - Older snapshot/wal pairs than the chosen generation are stale debris
 //     from a crash mid-checkpoint-cleanup; they are listed for deletion.
-//   - A directory containing manifest.txt and no snapshot-*/wal-* files is
-//     a legacy XML-format save (pre-WAL) and is routed to the XML loader.
+//   - A directory holding a retired XML/TSV save and no snapshot-*/wal-*
+//     files is refused with kUnsupported, so no caller starts a fresh
+//     engine on top of old data.
 #ifndef GRAPHITTI_PERSIST_RECOVERY_H_
 #define GRAPHITTI_PERSIST_RECOVERY_H_
 
@@ -33,9 +34,8 @@ namespace persist {
 
 struct RecoveryPlan {
   enum class Kind {
-    kFresh,      // empty (or nonexistent) directory: start a new engine
-    kBinary,     // snapshot and/or WAL present: binary recovery
-    kLegacyXml,  // pre-WAL XML save: load through the legacy path
+    kFresh,   // empty (or nonexistent) directory: start a new engine
+    kBinary,  // snapshot and/or WAL present: binary recovery
   };
 
   Kind kind = Kind::kFresh;
@@ -62,7 +62,8 @@ struct RecoveryPlan {
 /// Scans `dir` and produces the plan. Fails with kInternal when the
 /// directory's contents cannot be recovered faithfully (a WAL newer than
 /// every valid snapshot, or every snapshot corrupt while a WAL depends on
-/// one) — never silently falls back to stale state.
+/// one) — never silently falls back to stale state — and with kUnsupported
+/// when it holds only a retired XML/TSV save.
 util::Result<RecoveryPlan> PlanRecovery(const Env& env, const std::string& dir);
 
 }  // namespace persist

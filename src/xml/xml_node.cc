@@ -54,13 +54,6 @@ XmlNode* XmlNode::AddChild(std::unique_ptr<XmlNode> child) {
   return children_.back().get();
 }
 
-std::vector<std::unique_ptr<XmlNode>> XmlNode::TakeChildren() {
-  std::vector<std::unique_ptr<XmlNode>> out;
-  out.swap(children_);
-  for (auto& child : out) child->parent_ = nullptr;
-  return out;
-}
-
 XmlNode* XmlNode::AddElement(std::string tag) { return AddChild(Element(std::move(tag))); }
 
 XmlNode* XmlNode::AddText(std::string text) { return AddChild(Text(std::move(text))); }

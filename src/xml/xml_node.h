@@ -56,12 +56,6 @@ class XmlNode {
   /// Convenience: append <tag>text</tag> and return the element.
   XmlNode* AddElementWithText(std::string tag, std::string text);
 
-  /// Detaches and returns all children (parent links cleared); this node
-  /// becomes a leaf. The persistence reload path uses this to turn the
-  /// parsed <annotations> wrapper's children into per-annotation documents
-  /// without deep-copying the subtrees.
-  std::vector<std::unique_ptr<XmlNode>> TakeChildren();
-
   /// First child element with the given tag, or nullptr.
   const XmlNode* FirstChildElement(std::string_view tag) const;
   XmlNode* FirstChildElement(std::string_view tag);

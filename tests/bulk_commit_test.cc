@@ -406,9 +406,10 @@ TEST(CommitRollback, MidLoopMarkFailureLeavesStoreUntouched) {
 }
 
 TEST(BulkReload, TenThousandAnnotationRoundTrip) {
-  // Incrementally built original vs bulk-reloaded copy: LoadFrom now packs
-  // each domain's tree in one bulk build, and must answer window/next/
-  // nearest probes identically to the insert-at-a-time originals.
+  // Incrementally built original vs its reloaded copy: LoadFrom is a
+  // snapshot restore, which packs each domain's tree in one bulk build, and
+  // must answer window/next/nearest probes identically to the
+  // insert-at-a-time originals.
   constexpr size_t kN = 10000;
   auto original = FreshEngine();
   for (const AnnotationBuilder& b : MakeCorpus(41, kN)) {

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -30,6 +31,7 @@ namespace graphitti {
 namespace core {
 namespace {
 
+namespace fs = std::filesystem;
 using annotation::AnnotationBuilder;
 using annotation::AnnotationId;
 
@@ -600,6 +602,81 @@ TEST(ConcurrencyStressTest, SharedTokenCancellationIsCleanAcrossThreads) {
   auto after = g.Query("FIND CONTENTS WHERE { ?a CONTAINS \"stalwart\" }", opts);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->items.size(), kStableAnnotations);
+}
+
+// SaveTo encodes a pinned version outside commit_mu_ while a writer keeps
+// registering objects and committing annotations that mark them. Every
+// save must load back as one commit-consistent state: integrity holds and
+// the annotation count lies between the live counts taken just before and
+// just after that save. The writer is bounded so the engine stays small
+// however the saves and commits interleave.
+TEST(ConcurrencyStressTest, SaveToRacingAWriterLoadsConsistentState) {
+  Graphitti g;
+  constexpr size_t kWriterCycles = 2000;
+  constexpr size_t kSaves = 20;
+
+  Failures failures;
+  std::thread writer([&] {
+    for (size_t i = 0; i < kWriterCycles; ++i) {
+      auto obj = g.IngestDnaSequence("RACE" + std::to_string(i), "H5N1", "chrR",
+                                     std::string(32, 'A'));
+      if (!obj.ok()) {
+        failures.Add("ingest failed: " + obj.status().ToString());
+        continue;
+      }
+      AnnotationBuilder b;
+      int64_t base = static_cast<int64_t>(i) * 10;
+      b.Title("raced " + std::to_string(i))
+          .Body("save race")
+          .MarkInterval("chrR", base, base + 5, *obj);
+      auto id = g.Commit(b);
+      if (!id.ok()) failures.Add("commit failed: " + id.status().ToString());
+    }
+  });
+
+  // Saves run while the writer commits; the loads wait until it is done.
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("graphitti_save_race_" + std::to_string(reinterpret_cast<uintptr_t>(&g)));
+  std::error_code ec;
+  fs::remove_all(root, ec);
+  struct Save {
+    std::string dir;
+    size_t before = 0;
+    size_t after = 0;
+    util::Status status;
+  };
+  std::vector<Save> saves(kSaves);
+  for (size_t round = 0; round < kSaves; ++round) {
+    Save& save = saves[round];
+    save.dir = (root / std::to_string(round)).string();
+    save.before = g.Stats().num_annotations;
+    save.status = g.SaveTo(save.dir);
+    save.after = g.Stats().num_annotations;
+  }
+  writer.join();
+
+  for (const Save& save : saves) {
+    if (!save.status.ok()) {
+      ADD_FAILURE() << save.dir << ": " << save.status.ToString();
+      continue;
+    }
+    auto loaded = Graphitti::LoadFrom(save.dir);
+    if (!loaded.ok()) {
+      ADD_FAILURE() << save.dir << ": " << loaded.status().ToString();
+      continue;
+    }
+    const size_t count = (*loaded)->Stats().num_annotations;
+    EXPECT_GE(count, save.before) << save.dir;
+    EXPECT_LE(count, save.after) << save.dir;
+    util::Status integrity = (*loaded)->ValidateIntegrity();
+    EXPECT_TRUE(integrity.ok()) << save.dir << ": " << integrity.ToString();
+  }
+  fs::remove_all(root, ec);
+
+  for (const std::string& message : failures.Take()) ADD_FAILURE() << message;
+  EXPECT_EQ(g.Stats().num_annotations, kWriterCycles);
+  EXPECT_TRUE(g.ValidateIntegrity().ok());
 }
 
 }  // namespace

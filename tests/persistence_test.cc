@@ -164,13 +164,14 @@ TEST_F(PersistenceTest, SurvivesDeletionsBeforeSave) {
 
 TEST_F(PersistenceTest, LoadErrors) {
   EXPECT_TRUE(Graphitti::LoadFrom("/nonexistent/graphitti/dir").status().IsNotFound());
-  // A directory with a garbage manifest.
+  // A directory with a garbage manifest: the retired XML/TSV layout,
+  // refused rather than loaded as an empty engine.
   fs::create_directories(dir_);
   {
     std::ofstream out(dir_ / "manifest.txt");
     out << "not-a-graphitti-save\n";
   }
-  EXPECT_TRUE(Graphitti::LoadFrom(dir_.string()).status().IsParseError());
+  EXPECT_TRUE(Graphitti::LoadFrom(dir_.string()).status().IsUnsupported());
 }
 
 TEST_F(PersistenceTest, CustomTablesRoundTrip) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "core/graphitti.h"
 #include "core/workload.h"
@@ -393,7 +394,7 @@ TEST(RecoveryTest, LongTailOfSmallRecordsReplaysToLiveState) {
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 }
 
-// --- Real-filesystem cases: legacy XML upgrade and LoadFrom auto-detect ---
+// --- Real-filesystem cases: SaveTo/LoadFrom share the durable format ---
 
 class RecoveryFsTest : public ::testing::Test {
  protected:
@@ -410,33 +411,52 @@ class RecoveryFsTest : public ::testing::Test {
   fs::path dir_;
 };
 
-TEST_F(RecoveryFsTest, LegacyXmlDirectoryUpgradesInPlace) {
-  std::string stats_before;
+TEST_F(RecoveryFsTest, SavedDirectoryOpensDurablyAtGenerationOne) {
+  const fs::path saved = dir_ / "saved";
+  std::string stats_saved;
   {
     Graphitti g;
     uint64_t seq = *g.IngestDnaSequence("AF1", "H5N1", "flu:seg4", "ACGTACGT");
-    AnnotationBuilder b;
-    b.Title("legacy").Creator("old code").MarkInterval("flu:seg4", 1, 4, seq);
-    ASSERT_TRUE(g.Commit(b).ok());
-    stats_before = g.Stats().ToString();
-    ASSERT_TRUE(g.SaveTo(dir_.string()).ok());
+    ASSERT_TRUE(g.SaveTo(saved.string()).ok());
+    CommitOne(&g, "saved", seq);
+    stats_saved = g.Stats().ToString();
+    // The second save replaces the first.
+    ASSERT_TRUE(g.SaveTo(saved.string()).ok());
   }
   {
-    auto g = Graphitti::OpenDurable(dir_.string());
+    auto g = Graphitti::OpenDurable(saved.string());
     ASSERT_TRUE(g.ok()) << g.status().ToString();
-    EXPECT_EQ((*g)->Stats().ToString(), stats_before);
-    // Upgrade checkpointed immediately: generation 1, binary files present.
     EXPECT_EQ((*g)->generation(), 1u);
-    EXPECT_TRUE(fs::exists(dir_ / persist::SnapshotFileName(1)));
-    AnnotationBuilder b;
-    b.Title("post-upgrade").MarkInterval("flu:seg4", 5, 9);
-    ASSERT_TRUE((*g)->Commit(b).ok());
+    EXPECT_EQ((*g)->Stats().ToString(), stats_saved);
+    CommitOne(g->get(), "after-open");
   }
-  // Second open takes the binary branch (snapshot + wal tail).
-  auto g = Graphitti::OpenDurable(dir_.string());
+  auto g = Graphitti::OpenDurable(saved.string());
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_EQ((*g)->Stats().num_annotations, 2u);
   EXPECT_TRUE((*g)->ValidateIntegrity().ok());
+
+  // A durable engine's directory is never a save target: with only wal-0
+  // present, recovery would take a new snapshot-1 and sweep wal-0 as stale.
+  Graphitti other;
+  CommitOne(&other, "other");
+  const fs::path durable = dir_ / "durable";
+  {
+    auto d = Graphitti::OpenDurable(durable.string());
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    CommitOne(d->get(), "logged");
+  }
+  EXPECT_TRUE(other.SaveTo(durable.string()).IsAlreadyExists());
+  EXPECT_FALSE(fs::exists(durable / persist::SnapshotFileName(1)));
+  {
+    auto d = Graphitti::OpenDurable(durable.string());
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_TRUE((*d)->Checkpoint().ok());
+  }
+  EXPECT_TRUE(other.SaveTo(durable.string()).IsAlreadyExists());
+  auto d = Graphitti::LoadFrom(durable.string());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  ASSERT_EQ((*d)->Stats().num_annotations, 1u);
+  EXPECT_EQ((*d)->annotations().Get(1)->dc.title, "logged");
 }
 
 TEST_F(RecoveryFsTest, LoadFromAutoDetectsBinaryDirectory) {
@@ -461,19 +481,22 @@ TEST_F(RecoveryFsTest, LoadFromAutoDetectsBinaryDirectory) {
   EXPECT_TRUE((*loaded)->ValidateIntegrity().ok());
 }
 
-TEST_F(RecoveryFsTest, LoadFromStillReadsLegacyXmlDirectory) {
-  // Pre-durability saves keep loading through the XML path untouched.
+TEST_F(RecoveryFsTest, LegacyXmlDirectoryIsRefused) {
+  // The retired XML/TSV layout: neither entry point may start an empty
+  // engine on top of it, and the old files stay untouched.
+  fs::create_directories(dir_);
   {
-    Graphitti g;
-    AnnotationBuilder b;
-    b.Title("xml era").MarkInterval("flu:seg4", 2, 6);
-    ASSERT_TRUE(g.Commit(b).ok());
-    ASSERT_TRUE(g.SaveTo(dir_.string()).ok());
+    std::ofstream out(dir_ / "manifest.txt");
+    out << "graphitti-save-v1\nnext_object_id\t1\n";
   }
-  auto loaded = Graphitti::LoadFrom(dir_.string());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->Stats().num_annotations, 1u);
-  EXPECT_TRUE((*loaded)->ValidateIntegrity().ok());
+  {
+    std::ofstream out(dir_ / "annotations.xml");
+    out << "<annotations>\n</annotations>\n";
+  }
+  EXPECT_TRUE(Graphitti::LoadFrom(dir_.string()).status().IsUnsupported());
+  EXPECT_TRUE(Graphitti::OpenDurable(dir_.string()).status().IsUnsupported());
+  EXPECT_TRUE(fs::exists(dir_ / "manifest.txt"));
+  EXPECT_FALSE(fs::exists(dir_ / persist::WalFileName(0)));
 }
 
 }  // namespace
