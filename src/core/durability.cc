@@ -902,7 +902,9 @@ void Graphitti::DiscardPartialHydration() {
   // stable pointers have been handed out yet.
   auto fresh = std::make_unique<EngineState>();
   fresh->InstallBuiltins();
-  epochs_->Publish(std::move(fresh), /*tag=*/0);
+  epochs_->Publish(std::move(fresh));
+  // The half-built version must never become commit scratch.
+  epochs_->DropRecyclable();
   util::MutexLock meta(meta_mu_);
   ontologies_.clear();
   objects_.clear();

@@ -94,58 +94,43 @@ std::unique_ptr<Graphitti::EngineState> Graphitti::EngineState::Clone() const {
 Graphitti::Graphitti() {
   auto initial = std::make_unique<EngineState>();
   initial->InstallBuiltins();
-  epochs_->Publish(std::move(initial), /*tag=*/0);
+  epochs_->Publish(std::move(initial));
 }
 
 // --- Version publication plumbing ---
 
 std::unique_ptr<Graphitti::EngineState> Graphitti::AcquireScratch() {
-  if (!state_dirty_.load(std::memory_order_acquire)) {
-    uint64_t tag = 0;
-    std::unique_ptr<util::Versioned> standby = epochs_->TakeRecyclable(&tag);
-    if (standby != nullptr) {
-      auto* state = static_cast<EngineState*>(standby.get());
-      bool caught_up = true;
-      for (const PendingOp& pending : pending_ops_) {
-        if (pending.seq <= tag) continue;  // already baked into the standby
-        if (!pending.op(*state).ok()) {
-          caught_up = false;  // replay diverged: discard, clone below
-          break;
-        }
-      }
-      if (caught_up) {
-        standby.release();
-        return std::unique_ptr<EngineState>(state);
-      }
+  if (last_op_ != nullptr) {
+    // The standby is the version the last publish retired: one op behind.
+    std::unique_ptr<util::Versioned> standby = epochs_->TakeRecyclable();
+    if (standby != nullptr && last_op_(*static_cast<EngineState*>(standby.get())).ok()) {
+      return std::unique_ptr<EngineState>(static_cast<EngineState*>(standby.release()));
     }
   }
-  // No recyclable standby (a long reader still pins it, a direct substrate
-  // mutation made replay unsound, or the op log was truncated): pay one
-  // full clone and restart the recycle chain from here.
-  state_dirty_.store(false, std::memory_order_release);
-  pending_ops_.clear();
+  // No recyclable standby (a long reader still pins it, the last publish
+  // recorded no op, or replay failed): pay one full clone.
   epochs_->DropRecyclable();
   return CurrentState()->Clone();
 }
 
 void Graphitti::PublishOp(std::unique_ptr<EngineState> next, EngineOp op) {
-  const uint64_t seq = ++op_seq_;
-  const uint64_t prev_tag = current_tag_;
-  epochs_->Publish(std::move(next), seq);
-  current_tag_ = seq;
-  if (op == nullptr) {
-    // Unreplayable mutation: the just-retired version can never be caught
-    // up, so stop it from being recycled and drop the op log.
-    pending_ops_.clear();
-    epochs_->DropRecyclable();
-    return;
+  epochs_->Publish(std::move(next));
+  last_op_ = std::move(op);
+  // Unreplayable mutation: the just-retired version can never be caught
+  // up, so stop it from being recycled.
+  if (last_op_ == nullptr) epochs_->DropRecyclable();
+}
+
+util::Status Graphitti::Mutate(const std::function<util::Status(EngineState&)>& fn) {
+  GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
+  util::MutexLock commit(commit_mu_);
+  if (env_ != nullptr) {
+    return Status::Unsupported("Mutate() requires an in-memory engine: it is not logged");
   }
-  pending_ops_.push_back({seq, std::move(op)});
-  // Ops at or below the new recycle candidate's tag (the previous current)
-  // are baked into it; only newer ones are needed to catch it up.
-  while (!pending_ops_.empty() && pending_ops_.front().seq <= prev_tag) {
-    pending_ops_.pop_front();
-  }
+  std::unique_ptr<EngineState> scratch = AcquireScratch();
+  GRAPHITTI_RETURN_NOT_OK(fn(*scratch));
+  PublishOp(std::move(scratch), nullptr);
+  return Status::OK();
 }
 
 // --- Coordinate systems ---
@@ -406,8 +391,7 @@ util::Result<uint64_t> Graphitti::IngestMsa(const Msa& msa) {
                          std::string(kTableMsa) + "/" + msa.name);
 }
 
-util::Result<relational::Table*> Graphitti::CreateTable(std::string name,
-                                                        relational::Schema schema) {
+util::Status Graphitti::CreateTable(std::string name, relational::Schema schema) {
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
@@ -425,10 +409,7 @@ util::Result<relational::Table*> Graphitti::CreateTable(std::string name,
         WalAppend(persist::WalRecordType::kCreateTable, std::move(record)));
   }
   PublishOp(std::move(scratch), std::move(op));
-  // The returned handle allows direct (unversioned) inserts; make the next
-  // commit clone rather than trust op replay.
-  MarkStateDirty();
-  return CurrentState()->catalog.GetTable(name);
+  return Status::OK();
 }
 
 util::Result<uint64_t> Graphitti::IngestRecord(std::string_view table, relational::Row row,
@@ -463,22 +444,23 @@ size_t Graphitti::num_objects() const {
   return objects_.size();
 }
 
-const relational::Row* Graphitti::GetObjectRow(uint64_t object_id) const {
+std::optional<relational::Row> Graphitti::GetObjectRow(uint64_t object_id) const {
   (void)EnsureHydrated();
   std::string table_name;
   RowId row = 0;
   {
     util::MutexLock meta(meta_mu_);
     auto it = objects_.find(object_id);
-    if (it == objects_.end()) return nullptr;
+    if (it == objects_.end()) return std::nullopt;
     table_name = it->second.table;
     row = it->second.row;
   }
   util::EpochPin pin = epochs_->PinCurrent();
   const auto& state = *static_cast<const EngineState*>(pin.get());
   const relational::Table* table = state.catalog.GetTable(table_name);
-  if (table == nullptr) return nullptr;
-  return table->Get(row);
+  const Row* values = table == nullptr ? nullptr : table->Get(row);
+  if (values == nullptr) return std::nullopt;
+  return *values;
 }
 
 util::Result<std::vector<uint64_t>> Graphitti::SearchObjectsIn(

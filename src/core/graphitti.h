@@ -22,8 +22,10 @@
 //             once — never a half-applied mutation.
 //   [commit]  serializes on the engine's commit mutex, builds the next
 //             version off to the side (recycling the previous version by
-//             op replay when possible — see AcquireScratch), appends to
-//             the WAL, then publishes with a single pointer swing.
+//             replaying the last published op when possible — see
+//             AcquireScratch), appends to the WAL, then publishes with a
+//             single pointer swing. This is the only write path: every
+//             mutation of versioned state goes scratch -> WAL -> publish.
 //             In-flight readers keep their pinned version; new readers
 //             see the new one. Durable ordering is commit -> WAL record
 //             -> publish: a mutation is never visible to any reader
@@ -33,9 +35,10 @@
 //
 // The remaining tags: [any-thread] marks lock-free reads of boot-immutable
 // or atomic engine facts (safe from any thread, no pin taken);
-// [unversioned] marks the single-threaded escape hatches described below;
-// [boot] marks static factories that construct an engine no other thread
-// can reach yet.
+// [unversioned] marks the read-only substrate accessors described below
+// (const, unpinned, valid while no [commit] runs; the contract linter
+// rejects the tag on a non-const method); [boot] marks static factories
+// that construct an engine no other thread can reach yet.
 //
 // These contracts are additionally machine-checked: the mutexes below are
 // util::Mutex capabilities, guarded members carry GUARDED_BY, and the
@@ -48,25 +51,23 @@
 // its own small mutex; GetObject / GetOntology pointers are stable for
 // the engine's lifetime as before.
 //
-// Two escape hatches bypass versioning and are single-threaded-use only:
-//   - the substrate accessors (catalog()/indexes()/graph()/annotations())
-//     hand out direct references INTO THE CURRENT VERSION for power users
-//     and tests; mutating through them marks the engine so the next
-//     commit clones instead of recycling, but concurrent readers of the
-//     same version would observe the mutation — use only while no other
-//     thread touches the engine.
-//   - GetObjectRow returns a pointer into the current version's table
-//     storage, which a [commit] call may retire; dereference it only
-//     while writers are quiescent.
+// Nothing mutates a published version. The const substrate accessors
+// (catalog()/indexes()/graph()/annotations()) hand out read-only
+// references into the current version without pinning it, so a [commit]
+// may retire what they point at: use them only while no writer runs.
+// Direct substrate edits that no [commit] API expresses (tests, admin
+// repair) go through Mutate, which builds and publishes a version like
+// any other commit but is refused on a durable engine, where it could not
+// be logged.
 #ifndef GRAPHITTI_CORE_GRAPHITTI_H_
 #define GRAPHITTI_CORE_GRAPHITTI_H_
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -209,57 +210,41 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
 
   // --- Substrate access (power users / tests) ---
   //
-  // UNVERSIONED ESCAPE HATCH: these return references into the *current*
-  // version without pinning it. Use them only while no other thread
-  // touches the engine (setup, teardown, tests). The non-const overloads
-  // mark the state dirty so the next commit clones rather than replaying
-  // onto a recycled version that missed the direct mutation. They force
-  // deferred recovery first, so a freshly opened durable engine hands out
-  // fully hydrated substrates.
-  /// [unversioned] Mutable relational catalog (marks state dirty).
-  relational::Catalog& catalog() {
-    (void)EnsureHydrated();
-    MarkStateDirty();
-    return CurrentState()->catalog;
-  }
+  // Read-only references into the *current* version, not pinned: any
+  // commit retires the version they point into, so use them only while no
+  // writer runs (setup, teardown, tests); concurrent readers pin through
+  // the [read] API instead. They force deferred recovery first, so a
+  // freshly opened durable engine hands out fully hydrated substrates.
   /// [unversioned] Read-only relational catalog.
   const relational::Catalog& catalog() const {
     (void)EnsureHydrated();
     return CurrentState()->catalog;
-  }
-  /// [unversioned] Mutable spatial index manager (marks state dirty).
-  spatial::IndexManager& indexes() {
-    (void)EnsureHydrated();
-    MarkStateDirty();
-    return CurrentState()->indexes;
   }
   /// [unversioned] Read-only spatial index manager.
   const spatial::IndexManager& indexes() const {
     (void)EnsureHydrated();
     return CurrentState()->indexes;
   }
-  /// [unversioned] Mutable a-graph (marks state dirty).
-  agraph::AGraph& graph() {
-    (void)EnsureHydrated();
-    MarkStateDirty();
-    return CurrentState()->graph;
-  }
   /// [unversioned] Read-only a-graph.
   const agraph::AGraph& graph() const {
     (void)EnsureHydrated();
     return CurrentState()->graph;
-  }
-  /// [unversioned] Mutable annotation store (marks state dirty).
-  annotation::AnnotationStore& annotations() {
-    (void)EnsureHydrated();
-    MarkStateDirty();
-    return *CurrentState()->store;
   }
   /// [unversioned] Read-only annotation store.
   const annotation::AnnotationStore& annotations() const {
     (void)EnsureHydrated();
     return *CurrentState()->store;
   }
+
+  /// [commit] Applies `fn` to a private copy of the current version and
+  /// publishes the result, for direct substrate edits no other [commit]
+  /// API expresses (forced annotation ids, secondary table indexes, test
+  /// fixtures that corrupt state on purpose). Readers see all of `fn`'s
+  /// effects or none; an error from `fn` discards the copy unpublished.
+  /// Nothing is logged, so a durable engine refuses the call with
+  /// kUnsupported before running `fn`: every mutation a durable engine
+  /// accepts is in its WAL.
+  util::Status Mutate(const std::function<util::Status(EngineState&)>& fn);
 
   // --- Coordinate systems (for image/3D regions) ---
 
@@ -306,11 +291,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   util::Result<uint64_t> IngestMsa(const Msa& msa);
 
   /// [commit] Creates a user-defined table (relational records are
-  /// annotable too). The returned Table* points into the version current
-  /// at return and is a substrate handle: rows inserted through it
-  /// directly bypass versioning (single-threaded escape hatch, like the
-  /// substrate accessors; the engine is marked dirty accordingly).
-  util::Result<relational::Table*> CreateTable(std::string name, relational::Schema schema);
+  /// annotable too); rows go in through IngestRecord.
+  util::Status CreateTable(std::string name, relational::Schema schema);
   /// [commit] Inserts a record into any table and registers it as a
   /// data object.
   util::Result<uint64_t> IngestRecord(std::string_view table, relational::Row row,
@@ -323,12 +305,10 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   const ObjectInfo* GetObject(uint64_t object_id) const;
   /// [read] Number of registered objects.
   size_t num_objects() const;
-  /// [read] The metadata row of an object (nullptr when it or its table
-  /// is gone). The pointer aims into the current version's table storage,
-  /// which a [commit] call may retire — cross-thread users must only
-  /// dereference it while writers are quiescent (single-threaded escape
-  /// hatch, like the substrate accessors).
-  const relational::Row* GetObjectRow(uint64_t object_id) const;
+  /// [read] A copy of an object's metadata row, taken from the pinned
+  /// current version (nullopt when the object, its table or its row is
+  /// gone). The copy stays valid across later commits.
+  std::optional<relational::Row> GetObjectRow(uint64_t object_id) const;
 
   /// [read] The annotation tab's search window: find objects by metadata
   /// predicate.
@@ -438,11 +418,6 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// generation checks) but defers the in-memory state build to the first
   /// public call (options.eager_restore moves it back into the open).
   /// Either way, every crash-safety decision is made before this returns.
-  ///
-  /// NOT durable (not logged, in-memory only until the next Checkpoint):
-  /// mutations through the unversioned substrate accessors (catalog()/
-  /// graph()/annotations()) and direct Table handles (CreateTable's
-  /// return, secondary CreateIndex calls).
   static util::Result<std::unique_ptr<Graphitti>> OpenDurable(
       const std::string& directory, const DurabilityOptions& options = {});
 
@@ -532,16 +507,12 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   std::vector<std::string> ExpandTermBelow(const std::string& qualified) const override;
 
  private:
-  /// A deterministic, re-appliable versioned mutation: applying it to the
-  /// state it was logged against always reproduces the same result
+  /// A deterministic, re-appliable versioned mutation: applying it to a
+  /// copy of the state it was first applied to reproduces the same result
   /// (fresh ids come from counters inside the state). The commit path
   /// applies it to scratch; AcquireScratch replays it to catch a recycled
   /// standby up.
   using EngineOp = std::function<util::Status(EngineState&)>;
-  struct PendingOp {
-    uint64_t seq = 0;
-    EngineOp op;
-  };
 
   /// Batches larger than this publish without a recorded op (replaying
   /// them onto the standby would double the bulk-ingest cost); the
@@ -554,20 +525,15 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     return static_cast<EngineState*>(epochs_->Current());
   }
 
-  /// Makes the next commit clone instead of recycling (a direct substrate
-  /// mutation happened that op replay cannot reproduce).
-  void MarkStateDirty() { state_dirty_.store(true, std::memory_order_release); }
-
   /// Commit-side: a mutable next-version to apply the op to. Recycles the
-  /// drained previous version by replaying the ops it missed; falls back
-  /// to a full Clone() of current when no standby is available (long
-  /// reader still pins it, dirty direct mutation, or the op log was
-  /// truncated by an unreplayable batch).
+  /// drained previous version by replaying last_op_ onto it; falls back
+  /// to a full Clone() of current when there is no standby (a long reader
+  /// still pins it) or no op to replay (the last publish recorded none).
   std::unique_ptr<EngineState> AcquireScratch() REQUIRES(commit_mu_);
 
-  /// Commit-side: publishes `next` as the new current version and records
-  /// `op` for standby replay (nullptr = unreplayable; the op log is
-  /// cleared and the standby dropped).
+  /// Commit-side: publishes `next` as the new current version and keeps
+  /// `op` as last_op_ for standby replay (nullptr = unreplayable; the
+  /// standby is dropped).
   void PublishOp(std::unique_ptr<EngineState> next, EngineOp op)
       REQUIRES(commit_mu_);
 
@@ -654,7 +620,9 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   util::Status HydrateNow() const;
   /// Rolls a cancelled hydration back to boot state (fresh initial
   /// version, engine metadata reset) so a retried hydration decodes from
-  /// scratch. Only called from HydrateNow with hydrate_mu_ held.
+  /// scratch, and frees the half-built version at once instead of parking
+  /// it as a recycle standby. Only called from HydrateNow with hydrate_mu_
+  /// held.
   void DiscardPartialHydration();
 
   /// Version publication. Readers pin through it; writers publish under
@@ -667,17 +635,11 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// checkpointing. Readers never take it. Lock order: commit_mu_ before
   /// meta_mu_ (commits insert registration metadata while holding both).
   mutable util::Mutex commit_mu_ ACQUIRED_BEFORE(meta_mu_);
-  /// Op log for standby recycling. Invariant: contains every op with seq
-  /// greater than the recycle candidate's tag.
-  std::deque<PendingOp> pending_ops_ GUARDED_BY(commit_mu_);
-  /// Last published op sequence number.
-  uint64_t op_seq_ GUARDED_BY(commit_mu_) = 0;
-  /// Tag of the currently published version.
-  uint64_t current_tag_ GUARDED_BY(commit_mu_) = 0;
-  /// Set by the unversioned escape hatches: the current version was
-  /// mutated in place, so the parked standby can no longer be caught up
-  /// by op replay.
-  std::atomic<bool> state_dirty_{false};
+  /// The op the last publish applied, or nullptr when it recorded none.
+  /// Invariant: the recycle candidate, if any, is the version that
+  /// publish retired, so replaying last_op_ onto it yields the current
+  /// version.
+  EngineOp last_op_ GUARDED_BY(commit_mu_);
 
   // Engine-level metadata: append-only, values node-stable once inserted
   // (GetObject/GetOntology hand out long-lived pointers). Guarded by

@@ -17,7 +17,8 @@
 // version is superseded and its pin count drains to zero it is either
 // destroyed or — for the *most recently* retired version only — parked as
 // a "recycle candidate" that the writer can adopt as scratch for the next
-// commit and catch up by replaying the ops logged since it was current
+// commit. The candidate is always exactly one publish behind current, so
+// the writer catches it up by re-applying the one op it published last
 // (op-replay standby; see graphitti.cc). Retiring a newer version evicts
 // the previous candidate, so at most one parked version exists and memory
 // is bounded by {current} + {parked standby} + {versions still pinned by
@@ -30,11 +31,8 @@
 //    is destroyed first.
 //  - Pin is copyable (a copy re-pins the same version) and may be
 //    destroyed on any thread; destruction may delete the version inline.
-//  - Publish/TakeRecyclable are writer-side calls; callers serialize them
-//    externally (the engine's commit mutex).
-//  - Versions carry a caller-supplied monotonically increasing `tag`
-//    (the engine uses its op sequence number) so a recycled standby knows
-//    which logged ops it is missing.
+//  - Publish/TakeRecyclable/DropRecyclable are writer-side calls; callers
+//    serialize them externally (the engine's commit mutex).
 #ifndef GRAPHITTI_UTIL_EPOCH_H_
 #define GRAPHITTI_UTIL_EPOCH_H_
 
@@ -125,19 +123,17 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
     return Pin(shared_from_this(), current_);
   }
 
-  /// Publish `state` as the new current version. `tag` is the caller's
-  /// op sequence number as of this state. Writer-side; externally
+  /// Publish `state` as the new current version. Writer-side; externally
   /// serialized. The superseded version becomes the (sole) recycle
   /// candidate once its pins drain; the previous candidate, if any, is
   /// released for deletion.
-  void Publish(std::unique_ptr<Versioned> state, uint64_t tag) {
+  void Publish(std::unique_ptr<Versioned> state) {
     Node* dead = nullptr;
     {
       MutexLock lock(mu_);
       Node* node = new Node;
       node->state = std::move(state);
       node->epoch = ++epoch_;
-      node->tag = tag;
       node->next = nullptr;
       node->prev = tail_;
       if (tail_ != nullptr) tail_->next = node;
@@ -160,10 +156,10 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   }
 
   /// Writer-side: if the most recently retired version has drained (no
-  /// pins), detach and return it for reuse as commit scratch, storing its
-  /// tag in *tag. Returns nullptr when no drained candidate exists (a
-  /// long reader still pins it, or it was already taken/evicted).
-  std::unique_ptr<Versioned> TakeRecyclable(uint64_t* tag) {
+  /// pins), detach and return it for reuse as commit scratch. Returns
+  /// nullptr when no drained candidate exists (a long reader still pins
+  /// it, or it was already taken/dropped).
+  std::unique_ptr<Versioned> TakeRecyclable() {
     Node* taken = nullptr;
     {
       MutexLock lock(mu_);
@@ -172,15 +168,14 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
       recycle_candidate_ = nullptr;
       taken = Detach(cand);
     }
-    *tag = taken->tag;
     std::unique_ptr<Versioned> state = std::move(taken->state);
     delete taken;
     return state;
   }
 
-  /// Drop the recycle candidate (e.g. the op log it would need was
-  /// pruned, or direct substrate mutation made replay unsound). It is
-  /// deleted now if drained, or when its last pin drops.
+  /// Drop the recycle candidate (the last publish recorded no replayable
+  /// op, so it can never be caught up). It is deleted now if drained, or
+  /// when its last pin drops.
   void DropRecyclable() {
     Node* dead = nullptr;
     {
@@ -201,11 +196,6 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   Versioned* Current() {
     MutexLock lock(mu_);
     return current_ != nullptr ? current_->state.get() : nullptr;
-  }
-
-  bool has_current() {
-    MutexLock lock(mu_);
-    return current_ != nullptr;
   }
 
   /// Number of versions alive (current + pinned stragglers + parked
@@ -233,7 +223,6 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   struct Node {
     std::unique_ptr<Versioned> state;
     uint64_t epoch = 0;
-    uint64_t tag = 0;
     size_t pins = 0;
     bool recyclable = false;
     Node* prev = nullptr;

@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/graphitti.h"
@@ -34,6 +36,21 @@ using util::Rng;
 
 constexpr int kNumSegments = 6;
 constexpr int kNumChromosomes = 3;
+
+// Runs a store-level call (forced annotation ids have no engine API)
+// through Graphitti::Mutate and hands back its result. The scratch is
+// published even when the store rejects the call, so the live version
+// shows what the store itself left behind after a rejection.
+template <typename Fn>
+auto OnStore(Graphitti& g, Fn fn) {
+  using R = decltype(fn(std::declval<annotation::AnnotationStore&>()));
+  std::optional<R> out;
+  util::Status st = g.Mutate([&](Graphitti::EngineState& s) {
+    out.emplace(fn(*s.store));
+    return util::Status::OK();
+  });
+  return out.has_value() ? *std::move(out) : R(st);
+}
 
 std::unique_ptr<Graphitti> FreshEngine() {
   auto g = std::make_unique<Graphitti>();
@@ -256,17 +273,17 @@ TEST(CommitBatch, ForcedIdCollisionsRejected) {
   batch.push_back(b);
 
   // Collision with an existing annotation.
-  EXPECT_FALSE(g->annotations().CommitBatch(batch, {1, 0}).ok());
+  EXPECT_FALSE(OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {1, 0}); }).ok());
   // Collision within the batch itself.
-  EXPECT_FALSE(g->annotations().CommitBatch(batch, {7, 7}).ok());
+  EXPECT_FALSE(OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {7, 7}); }).ok());
   // Size mismatch.
-  EXPECT_FALSE(g->annotations().CommitBatch(batch, {7}).ok());
+  EXPECT_FALSE(OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {7}); }).ok());
   EXPECT_EQ(g->Stats().num_annotations, 1u);
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 
   // Valid forced ids interleave with fresh assignment: forced 7 jumps the
   // counter, the fresh one continues past it.
-  auto ids = g->annotations().CommitBatch(batch, {7, 0});
+  auto ids = OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {7, 0}); });
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(*ids, (std::vector<AnnotationId>{7, 8}));
   EXPECT_TRUE(g->ValidateIntegrity().ok());
@@ -295,18 +312,21 @@ TEST(CommitBatch, OutOfOrderForcedIdsKeepPostingsSorted) {
   auto loop = FreshEngine();
   std::vector<AnnotationId> loop_ids;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    auto id = loop->annotations().Commit(corpus[i], forced[i]);
+    auto id = OnStore(*loop, [&](auto& store) { return store.Commit(corpus[i], forced[i]); });
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     loop_ids.push_back(*id);
   }
 
   auto batched = FreshEngine();
   for (size_t i = 0; i < kPre; ++i) {
-    ASSERT_TRUE(batched->annotations().Commit(corpus[i], forced[i]).ok());
+    ASSERT_TRUE(
+        OnStore(*batched, [&](auto& store) { return store.Commit(corpus[i], forced[i]); })
+            .ok());
   }
   const std::vector<AnnotationBuilder> rest(corpus.begin() + kPre, corpus.end());
   const std::vector<AnnotationId> rest_forced(forced.begin() + kPre, forced.end());
-  auto batch_ids = batched->annotations().CommitBatch(rest, rest_forced);
+  auto batch_ids =
+      OnStore(*batched, [&](auto& store) { return store.CommitBatch(rest, rest_forced); });
   ASSERT_TRUE(batch_ids.ok()) << batch_ids.status().ToString();
   EXPECT_EQ(std::vector<AnnotationId>(loop_ids.begin() + kPre, loop_ids.end()), *batch_ids);
 

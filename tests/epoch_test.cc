@@ -3,9 +3,10 @@
 //   - pin/retire ordering: a pin taken before a publish keeps reading the
 //     version it pinned, epochs are monotonic, copies re-pin.
 //   - op-replay vs full-clone equivalence: driving the writer protocol
-//     (TakeRecyclable + replay of logged ops) produces states identical
-//     to cloning the current version every commit — first on a tiny
-//     instrumented state type, then end-to-end through the engine.
+//     (TakeRecyclable + replay of the one op the last publish applied)
+//     produces states identical to cloning the current version every
+//     commit — first on a tiny instrumented state type, then end-to-end
+//     through the engine.
 //   - reclamation on last-pin-drop: a drained superseded version is
 //     destroyed exactly when its last pin drops (or on the next publish
 //     if it was parked as the recycle candidate), never earlier.
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,14 +48,14 @@ TEST(EpochTest, PinHoldsItsVersionAcrossPublishes) {
   auto mgr = std::make_shared<EpochManager>();
   int destroyed = 0;
 
-  mgr->Publish(MakeState({1}, &destroyed), /*tag=*/1);
+  mgr->Publish(MakeState({1}, &destroyed));
   EpochPin pin = mgr->PinCurrent();
   const uint64_t pinned_epoch = pin.epoch();
   ASSERT_NE(StateOf(pin), nullptr);
   EXPECT_EQ(StateOf(pin)->values, std::vector<int>({1}));
 
-  mgr->Publish(MakeState({1, 2}, &destroyed), /*tag=*/2);
-  mgr->Publish(MakeState({1, 2, 3}, &destroyed), /*tag=*/3);
+  mgr->Publish(MakeState({1, 2}, &destroyed));
+  mgr->Publish(MakeState({1, 2, 3}, &destroyed));
 
   // The pin still answers from the version it entered on; the manager has
   // moved on (epochs are strictly monotonic).
@@ -73,15 +75,15 @@ TEST(EpochTest, ReclamationWaitsForLastPinDrop) {
   auto mgr = std::make_shared<EpochManager>();
   int destroyed = 0;
 
-  mgr->Publish(MakeState({1}, &destroyed), 1);
+  mgr->Publish(MakeState({1}, &destroyed));
   EpochPin pin = mgr->PinCurrent();
   EpochPin copy = pin;
 
   // Two publishes: v1 (pinned twice) is first parked as the recycle
   // candidate, then evicted from candidacy by v2's retirement — but it
   // must survive as long as any pin holds it.
-  mgr->Publish(MakeState({2}, &destroyed), 2);
-  mgr->Publish(MakeState({3}, &destroyed), 3);
+  mgr->Publish(MakeState({2}, &destroyed));
+  mgr->Publish(MakeState({3}, &destroyed));
   EXPECT_EQ(destroyed, 0);
   EXPECT_EQ(mgr->live_versions(), 3u);  // v1 (pinned) + v2 (parked) + v3
 
@@ -92,10 +94,8 @@ TEST(EpochTest, ReclamationWaitsForLastPinDrop) {
   EXPECT_EQ(mgr->live_versions(), 2u);  // v2 (parked standby) + v3
 
   // The parked standby is still adoptable by the writer.
-  uint64_t tag = 0;
-  std::unique_ptr<Versioned> standby = mgr->TakeRecyclable(&tag);
+  std::unique_ptr<Versioned> standby = mgr->TakeRecyclable();
   ASSERT_NE(standby, nullptr);
-  EXPECT_EQ(tag, 2u);
   EXPECT_EQ(static_cast<CountedState*>(standby.get())->values,
             std::vector<int>({2}));
   EXPECT_EQ(mgr->live_versions(), 1u);
@@ -105,70 +105,85 @@ TEST(EpochTest, DroppedCandidateReclaimsOnDrain) {
   auto mgr = std::make_shared<EpochManager>();
   int destroyed = 0;
 
-  mgr->Publish(MakeState({1}, &destroyed), 1);
+  mgr->Publish(MakeState({1}, &destroyed));
   EpochPin pin = mgr->PinCurrent();
-  mgr->Publish(MakeState({2}, &destroyed), 2);
+  mgr->Publish(MakeState({2}, &destroyed));
 
-  // The writer declares the candidate unusable (e.g. its op log was
-  // pruned). Still pinned, so it lives; the drop only removes candidacy.
+  // The writer declares the candidate unusable (the last publish recorded
+  // no op). Still pinned, so it lives; the drop only removes candidacy.
   mgr->DropRecyclable();
   EXPECT_EQ(destroyed, 0);
   pin.reset();
   EXPECT_EQ(destroyed, 1);
   EXPECT_EQ(mgr->live_versions(), 1u);
 
-  uint64_t tag = 0;
-  EXPECT_EQ(mgr->TakeRecyclable(&tag), nullptr);
+  EXPECT_EQ(mgr->TakeRecyclable(), nullptr);
 }
 
-// Writer protocol simulation: one run recycles the standby and catches it
-// up by replaying logged ops; the reference run clones the current state
+// Writer protocol simulation, mirroring Graphitti::AcquireScratch and
+// PublishOp: one run recycles the standby and catches it up by replaying
+// the single op its last publish applied (cloning when there is no op or
+// the standby is pinned); the reference run clones the current state
 // every commit. Both must publish identical payloads at every step.
 TEST(EpochTest, OpReplayMatchesFullClone) {
   auto recycled = std::make_shared<EpochManager>();
   auto cloned = std::make_shared<EpochManager>();
   int destroyed = 0;
 
-  recycled->Publish(MakeState({}, &destroyed), 0);
-  cloned->Publish(MakeState({}, &destroyed), 0);
+  recycled->Publish(MakeState({}, &destroyed));
+  cloned->Publish(MakeState({}, &destroyed));
 
-  // Op log for the recycling writer: (seq, value appended at that seq).
-  std::vector<std::pair<uint64_t, int>> ops;
+  // The recycling writer's op: the value its last publish appended, or
+  // nullopt when that publish recorded none.
+  std::optional<int> last_op;
+  EpochPin reader;
   size_t standby_adoptions = 0;
+  size_t clones = 0;
 
   for (int step = 1; step <= 32; ++step) {
     // --- recycling writer ---
+    std::unique_ptr<Versioned> standby =
+        last_op.has_value() ? recycled->TakeRecyclable() : nullptr;
     std::unique_ptr<CountedState> scratch;
-    uint64_t standby_tag = 0;
-    std::unique_ptr<Versioned> standby = recycled->TakeRecyclable(&standby_tag);
     if (standby != nullptr) {
       ++standby_adoptions;
       scratch.reset(static_cast<CountedState*>(standby.release()));
-      for (const auto& [seq, value] : ops) {
-        if (seq > standby_tag) scratch->values.push_back(value);
-      }
+      scratch->values.push_back(*last_op);
     } else {
+      ++clones;
+      recycled->DropRecyclable();
       auto* current = static_cast<CountedState*>(recycled->Current());
       scratch = MakeState(current->values, &destroyed);
     }
     scratch->values.push_back(step);
-    ops.emplace_back(static_cast<uint64_t>(step), step);
-    recycled->Publish(std::move(scratch), static_cast<uint64_t>(step));
+    recycled->Publish(std::move(scratch));
+    if (step % 7 == 0) {
+      // Unreplayable publish (like an oversized batch): no op, no standby.
+      last_op.reset();
+      recycled->DropRecyclable();
+    } else {
+      last_op = step;
+    }
+    // A reader pins every fifth version across the next two publishes, so
+    // the writer meets a standby that has not drained.
+    if (step % 5 == 0) reader = recycled->PinCurrent();
+    if (step % 5 == 2) reader.reset();
 
     // --- reference writer: always full clone ---
     auto* ref = static_cast<CountedState*>(cloned->Current());
     auto ref_next = MakeState(ref->values, &destroyed);
     ref_next->values.push_back(step);
-    cloned->Publish(std::move(ref_next), static_cast<uint64_t>(step));
+    cloned->Publish(std::move(ref_next));
 
     EXPECT_EQ(static_cast<CountedState*>(recycled->Current())->values,
               static_cast<CountedState*>(cloned->Current())->values)
         << "divergence at step " << step;
   }
 
-  // With no readers pinning, every superseded version drains immediately
-  // and the standby path must actually be exercised.
+  // Both paths must actually be exercised; with the reader gone, only the
+  // current version and the parked standby are left.
   EXPECT_GT(standby_adoptions, 0u) << "recycle path never taken";
+  EXPECT_GT(clones, 0u) << "clone path never taken";
   EXPECT_LE(recycled->live_versions(), 2u);
 }
 

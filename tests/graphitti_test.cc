@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/graphitti.h"
 
 namespace graphitti {
@@ -33,8 +35,8 @@ TEST(GraphittiTest, IngestSequencesRegistersObjects) {
   EXPECT_EQ(info->label, "dna_sequences/AF001");
   EXPECT_TRUE(g.graph().HasNode(agraph::NodeRef::Object(*obj)));
 
-  const relational::Row* row = g.GetObjectRow(*obj);
-  ASSERT_NE(row, nullptr);
+  std::optional<relational::Row> row = g.GetObjectRow(*obj);
+  ASSERT_TRUE(row.has_value());
   EXPECT_EQ((*row)[3].as_int(), 8);  // length column derived from residues
   EXPECT_EQ(g.DescribeObject(*obj), "dna_sequences/AF001");
   EXPECT_EQ(g.DescribeObject(9999), "object-9999");
@@ -220,6 +222,74 @@ TEST(GraphittiTest, VacuumTables) {
   ASSERT_TRUE(g.IngestDnaSequence("A1", "x", "s", "ACGT").ok());
   g.VacuumTables();  // no tombstones: must be a no-op
   EXPECT_EQ(g.catalog().GetTable(kTableDna)->size(), 1u);
+}
+
+TEST(GraphittiTest, ObjectRowCopySurvivesVacuumAndCommits) {
+  Graphitti g;
+  auto obj = g.IngestDnaSequence("AF001", "H5N1", "flu:seg4", "ACGTACGT");
+  ASSERT_TRUE(obj.ok());
+  std::optional<relational::Row> row = g.GetObjectRow(*obj);
+  ASSERT_TRUE(row.has_value());
+  // Each of these retires the version the row was read from, and the
+  // ingests reuse it as commit scratch and grow its table storage.
+  g.VacuumTables();
+  ASSERT_TRUE(g.IngestDnaSequence("AF002", "H1N1", "flu:seg1", "ACG").ok());
+  ASSERT_TRUE(g.IngestDnaSequence("AF003", "H3N2", "flu:seg2", "AC").ok());
+  ASSERT_EQ(row->size(), 5u);
+  EXPECT_EQ((*row)[0].as_string(), "AF001");
+  EXPECT_EQ((*row)[1].as_string(), "H5N1");
+  EXPECT_EQ((*row)[3].as_int(), 8);
+  EXPECT_EQ((*row)[4].as_string(), "ACGTACGT");
+  EXPECT_EQ(g.GetObjectRow(*obj), row);
+  EXPECT_FALSE(g.GetObjectRow(9999).has_value());
+}
+
+TEST(MutateTest, PublishesOneVersionAndKeepsPinnedResults) {
+  Graphitti g;
+  uint64_t obj = *g.IngestDnaSequence("A1", "H5N1", "flu:seg4", "ACGT");
+  AnnotationBuilder b;
+  b.Title("kept").Body("protease site").MarkInterval("flu:seg4", 0, 2, obj);
+  ASSERT_TRUE(g.Commit(b).ok());
+  auto held = g.Query("FIND CONTENTS WHERE { ?a CONTAINS \"protease\" }");
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_EQ(held->items.size(), 1u);
+  const uint64_t epoch = g.engine_epoch();
+
+  AnnotationBuilder forced;
+  forced.Title("forced").Body("protease again").MarkInterval("flu:seg4", 1, 3, obj);
+  ASSERT_TRUE(g.Mutate([&](Graphitti::EngineState& s) {
+                 return s.store->Commit(forced, /*forced_id=*/40).status();
+               }).ok());
+  EXPECT_EQ(g.engine_epoch(), epoch + 1);
+  EXPECT_EQ(g.Stats().num_annotations, 2u);
+  EXPECT_NE(g.annotations().Get(40), nullptr);
+
+  // The result pinned before the Mutate still answers from its version,
+  // page flips included; a fresh query sees the new one.
+  const auto* pinned = static_cast<const Graphitti::EngineState*>(held->snapshot.get());
+  EXPECT_LT(held->snapshot.epoch(), g.engine_epoch());
+  EXPECT_EQ(pinned->store->size(), 1u);
+  EXPECT_EQ(pinned->store->Get(40), nullptr);
+  EXPECT_TRUE(g.MaterializePage(&*held, 1).ok());
+  ASSERT_EQ(held->items.size(), 1u);
+  EXPECT_EQ(held->items[0].content_id, 1u);
+  auto fresh = g.Query("FIND CONTENTS WHERE { ?a CONTAINS \"protease\" }");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->items.size(), 2u);
+
+  // An error from the function publishes nothing; the next commit builds
+  // on the mutated version.
+  EXPECT_TRUE(g.Mutate([&](Graphitti::EngineState& s) {
+                 s.graph.EnsureNode(agraph::NodeRef::Content(999), "never published");
+                 return util::Status::Internal("abandon");
+               }).IsInternal());
+  EXPECT_EQ(g.engine_epoch(), epoch + 1);
+  EXPECT_FALSE(g.graph().HasNode(agraph::NodeRef::Content(999)));
+  auto next = g.Commit(b);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 41u);
+  EXPECT_EQ(g.Stats().num_annotations, 3u);
+  EXPECT_TRUE(g.ValidateIntegrity().ok());
 }
 
 }  // namespace

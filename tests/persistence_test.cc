@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "core/graphitti.h"
 #include "core/workload.h"
@@ -93,8 +94,8 @@ TEST_F(PersistenceTest, RoundTripsSmallInstance) {
   // Objects preserved with labels and live rows.
   ASSERT_NE(g2.GetObject(seq), nullptr);
   EXPECT_EQ(g2.GetObject(seq)->label, "dna_sequences/AF1");
-  const relational::Row* img_row = g2.GetObjectRow(img);
-  ASSERT_NE(img_row, nullptr);
+  std::optional<relational::Row> img_row = g2.GetObjectRow(img);
+  ASSERT_TRUE(img_row.has_value());
   EXPECT_EQ((*img_row)[6].as_bytes(), (std::vector<uint8_t>{1, 2, 3}));
 
   // Queries behave identically.
@@ -147,7 +148,9 @@ TEST_F(PersistenceTest, SurvivesDeletionsBeforeSave) {
   (void)a;
   // Delete the first row: ordinals shift, object `b` must still resolve.
   const ObjectInfo* info_a = g.GetObject(a);
-  ASSERT_TRUE(g.catalog().GetTable(info_a->table)->Delete(info_a->row).ok());
+  ASSERT_TRUE(g.Mutate([&](Graphitti::EngineState& s) {
+                 return s.catalog.GetTable(info_a->table)->Delete(info_a->row);
+               }).ok());
 
   ASSERT_TRUE(g.SaveTo(dir_.string()).ok());
   auto loaded = Graphitti::LoadFrom(dir_.string());
@@ -156,8 +159,8 @@ TEST_F(PersistenceTest, SurvivesDeletionsBeforeSave) {
 
   // Stale object a is dropped; b survives with its metadata.
   EXPECT_EQ(g2.GetObject(a), nullptr);
-  const relational::Row* row_b = g2.GetObjectRow(b);
-  ASSERT_NE(row_b, nullptr);
+  std::optional<relational::Row> row_b = g2.GetObjectRow(b);
+  ASSERT_TRUE(row_b.has_value());
   EXPECT_EQ((*row_b)[0].as_string(), "B");
   EXPECT_TRUE(g2.ValidateIntegrity().ok());
 }
@@ -182,10 +185,10 @@ TEST_F(PersistenceTest, CustomTablesRoundTrip) {
                                                .Blob("payload")
                                                .Build())
                   .ok());
-  ASSERT_TRUE(g.catalog()
-                  .GetTable("experiments")
-                  ->CreateIndex("name", relational::IndexKind::kHash)
-                  .ok());
+  ASSERT_TRUE(g.Mutate([](Graphitti::EngineState& s) {
+                 return s.catalog.GetTable("experiments")
+                     ->CreateIndex("name", relational::IndexKind::kHash);
+               }).ok());
   uint64_t obj = *g.IngestRecord(
       "experiments",
       {Value::Str("exp\twith\ttabs"), Value::Real(0.25), Value::Blob({0xde, 0xad})});
@@ -268,7 +271,9 @@ TEST(IntegrityTest, DetectsDanglingObjectRow) {
   Graphitti g;
   uint64_t obj = *g.IngestDnaSequence("A", "x", "s", "AC");
   const ObjectInfo* info = g.GetObject(obj);
-  ASSERT_TRUE(g.catalog().GetTable(info->table)->Delete(info->row).ok());
+  ASSERT_TRUE(g.Mutate([&](Graphitti::EngineState& s) {
+                 return s.catalog.GetTable(info->table)->Delete(info->row);
+               }).ok());
   auto status = g.ValidateIntegrity();
   EXPECT_TRUE(status.IsInternal());
   EXPECT_NE(status.message().find("dead row"), std::string::npos);
@@ -282,10 +287,10 @@ TEST(IntegrityTest, DetectsManuallyCorruptedIndex) {
   auto id = g.Commit(b);
   ASSERT_TRUE(id.ok());
   // Sabotage: remove the index entry behind the store's back.
-  const annotation::Annotation* ann = g.annotations().Get(*id);
-  ASSERT_TRUE(g.indexes()
-                  .RemoveInterval("flu:seg1", spatial::Interval(10, 20), ann->referents[0])
-                  .ok());
+  const annotation::ReferentId rid = g.annotations().Get(*id)->referents[0];
+  ASSERT_TRUE(g.Mutate([&](Graphitti::EngineState& s) {
+                 return s.indexes.RemoveInterval("flu:seg1", spatial::Interval(10, 20), rid);
+               }).ok());
   auto status = g.ValidateIntegrity();
   EXPECT_TRUE(status.IsInternal());
   EXPECT_NE(status.message().find("interval index"), std::string::npos);
@@ -296,7 +301,10 @@ TEST(IntegrityTest, DetectsForeignAGraphNode) {
   uint64_t obj = *g.IngestDnaSequence("A", "x", "s", "AC");
   (void)obj;
   // A content node that no stored annotation backs.
-  g.graph().EnsureNode(agraph::NodeRef::Content(999), "ghost");
+  ASSERT_TRUE(g.Mutate([](Graphitti::EngineState& s) {
+                 s.graph.EnsureNode(agraph::NodeRef::Content(999), "ghost");
+                 return util::Status::OK();
+               }).ok());
   auto status = g.ValidateIntegrity();
   EXPECT_TRUE(status.IsInternal());
   EXPECT_NE(status.message().find("no stored annotation"), std::string::npos);

@@ -394,6 +394,64 @@ TEST(RecoveryTest, LongTailOfSmallRecordsReplaysToLiveState) {
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 }
 
+// A hydration cancelled and then retried serves the whole recovered state:
+// the discarded half-built version never becomes commit scratch, so no
+// commit, and no checkpoint of one, drops the restored annotations.
+TEST(RecoveryTest, CancelledHydrationRetryKeepsState) {
+  constexpr size_t kRestored = 3000;
+  FaultInjectionEnv env;
+  {
+    auto g = MustOpen(&env);
+    std::vector<AnnotationBuilder> base;
+    for (size_t i = 0; i < kRestored; ++i) base.push_back(TailBuilder(i));
+    ASSERT_TRUE(g->CommitBatch(base).ok());
+    ASSERT_TRUE(g->Checkpoint().ok());
+  }
+  DurabilityOptions opts;
+  opts.env = &env;
+  opts.hydrate_cancel = util::CancellationToken::Create();
+  opts.hydrate_cancel.RequestCancel();
+  {
+    auto opened = Graphitti::OpenDurable(kDir, opts);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Graphitti* g = opened->get();
+    ASSERT_TRUE(g->ValidateIntegrity().IsCancelled());
+    opts.hydrate_cancel.Reset();
+    for (size_t n = 1; n <= 3; ++n) {
+      CommitOne(g, "after retry " + std::to_string(n));
+      EXPECT_EQ(g->Stats().num_annotations, kRestored + n) << "after commit " << n;
+      EXPECT_TRUE(g->ValidateIntegrity().ok()) << "after commit " << n;
+      if (n == 1) {
+        ASSERT_TRUE(g->Checkpoint().ok());
+      }
+    }
+  }
+  auto g = MustOpen(&env);
+  EXPECT_EQ(g->Stats().num_annotations, kRestored + 3);
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
+// Mutate cannot be logged, so a durable engine refuses it before running
+// the function: nothing it accepts is missing from its WAL.
+TEST(RecoveryTest, DurableEngineRefusesMutate) {
+  FaultInjectionEnv env;
+  auto g = MustOpen(&env);
+  CommitOne(g.get(), "logged");
+  const std::string before = g->Stats().ToString();
+  const uint64_t epoch = g->engine_epoch();
+  bool ran = false;
+  util::Status st = g->Mutate([&](Graphitti::EngineState& s) {
+    ran = true;
+    s.graph.EnsureNode(agraph::NodeRef::Content(999), "unlogged");
+    return util::Status::OK();
+  });
+  EXPECT_TRUE(st.IsUnsupported()) << st.ToString();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(g->Stats().ToString(), before);
+  EXPECT_EQ(g->engine_epoch(), epoch);
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
 // --- Real-filesystem cases: SaveTo/LoadFrom share the durable format ---
 
 class RecoveryFsTest : public ::testing::Test {

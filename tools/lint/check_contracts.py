@@ -9,7 +9,9 @@ Checks:
      [commit], [any-thread], [unversioned], [boot] in the comment block
      immediately above it ([durable] is a supplemental tag, not a primary
      one). Constructors, destructors, operators and nested-type bodies are
-     exempt.
+     exempt. [unversioned] (an unpinned reference into the current
+     version) is only allowed on a const method, so no mutable escape
+     hatch into published state can come back.
   2. bench registration   — every bench/bench_*.cc is listed in the
      BENCHES array of bench/run_benchmarks.sh (CMake registration is
      GLOB-based and checked to still be so).
@@ -110,6 +112,11 @@ def check_thread_safety_tags(errors):
                                  f"src/core/graphitti.h:{lineno}: public method "
                                  f"carries conflicting tags {sorted(set(comment_tags))}: "
                                  f"{decl[:80]}")
+                        elif comment_tags[0] == "[unversioned]" and not _is_const_method(decl):
+                            fail(errors,
+                                 f"src/core/graphitti.h:{lineno}: [unversioned] on a "
+                                 f"non-const method (published versions are immutable; "
+                                 f"mutate through a [commit] API or Mutate): {decl[:80]}")
                     comment_tags = []
 
         depth += open_braces - close_braces
@@ -130,6 +137,19 @@ def _is_taggable_method(decl):
     if re.match(r"(struct|class|enum|union)\b", decl):
         return False
     return True
+
+
+def _is_const_method(decl):
+    """True when the qualifiers after the parameter list include `const`."""
+    depth = 0
+    for i, ch in enumerate(decl):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return re.match(r"\s*const\b", decl[i + 1:]) is not None
+    return False
 
 
 def check_bench_registration(errors):
