@@ -14,7 +14,7 @@ shift || true
 # fails CI on drift.
 BENCHES=(bench_agraph_ops bench_fig1_agraph bench_fig2_annotation bench_fig3_query
          bench_query_optimizer bench_interval_tree bench_rtree bench_connect_batch
-         bench_concurrent_query bench_parallel_query bench_bulk_ingest bench_recovery
+         bench_concurrent_query bench_bulk_ingest bench_recovery
          bench_ontology bench_substructure bench_xml bench_governance)
 
 if [[ ! -d "$BUILD_DIR" ]]; then

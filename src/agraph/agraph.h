@@ -23,9 +23,6 @@
 #include "util/result.h"
 
 namespace graphitti {
-namespace util {
-class ThreadPool;
-}  // namespace util
 namespace agraph {
 
 class ConnectBatch;
@@ -123,14 +120,6 @@ struct ConnectOptions {
   /// only reachable through the middle of another pair's path does not
   /// qualify).
   size_t max_hops = SIZE_MAX;
-  /// Total workers (including the caller) for per-terminal BFS tree
-  /// expansion inside a ConnectBatch. 1 = serial. Distinct trees expand
-  /// independently and ring scans stay serial, so the resulting subgraphs
-  /// are bit-identical across worker counts.
-  size_t workers = 1;
-  /// Pool supplying helper threads when workers > 1. nullptr falls back
-  /// to util::ThreadPool::Shared().
-  util::ThreadPool* pool = nullptr;
   /// Wall-clock budget for Connect calls: checked between Prim rounds and
   /// pair-resolution sweeps (the coarse units of work), returning
   /// kDeadlineExceeded without perturbing tree state — a later retry on the
@@ -405,7 +394,17 @@ class ConnectBatch {
   /// Connection subgraph for one row of terminals. Same contract as
   /// AGraph::Connect: InvalidArgument on an empty row, NotFound when a
   /// terminal is unknown or the row is not in one connected component.
-  util::Result<SubGraph> Connect(const std::vector<NodeRef>& terminals);
+  util::Result<SubGraph> Connect(const std::vector<NodeRef>& terminals) {
+    return Connect(terminals, options_.deadline, options_.cancel);
+  }
+
+  /// As above, governed by `deadline` and `cancel` in place of the batch's
+  /// own options. A batch kept across calls (QueryResult::connect_batch)
+  /// is governed this way by whichever call drives it, never by the call
+  /// that created it.
+  util::Result<SubGraph> Connect(const std::vector<NodeRef>& terminals,
+                                 const util::Deadline& deadline,
+                                 const util::CancellationToken& cancel);
 
   /// BFS shortest-path trees built so far (== distinct terminals seen
   /// across every row this batch connected).

@@ -14,14 +14,11 @@
 // resolution is itself lazy inside the Prim loop: a pair that has scanned
 // L meet-free levels is known to be >= 2L-1 apart, so once any candidate
 // resolves, pairs whose lower bound exceeds it stop expanding — cold
-// many-terminal rows touch far fewer than all O(k^2) pairs. When
-// ConnectOptions::workers > 1, the distinct trees one resolution sweep
-// needs are expanded in parallel on a thread pool (ring contents are a
-// pure function of the root, so helpers change nothing but time). Every
-// choice ties-break on dense indexes through schedule-free definitions, so
-// a tree pre-expanded by an earlier row never changes a later row's
-// answer: batch results are edge-set-identical to per-row Connect, which
-// simply runs a batch of one.
+// many-terminal rows touch far fewer than all O(k^2) pairs. Every choice
+// ties-break on dense indexes through schedule-free definitions, so a tree
+// pre-expanded by an earlier row never changes a later row's answer: batch
+// results are edge-set-identical to per-row Connect, which simply runs a
+// batch of one.
 //
 // Tree record arrays — the O(V) part — are epoch-stamped and recycled
 // through a byte-capped thread-local pool, and batch States (maps +
@@ -34,7 +31,6 @@
 #include <tuple>
 
 #include "agraph/agraph.h"
-#include "util/thread_pool.h"
 
 namespace graphitti {
 namespace agraph {
@@ -100,7 +96,7 @@ struct ConnectBatch::State {
   // thread_local, so no capability annotation: the pool is unreachable
   // from any other thread and sits outside the checked locking discipline
   // by construction (see util/thread_annotations.h).
-  static Pool& ThreadPool() {
+  static Pool& LocalPool() {
     thread_local Pool pool;
     return pool;
   }
@@ -129,7 +125,6 @@ struct ConnectBatch::State {
     st->trees.clear();
     st->pair_meets.clear();
     st->pair_tasks.clear();
-    st->expand_list.clear();
     auto& free_states = FreeStates();
     if (free_states.size() < 4) free_states.push_back(std::move(st));
   }
@@ -168,10 +163,8 @@ struct ConnectBatch::State {
   std::vector<uint32_t> connected;  // terminals absorbed so far
   std::vector<uint32_t> missing;
   std::vector<TreeEdge> tree_edges;
-  // Lazy pair-resolution scratch (cleared per Prim round / sweep).
+  // Lazy pair-resolution scratch (cleared per Prim round).
   std::vector<PairTask> pair_tasks;
-  std::vector<TerminalTree*> expand_list;
-  std::vector<size_t> expand_targets;
 };
 
 ConnectBatch::ConnectBatch(const AGraph& graph, ConnectOptions options)
@@ -181,7 +174,7 @@ ConnectBatch::ConnectBatch(const AGraph& graph, ConnectOptions options)
 }
 
 ConnectBatch::~ConnectBatch() {
-  State::Pool& pool = State::ThreadPool();
+  State::Pool& pool = State::LocalPool();
   for (auto& [idx, tree] : state_->trees) {
     const size_t bytes = State::TreeBytes(*tree);
     if (pool.free_bytes + bytes > State::Pool::kMaxFreeBytes) continue;
@@ -197,7 +190,7 @@ ConnectBatch::TerminalTree& ConnectBatch::TreeFor(uint32_t terminal) {
   auto [it, inserted] = state_->trees.try_emplace(terminal);
   if (!inserted) return *it->second;
 
-  State::Pool& pool = State::ThreadPool();
+  State::Pool& pool = State::LocalPool();
   if (!pool.free_trees.empty()) {
     it->second = std::move(pool.free_trees.back());
     pool.free_trees.pop_back();
@@ -263,7 +256,9 @@ void ConnectBatch::ExpandRing(TerminalTree* tree) {
   }
 }
 
-util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& terminals) {
+util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& terminals,
+                                             const util::Deadline& deadline,
+                                             const util::CancellationToken& cancel) {
   if (terminals.empty()) {
     return util::Status::InvalidArgument("connect() requires at least one terminal");
   }
@@ -349,16 +344,11 @@ util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& termina
     }
   };
 
-  util::ThreadPool* pool = nullptr;
-  if (options_.workers > 1) {
-    pool = options_.pool != nullptr ? options_.pool : util::ThreadPool::Shared();
-  }
-
   // Governance: checked between Prim rounds and pair-resolution sweeps —
   // the coarse units of work (each sweep may expand several BFS rings). An
   // abort returns through the normal error path without touching tree
   // state, so a retry on this batch resumes from the rings already built.
-  util::GovernanceGate gate(options_.deadline, options_.cancel);
+  util::GovernanceGate gate(deadline, cancel);
   auto check_governance = [&]() -> util::Status {
     GRAPHITTI_RETURN_NOT_OK(gate.CheckNow());
     if (options_.memory_budget_bytes != 0) {
@@ -374,24 +364,13 @@ util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& termina
   };
 
   // One lazy-resolution sweep over the current round's pairs: every
-  // unresolved pair whose lower bound could still beat `bound` scans one
-  // more synchronized level (expanding both trees there first — distinct
-  // trees in parallel when configured). Returns false once no pair can
-  // advance, i.e. every pair still able to matter is resolved.
+  // unresolved pair whose lower bound could still beat `bound` expands both
+  // trees in place to the level it needs and scans that synchronized level.
+  // Rings are only ever appended and scan_ring skips records deeper than
+  // its level, so a tree another pair expanded further changes no scan.
+  // Returns false once no pair can advance, i.e. every pair still able to
+  // matter is resolved.
   auto advance_pairs = [&](size_t bound) -> bool {
-    st.expand_list.clear();
-    st.expand_targets.clear();
-    auto want_radius = [&](TerminalTree& tree, size_t target) {
-      if (tree.radius >= target || tree.exhausted) return;
-      for (size_t i = 0; i < st.expand_list.size(); ++i) {
-        if (st.expand_list[i] == &tree) {
-          st.expand_targets[i] = std::max(st.expand_targets[i], target);
-          return;
-        }
-      }
-      st.expand_list.push_back(&tree);
-      st.expand_targets.push_back(target);
-    };
     bool any = false;
     for (State::PairTask& p : st.pair_tasks) {
       State::PairMeet& pm = *p.pm;
@@ -401,32 +380,11 @@ util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& termina
         continue;
       }
       any = true;
-      want_radius(TreeFor(p.c), pm.next_level);
-      want_radius(TreeFor(p.t), pm.next_level);
-    }
-    if (!any) return false;
-
-    // Ring contents are a pure function of (root, filter), so expanding
-    // distinct trees on helper threads changes nothing but wall clock.
-    auto expand_one = [&](size_t i) {
-      TerminalTree* tree = st.expand_list[i];
-      const size_t target = st.expand_targets[i];
-      while (tree->radius < target && !tree->exhausted) ExpandRing(tree);
-    };
-    if (pool != nullptr && st.expand_list.size() > 1) {
-      pool->ParallelFor(st.expand_list.size(), options_.workers - 1, expand_one);
-    } else {
-      for (size_t i = 0; i < st.expand_list.size(); ++i) expand_one(i);
-    }
-
-    // Scans stay serial: they are cheap next to expansion and mutate the
-    // shared memo entries.
-    for (State::PairTask& p : st.pair_tasks) {
-      State::PairMeet& pm = *p.pm;
-      if (pm.resolved || meet_lower_bound(pm) > bound) continue;
       const size_t level = pm.next_level;
-      TerminalTree& a = *st.trees.find(p.c)->second;
-      TerminalTree& b = *st.trees.find(p.t)->second;
+      TerminalTree& a = TreeFor(p.c);
+      TerminalTree& b = TreeFor(p.t);
+      while (a.radius < level && !a.exhausted) ExpandRing(&a);
+      while (b.radius < level && !b.exhausted) ExpandRing(&b);
       scan_ring(a, b, level, &pm);
       scan_ring(b, a, level, &pm);
       if (pm.meet != kNone) {
@@ -441,7 +399,7 @@ util::Result<SubGraph> ConnectBatch::Connect(const std::vector<NodeRef>& termina
       }
       ++pm.next_level;
     }
-    return true;
+    return any;
   };
 
   st.connected.clear();

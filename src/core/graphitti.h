@@ -354,11 +354,11 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// entry; concurrent Query calls from many threads scale across cores
   /// and are never blocked by writers. The returned result carries a pin
   /// on that version (QueryResult::snapshot), so later page flips replay
-  /// against exactly the state the query saw. Set ExecutorOptions::workers
-  /// > 1 to also parallelize a single query's candidate filtering, join,
-  /// and connection-tree construction across the shared thread pool.
+  /// against exactly the state the query saw. One query runs on the
+  /// calling thread; throughput scales by running many queries at once.
   util::Result<query::QueryResult> Query(std::string_view query_text) const;
-  /// [read] As above, with explicit executor options (worker count etc.).
+  /// [read] As above, with explicit executor options (deadline, token,
+  /// budgets etc.).
   util::Result<query::QueryResult> Query(std::string_view query_text,
                                          const query::ExecutorOptions& options) const;
 

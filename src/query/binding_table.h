@@ -60,7 +60,8 @@ class BindingTable {
 
   /// Reads the bindings of parent row `row` — a row of the column preceding
   /// the open one — into *out (out[c] = binding of column c). With only the
-  /// open column present this is the empty seed row.
+  /// open column present this is the empty seed row. It never reads the
+  /// open column, so it may be interleaved with Append.
   void ReadParentRow(size_t row, std::vector<agraph::NodeRef>* out) const {
     ReadRowAt(cols_.size() - 1, row, out);
   }

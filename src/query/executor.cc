@@ -1,7 +1,6 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -145,18 +144,6 @@ NodeKind ToNodeKind(VarKind kind) {
 // lint: allow-map(per-query cache; hashed, sized by candidate count)
 using ReferentCache = std::unordered_map<uint64_t, const annotation::Referent*>;
 
-/// Shared governance stop flag for one execution. Holds a StopReason
-/// (kCompleted == 0 == keep going); the first tripper wins, so a worker
-/// that hits the row limit while another hits the deadline records exactly
-/// one coherent reason.
-using StopFlag = std::atomic<uint8_t>;
-
-void TripStop(StopFlag* stop, StopReason reason) {
-  uint8_t expected = 0;
-  stop->compare_exchange_strong(expected, static_cast<uint8_t>(reason),
-                                std::memory_order_relaxed);
-}
-
 StopReason ReasonFromStatus(const Status& s) {
   if (s.IsDeadlineExceeded()) return StopReason::kDeadline;
   if (s.IsCancelled()) return StopReason::kCancelled;
@@ -164,13 +151,20 @@ StopReason ReasonFromStatus(const Status& s) {
   return StopReason::kCompleted;  // not a governance status
 }
 
-void TripStop(StopFlag* stop, const Status& s) {
-  StopReason r = ReasonFromStatus(s);
-  if (r != StopReason::kCompleted) TripStop(stop, r);
+/// Records a governance stop (kCompleted == keep going). The first reason
+/// wins, so a level that hits the row limit and then the byte budget
+/// reports the row limit.
+void TripStop(StopReason* stop, StopReason reason) {
+  if (*stop == StopReason::kCompleted) *stop = reason;
 }
 
-StopReason StopOf(const StopFlag& stop) {
-  return static_cast<StopReason>(stop.load(std::memory_order_relaxed));
+/// One amortized governance check (see util::GovernanceGate::Check): on a
+/// deadline or cancellation it records the stop and returns true.
+bool Tripped(util::GovernanceGate* gate, StopReason* stop) {
+  Status gs = gate->Check();
+  if (gs.ok()) return false;
+  TripStop(stop, ReasonFromStatus(gs));
+  return true;
 }
 
 /// The status Execute() reports for a governance stop.
@@ -199,31 +193,17 @@ Status StopStatus(StopReason reason, const ExecutorOptions& options) {
 /// Referent enumeration prefills *referent_cache as a side effect.
 /// *emitted_ordered is set when the stream is ascending and duplicate-free
 /// (store-order feeds), letting the consumer skip its sort+dedup pass.
-/// With workers > 1 and a pool, expensive per-candidate filters (XPath
-/// matching) fan out over id chunks; chunk outputs concatenate in order,
-/// so the emitted stream is identical to the serial one.
+/// A governance stop trips *stop and ends the stream early.
 Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
                         ReferentCache* referent_cache, bool* emitted_ordered,
-                        util::ThreadPool* pool, size_t workers,
-                        const util::Deadline& deadline,
-                        const util::CancellationToken& cancel, StopFlag* stop,
+                        util::GovernanceGate* gate, StopReason* stop,
                         const std::function<void(NodeRef)>& emit) {
   const annotation::AnnotationStore& store = *ctx.store;
   const agraph::AGraph& graph = *ctx.graph;
 
-  // Serial-path governance gate. Parallel chunk bodies build their own
-  // local gates (GovernanceGate is per-thread); everyone shares `stop` so
-  // the first tripper halts all paths.
-  util::GovernanceGate gate(deadline, cancel);
-  auto tripped = [&]() {
-    if (stop->load(std::memory_order_relaxed) != 0) return true;
-    Status gs = gate.Check();
-    if (!gs.ok()) {
-      TripStop(stop, gs);
-      return true;
-    }
-    return false;
-  };
+  // Store visitors cannot break early, so once tripped every later call
+  // returns at once.
+  auto tripped = [&]() { return *stop != StopReason::kCompleted || Tripped(gate, stop); };
 
   switch (info.kind) {
     case VarKind::kContent: {
@@ -270,42 +250,7 @@ Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
         return true;
       };
       *emitted_ordered = true;  // posting lists and the store stream ascend
-      // XPath matching dominates content filtering; with workers > 1 the
-      // per-annotation filter fans out over contiguous id chunks and the
-      // chunk outputs concatenate in order (ids ascend, so the stream is
-      // the serial one). Creator-only filters stay serial — a string
-      // compare is cheaper than the fan-out.
-      const bool parallel_filter = pool != nullptr && workers > 1 && !xpaths.empty();
-      if (parallel_filter && !have_ids) {
-        ids.reserve(store.size());
-        store.ForEachAnnotation(
-            [&](AnnotationId id, const annotation::Annotation&) { ids.push_back(id); });
-        have_ids = true;
-      }
-      if (parallel_filter && ids.size() > 1) {
-        const size_t chunks = std::min(ids.size(), workers);
-        std::vector<std::vector<AnnotationId>> kept(chunks);
-        pool->ParallelFor(chunks, workers - 1, [&](size_t ci) {
-          // Local gate per chunk: GovernanceGate is per-thread state.
-          util::GovernanceGate chunk_gate(deadline, cancel);
-          const size_t lo = ids.size() * ci / chunks;
-          const size_t hi = ids.size() * (ci + 1) / chunks;
-          for (size_t i = lo; i < hi; ++i) {
-            if (stop->load(std::memory_order_relaxed) != 0) return;
-            Status gs = chunk_gate.Check();
-            if (!gs.ok()) {
-              TripStop(stop, gs);
-              return;
-            }
-            const annotation::Annotation* ann = store.Get(ids[i]);
-            if (ann != nullptr && passes(*ann)) kept[ci].push_back(ids[i]);
-          }
-        }, stop);
-        for (const std::vector<AnnotationId>& chunk : kept) {
-          if (tripped()) return Status::OK();
-          for (AnnotationId id : chunk) emit(NodeRef::Content(id));
-        }
-      } else if (have_ids) {
+      if (have_ids) {
         for (AnnotationId id : ids) {
           if (tripped()) return Status::OK();
           const annotation::Annotation* ann = store.Get(id);
@@ -490,25 +435,18 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   const annotation::AnnotationStore& store = *ctx_.store;
   const agraph::AGraph& graph = *ctx_.graph;
 
-  // Intra-query parallelism: resolved once, used by candidate filtering
-  // and the join. workers == 1 (the default) keeps every stage serial.
-  util::ThreadPool* pool = nullptr;
-  if (options_.workers > 1) {
-    pool = options_.pool != nullptr ? options_.pool : util::ThreadPool::Shared();
-  }
-  const size_t workers = pool != nullptr ? options_.workers : 1;
-
-  // Governance stop flag shared by every stage and worker below: trips on
-  // deadline expiry, cancellation, the row limit, or the byte budget, and
-  // every loop observes it cooperatively.
-  StopFlag stop{0};
+  // Governance for every stage below: one gate amortizes the deadline and
+  // cancellation checks of all loops, and `stop` records the first of
+  // deadline expiry, cancellation, the row limit or the byte budget.
+  util::GovernanceGate gate(options_.deadline, options_.cancel);
+  StopReason stop = StopReason::kCompleted;
 
   // Unamortized entry check: a query arriving with an expired deadline or a
   // pre-cancelled token must stop before any work, regardless of corpus
-  // size — the amortized gates below only read the clock every kCheckStride
-  // iterations, which a small scan may never reach.
+  // size — the amortized checks below only read the clock every
+  // kCheckStride iterations, which a small scan may never reach.
   {
-    Status gs = util::GovernanceGate(options_.deadline, options_.cancel).CheckNow();
+    Status gs = gate.CheckNow();
     if (!gs.ok()) {
       stats.stop_reason = ReasonFromStatus(gs);
       return Status::OK();
@@ -583,11 +521,10 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
     bool ordered = false;
     GRAPHITTI_RETURN_NOT_OK(ForEachCandidate(
-        ctx_, info, &referent_cache, &ordered, pool, workers,
-        options_.deadline, options_.cancel, &stop,
+        ctx_, info, &referent_cache, &ordered, &gate, &stop,
         [&info = info](NodeRef n) { info.streamed.push_back(n); }));
-    if (stop.load(std::memory_order_relaxed) != 0) {
-      stats.stop_reason = StopOf(stop);
+    if (stop != StopReason::kCompleted) {
+      stats.stop_reason = stop;
       return Status::OK();
     }
     if (!ordered) {
@@ -691,23 +628,15 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
   }
 
-  // `overlay` receives misses so the shared enumeration-time cache
-  // (referent_cache) stays read-only during the join — join workers probe
-  // it concurrently and record their own misses per worker.
-  auto referent_of = [&](ReferentCache& overlay, NodeRef n) -> const annotation::Referent* {
-    auto it = referent_cache.find(n.id);
-    if (it != referent_cache.end()) return it->second;
-    auto hit = overlay.find(n.id);
-    if (hit != overlay.end()) return hit->second;
-    const annotation::Referent* ref = store.GetReferent(n.id);
-    overlay.emplace(n.id, ref);
-    return ref;
+  auto referent_of = [&](NodeRef n) -> const annotation::Referent* {
+    auto [it, inserted] = referent_cache.try_emplace(n.id, nullptr);
+    if (inserted) it->second = store.GetReferent(n.id);
+    return it->second;
   };
 
-  auto eval_pair = [&](ReferentCache& overlay, const PairPredicate& p, NodeRef a,
-                       NodeRef b) -> bool {
-    const annotation::Referent* ra = referent_of(overlay, a);
-    const annotation::Referent* rb = referent_of(overlay, b);
+  auto eval_pair = [&](const PairPredicate& p, NodeRef a, NodeRef b) -> bool {
+    const annotation::Referent* ra = referent_of(a);
+    const annotation::Referent* rb = referent_of(b);
     if (ra == nullptr || rb == nullptr) return false;
     const substructure::Substructure& sa = ra->substructure;
     const substructure::Substructure& sb = rb->substructure;
@@ -792,12 +721,20 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   std::map<std::string, size_t> var_column;
   BindingTable table;
 
-  // Row buffer for collation (step 6); the join below keeps its own
-  // per-worker buffers.
+  // Join scratch, reused across rows and levels so steady-state per-row
+  // work allocates nothing; collation (step 6) reuses row_buf.
   std::vector<NodeRef> row_buf;
+  std::vector<NodeRef> domain_buf;
+  std::vector<NodeRef> nbr_buf;
+  std::unordered_set<NodeRef, NodeRefHash> nbr_set;
+  // Single-edge join domains memoized per level: many rows bind the same
+  // node in the join column, and the filtered+sorted neighbour domain is a
+  // pure function of that node.
+  // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
+  std::unordered_map<NodeRef, std::vector<NodeRef>, NodeRefHash> domain_cache;
 
-  // Reachability cache key for CONNECTED joins: one bounded BFS per
-  // distinct (bound node, hop limit) instead of one FindPath per row.
+  // Reachability cache for CONNECTED joins: one bounded BFS per distinct
+  // (bound node, hop limit) instead of one FindPath per row.
   struct ReachKey {
     NodeRef node;
     size_t hops;
@@ -808,43 +745,20 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       return static_cast<size_t>(util::Mix64(NodeRefHash{}(k.node) ^ (k.hops * 0x9e3779b97f4a7c15ull)));
     }
   };
+  // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
+  std::unordered_map<ReachKey, std::unordered_set<NodeRef, NodeRefHash>, ReachKeyHash>
+      reach_cache;
+  std::vector<NodeRef> reach_buf;
 
-  // Everything one join worker touches while extending rows. The serial
-  // path is just the one-worker special case of the same code. Caches are
-  // per worker: a distinct bound node may expand on two workers (duplicate
-  // work, never a race); steady-state per-row work allocates nothing.
-  struct WorkerState {
-    std::vector<NodeRef> row_buf;
-    std::vector<NodeRef> domain_buf;
-    std::vector<NodeRef> nbr_buf;
-    std::unordered_set<NodeRef, NodeRefHash> nbr_set;
-    // Single-edge join domains memoized per level: many rows bind the same
-    // node in the join column, and the filtered+sorted neighbour domain is
-    // a pure function of that node.
-    // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
-    std::unordered_map<NodeRef, std::vector<NodeRef>, NodeRefHash> domain_cache;
-    // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
-    std::unordered_map<ReachKey, std::unordered_set<NodeRef, NodeRefHash>, ReachKeyHash>
-        reach_cache;
-    std::vector<NodeRef> reach_buf;
-    ReferentCache referent_overlay;
-    std::vector<std::pair<NodeRef, size_t>> out;  // (candidate, parent row)
-  };
-  std::vector<WorkerState> wstates(workers);
-  // One governance gate per worker (a gate is per-thread state; the tick
-  // counter amortizing clock reads must never be shared across workers).
-  std::vector<util::GovernanceGate> wgates(
-      workers, util::GovernanceGate(options_.deadline, options_.cancel));
-
-  auto reachable_from = [&](WorkerState& w, NodeRef node, size_t hops)
+  auto reachable_from = [&](NodeRef node, size_t hops)
       -> const std::unordered_set<NodeRef, NodeRefHash>& {
-    auto [it, inserted] = w.reach_cache.try_emplace(ReachKey{node, hops});
+    auto [it, inserted] = reach_cache.try_emplace(ReachKey{node, hops});
     if (inserted) {
       agraph::PathOptions popt;
       popt.max_hops = hops;
-      w.reach_buf.clear();
-      graph.AppendReachable(node, popt, &w.reach_buf);
-      it->second.insert(w.reach_buf.begin(), w.reach_buf.end());
+      reach_buf.clear();
+      graph.AppendReachable(node, popt, &reach_buf);
+      it->second.insert(reach_buf.begin(), reach_buf.end());
     }
     return it->second;
   };
@@ -900,41 +814,34 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     } else {
       ensure_candidate_set(info);
     }
-    for (WorkerState& w : wstates) {
-      w.domain_cache.clear();  // keyed on bound node; valid for one level only
-      w.out.clear();
-    }
+    domain_cache.clear();  // keyed on bound node; valid for one level only
 
     size_t prev_rows = table.BeginColumn();
     if (prev_rows > UINT32_MAX) {
       return Status::OutOfRange("binding table exceeds 2^32 rows per level");
     }
 
-    // Emitted-row budget shared across workers: the table-size limit is
-    // enforced at the (serial) append below; this counter just lets
-    // workers stop producing once the level is doomed to the row limit.
-    std::atomic<size_t> emitted{0};
-
-    // Extends one parent row: computes the candidate domain, filters it
+    // Extend each parent row: compute the candidate domain, filter it
     // through the bound pairwise predicates and CONNECTED reachability, and
-    // collects (candidate, parent) pairs into the worker's output. A pure
-    // function of the row given the frozen substrates, so rows partition
-    // freely across workers; outputs append back in worker-chunk order,
-    // making the table bit-identical to the serial build.
-    auto extend_row = [&](WorkerState& w, util::GovernanceGate& g, size_t row) {
-      table.ReadParentRow(row, &w.row_buf);
+    // append each surviving candidate to the open column, which grows while
+    // ReadParentRow reads only the columns before it. The row limit and the
+    // byte budget are checked as the column grows; a governance stop still
+    // closes the column, since EndColumn after partial appends is
+    // well-defined and folds this level's size into the peaks.
+    for (size_t row = 0; row < prev_rows && stop == StopReason::kCompleted; ++row) {
+      table.ReadParentRow(row, &row_buf);
 
       const std::vector<NodeRef>* domain = cartesian;
       if (join_edges.size() == 1) {
         // Single-edge join: the filtered+sorted neighbour domain depends
         // only on the bound node, so memoize it per level.
         const auto& [e, col] = join_edges.front();
-        NodeRef bound_node = w.row_buf[col];
-        auto [it, inserted] = w.domain_cache.try_emplace(bound_node);
+        NodeRef bound_node = row_buf[col];
+        auto [it, inserted] = domain_cache.try_emplace(bound_node);
         if (inserted) {
-          w.nbr_buf.clear();
-          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &w.nbr_buf);
-          for (NodeRef n : w.nbr_buf) {
+          nbr_buf.clear();
+          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &nbr_buf);
+          for (NodeRef n : nbr_buf) {
             if (is_candidate(info, n)) it->second.push_back(n);
           }
           // Deterministic extension order.
@@ -946,44 +853,38 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
         // domain), then hash semi-join along the rest.
         bool first = true;
         for (const auto& [e, col] : join_edges) {
-          NodeRef bound_node = w.row_buf[col];
-          w.nbr_buf.clear();
-          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &w.nbr_buf);
+          NodeRef bound_node = row_buf[col];
+          nbr_buf.clear();
+          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &nbr_buf);
           if (first) {
-            w.domain_buf.clear();
-            for (NodeRef n : w.nbr_buf) {
-              if (is_candidate(info, n)) w.domain_buf.push_back(n);
+            domain_buf.clear();
+            for (NodeRef n : nbr_buf) {
+              if (is_candidate(info, n)) domain_buf.push_back(n);
             }
             first = false;
           } else {
-            w.nbr_set.clear();
-            w.nbr_set.insert(w.nbr_buf.begin(), w.nbr_buf.end());
-            w.domain_buf.erase(std::remove_if(w.domain_buf.begin(), w.domain_buf.end(),
-                                              [&](NodeRef n) {
-                                                return w.nbr_set.count(n) == 0;
-                                              }),
-                               w.domain_buf.end());
+            nbr_set.clear();
+            nbr_set.insert(nbr_buf.begin(), nbr_buf.end());
+            domain_buf.erase(std::remove_if(domain_buf.begin(), domain_buf.end(),
+                                            [&](NodeRef n) { return nbr_set.count(n) == 0; }),
+                             domain_buf.end());
           }
-          if (w.domain_buf.empty()) break;
+          if (domain_buf.empty()) break;
         }
         // Deterministic extension order.
-        std::sort(w.domain_buf.begin(), w.domain_buf.end());
-        domain = &w.domain_buf;
+        std::sort(domain_buf.begin(), domain_buf.end());
+        domain = &domain_buf;
       }
 
       for (NodeRef cand : *domain) {
-        Status gs = g.Check();
-        if (!gs.ok()) {
-          TripStop(&stop, gs);
-          return;
-        }
+        if (Tripped(&gate, &stop)) break;
         // Pairwise constraints that become fully bound with v = cand.
         bool ok = true;
         for (const BoundPred& bp : bound_preds) {
-          NodeRef other_node = w.row_buf[bp.other_col];
+          NodeRef other_node = row_buf[bp.other_col];
           NodeRef a = bp.v_is_a ? cand : other_node;
           NodeRef b = bp.v_is_a ? other_node : cand;
-          if (!eval_pair(w.referent_overlay, *bp.pred, a, b)) {
+          if (!eval_pair(*bp.pred, a, b)) {
             ok = false;
             break;
           }
@@ -992,65 +893,26 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
         // CONNECTED joins: path existence in the a-graph, answered by the
         // per-bound-node reachability cache.
         for (const auto& [e, col] : path_edges) {
-          NodeRef other_node = w.row_buf[col];
+          NodeRef other_node = row_buf[col];
           size_t hops = e->clause->max_hops == SIZE_MAX ? options_.default_connected_hops
                                                         : e->clause->max_hops;
-          if (reachable_from(w, other_node, hops).count(cand) == 0) {
+          if (reachable_from(other_node, hops).count(cand) == 0) {
             ok = false;
             break;
           }
         }
         if (!ok) continue;
 
-        w.out.push_back({cand, row});
-        if (emitted.fetch_add(1, std::memory_order_relaxed) >=
-            options_.max_intermediate_rows) {
+        table.Append(cand, row);
+        if (table.OpenRows() > options_.max_intermediate_rows) {
           TripStop(&stop, StopReason::kRowLimit);
-          return;
+          break;
         }
-      }
-    };
-
-    if (workers > 1 && prev_rows > 1) {
-      // One contiguous row chunk per worker; each ParallelFor index runs
-      // exactly once, so worker state is never shared between live bodies.
-      pool->ParallelFor(workers, workers - 1, [&](size_t ci) {
-        WorkerState& w = wstates[ci];
-        const size_t lo = prev_rows * ci / workers;
-        const size_t hi = prev_rows * (ci + 1) / workers;
-        for (size_t row = lo; row < hi; ++row) {
-          if (stop.load(std::memory_order_relaxed) != 0) return;
-          extend_row(w, wgates[ci], row);
+        if (options_.memory_budget_bytes != 0 && (table.OpenRows() & 63) == 0 &&
+            table.ByteSize() > options_.memory_budget_bytes) {
+          TripStop(&stop, StopReason::kMemoryBudget);
+          break;
         }
-      }, &stop);
-    } else {
-      for (size_t row = 0; row < prev_rows; ++row) {
-        if (stop.load(std::memory_order_relaxed) != 0) break;
-        extend_row(wstates.front(), wgates.front(), row);
-      }
-    }
-    // Append surviving pairs in deterministic worker-chunk order, enforcing
-    // the row limit and the byte budget as the column grows. A governance
-    // stop skips the append (the level is abandoned) but the column is
-    // still closed — EndColumn after partial appends is well-defined and
-    // folds this level's size into the peaks.
-    if (stop.load(std::memory_order_relaxed) == 0) {
-      size_t appended = 0;
-      for (WorkerState& w : wstates) {
-        for (const auto& [cand, parent] : w.out) {
-          table.Append(cand, parent);
-          if (table.OpenRows() > options_.max_intermediate_rows) {
-            TripStop(&stop, StopReason::kRowLimit);
-            break;
-          }
-          if (options_.memory_budget_bytes != 0 && (++appended & 63) == 0 &&
-              table.ByteSize() > options_.memory_budget_bytes) {
-            TripStop(&stop, StopReason::kMemoryBudget);
-            break;
-          }
-        }
-        w.out.clear();
-        if (stop.load(std::memory_order_relaxed) != 0) break;
       }
     }
     table.EndColumn();
@@ -1060,13 +922,13 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
     var_column[v] = var_column.size();
     stats.rows_examined += table.NumRows();
-    if (stop.load(std::memory_order_relaxed) != 0) break;
+    if (stop != StopReason::kCompleted) break;
     if (table.NumRows() == 0) break;
   }
   stats.peak_rows = table.peak_rows();
   stats.peak_bytes = table.peak_bytes();
-  if (stop.load(std::memory_order_relaxed) != 0) {
-    stats.stop_reason = StopOf(stop);
+  if (stop != StopReason::kCompleted) {
+    stats.stop_reason = stop;
     return Status::OK();
   }
 
@@ -1113,17 +975,8 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     return it == var_column.end() ? SIZE_MAX : it->second;
   };
 
-  // Collation is serial; one gate covers every target's row loop. A trip
-  // keeps the items collated so far (a partial page is still renderable).
-  util::GovernanceGate collate_gate(options_.deadline, options_.cancel);
-  auto collate_tripped = [&]() {
-    Status gs = collate_gate.Check();
-    if (!gs.ok()) {
-      TripStop(&stop, gs);
-      return true;
-    }
-    return false;
-  };
+  // A governance trip keeps the items collated so far (a partial page is
+  // still renderable).
 
   switch (query.target) {
     case Target::kContents: {
@@ -1131,7 +984,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       size_t col = target_col();
       if (col != SIZE_MAX) result.items.reserve(final_rows);
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (collate_tripped()) break;
+        if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
         if (!seen.insert(n).second) continue;
@@ -1147,7 +1000,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       size_t col = target_col();
       if (col != SIZE_MAX) result.items.reserve(final_rows);
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (collate_tripped()) break;
+        if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
         if (!seen.insert(n).second) continue;
@@ -1166,7 +1019,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       std::unordered_set<NodeRef, NodeRefHash> seen;
       size_t col = target_col();
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (collate_tripped()) break;
+        if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
         if (!seen.insert(n).second) continue;
@@ -1188,7 +1041,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       std::unordered_set<NodeRef, NodeRefHash> distinct;
       size_t col = target_col();
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (collate_tripped()) break;
+        if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         distinct.insert(row_buf[col]);
       }
@@ -1216,7 +1069,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       std::unordered_set<uint64_t> seen;
       std::vector<NodeRef> terminals;
       for (size_t row = 0; row < final_rows; ++row) {
-        if (collate_tripped()) break;
+        if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         terminals = row_buf;
         std::sort(terminals.begin(), terminals.end());
@@ -1247,10 +1100,10 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   if (page_size == 0) page_size = 1;
   result.page_size = page_size;
   result.total_pages = (result.items.size() + page_size - 1) / page_size;
-  if (stop.load(std::memory_order_relaxed) != 0) {
+  if (stop != StopReason::kCompleted) {
     // Collation tripped: keep the partial items but skip materialization —
     // the budget is already gone.
-    stats.stop_reason = StopOf(stop);
+    stats.stop_reason = stop;
     return Status::OK();
   }
   Status ms = MaterializePage(&result, query.page);
@@ -1295,18 +1148,13 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
   // result's epoch pin (QueryResult::snapshot, set by core::Graphitti)
   // keeps the graph the batch borrows alive and frozen, so flipping back
   // to a page long after later commits rebuilds nothing and changes
-  // nothing. Tree expansion inside the batch parallelizes per
-  // ExecutorOptions::workers.
+  // nothing. The batch keeps only what decides answers (the default label
+  // filter and hop budget); every Connect below is governed by this call's
+  // deadline and token, so the budget of the query that built the batch
+  // never stops a later flip.
   if (result->connect_batch == nullptr ||
       result->connect_batch->graph() != ctx_.graph) {
-    agraph::ConnectOptions copt;
-    copt.deadline = options_.deadline;
-    copt.cancel = options_.cancel;
-    if (options_.workers > 1) {
-      copt.workers = options_.workers;
-      copt.pool = options_.pool != nullptr ? options_.pool : util::ThreadPool::Shared();
-    }
-    result->connect_batch = std::make_shared<agraph::ConnectBatch>(*ctx_.graph, copt);
+    result->connect_batch = std::make_shared<agraph::ConnectBatch>(*ctx_.graph);
   }
   agraph::ConnectBatch& batch = *result->connect_batch;
   const size_t trees_before = batch.trees_built();
@@ -1324,7 +1172,7 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
         return gs;
       }
     }
-    auto sg = batch.Connect(item.terminals);
+    auto sg = batch.Connect(item.terminals, options_.deadline, options_.cancel);
     if (!sg.ok() && (sg.status().IsDeadlineExceeded() || sg.status().IsCancelled() ||
                      sg.status().IsResourceExhausted())) {
       // Governance abort mid-connect: not a disconnected row — leave the

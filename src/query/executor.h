@@ -37,7 +37,6 @@
 #include "query/result.h"
 #include "util/governance.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace graphitti {
 namespace query {
@@ -51,14 +50,6 @@ struct ExecutorOptions {
   size_t max_intermediate_rows = 1u << 20;
   /// Hop bound used for CONNECTED clauses without an explicit bound.
   size_t default_connected_hops = 6;
-  /// Intra-query parallelism: total workers (including the calling thread)
-  /// used to partition candidate filtering, join row ranges, and batched-
-  /// connect tree expansion. 1 = fully serial. Results are bit-identical
-  /// across worker counts — parallel chunks merge in deterministic order.
-  size_t workers = 1;
-  /// Pool supplying helper threads when workers > 1. nullptr falls back to
-  /// the process-wide util::ThreadPool::Shared().
-  util::ThreadPool* pool = nullptr;
   /// Wall-clock budget. When it expires mid-execution the query aborts
   /// cooperatively with kDeadlineExceeded (stats.stop_reason records where);
   /// the default is infinite. Checks are amortized (~one clock read per
@@ -101,6 +92,11 @@ class Executor {
   /// — no matter how much later, or how many commits have landed since —
   /// materializes from that same frozen version. `result` itself is
   /// caller-owned: two threads must not flip the same QueryResult at once.
+  ///
+  /// Governance: this Executor's deadline and token govern the flip, never
+  /// those of the Execute that produced `result` (a query's budget is spent
+  /// once it returns). A governance stop leaves the page's unbuilt rows
+  /// unbuilt, and a later flip resumes from there.
   util::Status MaterializePage(QueryResult* result, size_t page) const;
 
   /// Executes the query and renders its plan — the typed subqueries, the

@@ -185,7 +185,7 @@ class AdmissionController {
   const AdmissionOptions options_;
   Mutex mu_;
   // ClassState's counts are guarded by mu_ (an inner struct cannot name
-  // its owner in a GUARDED_BY — same pattern as ThreadPool::Job); both
+  // its owner in a GUARDED_BY — same pattern as EpochManager::Node); both
   // members are only touched under mu_.
   ClassState reads_ GUARDED_BY(mu_);
   ClassState commits_ GUARDED_BY(mu_);

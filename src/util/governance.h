@@ -92,9 +92,9 @@ class CancellationToken {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-/// Per-loop helper that amortizes deadline clock reads. One gate per
-/// thread/worker (it is not thread-safe); construct it outside the loop and
-/// call Check() each iteration.
+/// Helper that amortizes deadline clock reads over loop iterations. Not
+/// thread-safe: one gate per thread. Construct it outside the loops it
+/// serves and call Check() each iteration.
 class GovernanceGate {
  public:
   static constexpr uint32_t kCancelStride = 64;

@@ -504,7 +504,7 @@ TEST(ConcurrencyStressTest, TightDeadlineReadersRaceASaturatingWriter) {
   // acceptable.
   std::vector<std::thread> readers;
   for (size_t r = 0; r < 4; ++r) {
-    readers.emplace_back([&, r] {
+    readers.emplace_back([&] {
       const std::string q =
           "FIND CONTENTS WHERE { ?a CONTAINS \"stalwart\" ; ?s IS REFERENT ; "
           "?a ANNOTATES ?s }";
@@ -517,7 +517,6 @@ TEST(ConcurrencyStressTest, TightDeadlineReadersRaceASaturatingWriter) {
                                ? std::chrono::microseconds(200)
                                : std::chrono::microseconds(500000);
         opts.deadline = util::Deadline::After(budget);
-        opts.workers = (r % 2 == 0) ? 1 : 2;
         auto res = g.Query(q, opts);
         if (res.ok()) {
           if (res->stats.stop_reason != query::StopReason::kCompleted) {

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "annotation/annotation_store.h"
@@ -87,15 +88,6 @@ TEST_F(GovernanceTest, OneMillisecondDeadlineStopsTheWideJoinPromptly) {
   EXPECT_GE(engine_->Health().deadline_exceeded, 1u);
 }
 
-TEST_F(GovernanceTest, DeadlineAlsoGovernsParallelExecution) {
-  ExecutorOptions opts;
-  opts.workers = 4;
-  opts.deadline = Deadline::After(std::chrono::milliseconds(1));
-  auto r = engine_->Query(kWideJoin, opts);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
-}
-
 TEST_F(GovernanceTest, PreCancelledTokenStopsImmediatelyAndResetRetries) {
   CancellationToken token = CancellationToken::Create();
   token.RequestCancel();
@@ -146,6 +138,98 @@ TEST_F(GovernanceTest, GovernedStopLeavesEngineServing) {
   auto r = engine_->Query("FIND COUNT ?c WHERE { ?c CONTAINS \"beta\" }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->stats.stop_reason, StopReason::kCompleted);
+}
+
+// --- Flip governance --------------------------------------------------------
+// A GRAPH result keeps its connect batch for later page flips. Only the call
+// that flips governs the flip: the query's own deadline and token are spent
+// once the query returns.
+
+// Four protease annotations on disjoint intervals of one sequence give this
+// pair query 10 distinct rows, 5 pages of 2; every row has at least two
+// terminals, so each connect checks governance.
+constexpr char kPairGraph[] = R"(FIND GRAPH WHERE {
+    ?a1 CONTAINS "protease" ; ?a2 CONTAINS "protease" ;
+    ?s1 IS REFERENT ; ?s2 IS REFERENT ;
+    ?a1 ANNOTATES ?s1 ; ?a2 ANNOTATES ?s2 ;
+  } LIMIT 2 PAGE 1)";
+
+class FlipGovernanceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string bases;
+    for (int i = 0; i < 100; ++i) bases += "ACGT";
+    auto obj = engine_.IngestDnaSequence("AF001", "H5N1", "flu:seg4", bases);
+    ASSERT_TRUE(obj.ok()) << obj.status().ToString();
+    for (int i = 0; i < 4; ++i) {
+      AnnotationBuilder b;
+      b.Title("ann" + std::to_string(i)).Body("protease motif");
+      b.MarkInterval("flu:seg4", 100 * i, 100 * i + 50, *obj);
+      ASSERT_TRUE(engine_.Commit(b).ok());
+    }
+  }
+
+  // Flips `r` through an Executor with `opts`, over the version `r` pinned.
+  static util::Status FlipWith(query::QueryResult* r, size_t page,
+                               const ExecutorOptions& opts) {
+    const auto& state = *static_cast<const Graphitti::EngineState*>(r->snapshot.get());
+    query::QueryContext ctx;
+    ctx.store = state.store.get();
+    ctx.indexes = &state.indexes;
+    ctx.graph = &state.graph;
+    return query::Executor(ctx, opts).MaterializePage(r, page);
+  }
+
+  static size_t BuiltOnPage(const query::QueryResult& r) {
+    size_t built = 0;
+    for (const query::ResultItem& item : r.Page()) built += item.subgraph_ready ? 1 : 0;
+    return built;
+  }
+
+  Graphitti engine_;
+};
+
+TEST_F(FlipGovernanceTest, FlipIsGovernedByTheFlippingCall) {
+  // A token cancelled after its query returned does not stop a later flip.
+  CancellationToken token = CancellationToken::Create();
+  ExecutorOptions governed;
+  governed.cancel = token;
+  auto r = engine_.Query(kPairGraph, governed);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->total_pages, 5u);
+  token.RequestCancel();
+  util::Status flip = engine_.MaterializePage(&*r, 2);
+  ASSERT_TRUE(flip.ok()) << flip.ToString();
+  EXPECT_EQ(r->page, 2u);
+  EXPECT_EQ(BuiltOnPage(*r), 2u);
+
+  // The mirror case: a flip whose own token is cancelled stops with
+  // kCancelled and leaves the page unbuilt; an ungoverned retry builds it.
+  auto u = engine_.Query(kPairGraph);
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  ExecutorOptions cancelled;
+  cancelled.cancel = token;
+  flip = FlipWith(&*u, 2, cancelled);
+  EXPECT_TRUE(flip.IsCancelled()) << flip.ToString();
+  EXPECT_EQ(u->page, 2u);
+  EXPECT_EQ(BuiltOnPage(*u), 0u);
+  flip = engine_.MaterializePage(&*u, 2);
+  ASSERT_TRUE(flip.ok()) << flip.ToString();
+  EXPECT_EQ(BuiltOnPage(*u), 2u);
+}
+
+TEST_F(FlipGovernanceTest, ExpiredQueryDeadlineDoesNotStopALaterFlip) {
+  const Deadline deadline = Deadline::After(std::chrono::milliseconds(200));
+  ExecutorOptions governed;
+  governed.deadline = deadline;
+  auto r = engine_.Query(kPairGraph, governed);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  while (!deadline.expired()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (size_t page = 2; page <= r->total_pages; ++page) {
+    util::Status flip = engine_.MaterializePage(&*r, page);
+    ASSERT_TRUE(flip.ok()) << "page " << page << ": " << flip.ToString();
+    EXPECT_EQ(BuiltOnPage(*r), r->Page().size()) << "page " << page;
+  }
 }
 
 // --- Stop-reason observability (Explain) -----------------------------------

@@ -484,54 +484,6 @@ TEST_F(ExecutorTest, OrderingsAgreeOnMultiVariableJoins) {
   EXPECT_EQ(a, b);
 }
 
-TEST_F(ExecutorTest, ParallelWorkersMatchSerialBitForBit) {
-  // Chunked candidate filtering, per-worker join shards, and parallel
-  // connect-tree expansion all merge back in deterministic chunk order,
-  // so a parallel executor must reproduce the serial result exactly --
-  // item order, subgraphs, and join stats included (not just set-equal).
-  const char* queries[] = {
-      "FIND CONTENTS WHERE { ?a CONTAINS \"motif\" ; "
-      "?a XPATH \"/annotation[contains(body,'protease')]\" }",
-      R"(FIND GRAPH WHERE {
-        ?a1 CONTAINS "protease" ; ?a2 CONTAINS "protease" ;
-        ?s1 IS REFERENT ; ?s2 IS REFERENT ;
-        ?a1 ANNOTATES ?s1 ; ?a2 ANNOTATES ?s2 ;
-      } CONSTRAIN disjoint(?s1, ?s2) LIMIT 4 PAGE 1)",
-  };
-  for (const char* q : queries) {
-    SCOPED_TRACE(q);
-    auto serial = Executor(Context()).ExecuteText(q);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    ExecutorOptions par;
-    par.workers = 4;
-    Executor pex(Context(), par);
-    auto parallel = pex.ExecuteText(q);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ASSERT_EQ(serial->items.size(), parallel->items.size());
-    for (size_t i = 0; i < serial->items.size(); ++i) {
-      EXPECT_EQ(serial->items[i].content_id, parallel->items[i].content_id);
-      EXPECT_EQ(serial->items[i].terminals, parallel->items[i].terminals);
-      EXPECT_EQ(serial->items[i].subgraph.nodes, parallel->items[i].subgraph.nodes);
-      EXPECT_EQ(serial->items[i].subgraph.edges, parallel->items[i].subgraph.edges);
-    }
-    EXPECT_EQ(serial->stats.rows_examined, parallel->stats.rows_examined);
-    EXPECT_EQ(serial->stats.items_produced, parallel->stats.items_produced);
-    EXPECT_EQ(serial->stats.peak_rows, parallel->stats.peak_rows);
-    EXPECT_EQ(serial->stats.binding_order, parallel->stats.binding_order);
-    // Later page flips through the parallel executor reuse the batch
-    // cached on the result and still match a fresh serial materialization.
-    if (parallel->total_pages > 1) {
-      ASSERT_TRUE(pex.MaterializePage(&*parallel, 2).ok());
-      ASSERT_TRUE(Executor(Context()).MaterializePage(&*serial, 2).ok());
-      ASSERT_EQ(serial->Page().size(), parallel->Page().size());
-      for (size_t i = 0; i < serial->Page().size(); ++i) {
-        EXPECT_EQ(serial->Page()[i].subgraph.nodes, parallel->Page()[i].subgraph.nodes);
-        EXPECT_EQ(serial->Page()[i].subgraph.edges, parallel->Page()[i].subgraph.edges);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace query
 }  // namespace graphitti

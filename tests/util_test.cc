@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "util/id.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -238,32 +237,6 @@ TEST(RngTest, RandomDnaUsesAlphabet) {
   for (char c : dna) {
     EXPECT_TRUE(c == 'A' || c == 'C' || c == 'G' || c == 'T');
   }
-}
-
-// --- TypedId ---
-
-struct FooTag {};
-struct BarTag {};
-using FooId = TypedId<FooTag>;
-
-TEST(TypedIdTest, DefaultInvalid) {
-  FooId id;
-  EXPECT_FALSE(id.valid());
-}
-
-TEST(TypedIdTest, AllocatorIssuesDistinctIds) {
-  IdAllocator<FooId> alloc;
-  FooId a = alloc.Next();
-  FooId b = alloc.Next();
-  EXPECT_TRUE(a.valid());
-  EXPECT_NE(a, b);
-  EXPECT_LT(a, b);
-  EXPECT_EQ(alloc.issued(), 3u);  // next unissued value
-}
-
-TEST(TypedIdTest, HashWorksInUnorderedContainers) {
-  std::hash<FooId> h;
-  EXPECT_EQ(h(FooId(5)), h(FooId(5)));
 }
 
 }  // namespace

@@ -22,9 +22,8 @@ Checks:
      src/agraph, src/query, src/spatial without a
      `// lint: allow-map(<reason>)` waiver on the same or preceding line.
   5. bench result pairs   — every BENCH_<name>.json at the repo root has
-     its BENCH_<name>_pre.json companion (so a perf claim always ships
-     with its baseline), except benches in PAIR_ALLOWLIST (new
-     capabilities that had no pre-change baseline to measure).
+     its BENCH_<name>_pre.json companion, so a perf claim always ships
+     with its baseline.
 """
 import os
 import re
@@ -33,14 +32,6 @@ import sys
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 PRIMARY_TAGS = ("[read]", "[commit]", "[any-thread]", "[unversioned]", "[boot]")
-
-# BENCH files allowed to have no _pre companion, with the reason recorded
-# here so the exemption is auditable.
-PAIR_ALLOWLIST = {
-    # Parallel intra-query execution did not exist before the PR that
-    # introduced this bench; there is no pre-change configuration to run.
-    "BENCH_parallel_query.json",
-}
 
 HOT_DIRS = ("src/agraph", "src/query", "src/spatial")
 MAP_RE = re.compile(r"\bstd::(?:unordered_)?map\b")
@@ -225,10 +216,9 @@ def check_bench_pairs(errors):
     mains = [f for f in names if not f.endswith("_pre.json")]
     for f in sorted(mains):
         pre = f[:-5] + "_pre.json"
-        if pre not in names and f not in PAIR_ALLOWLIST:
+        if pre not in names:
             fail(errors, f"{f} has no {pre} companion (add the baseline "
-                         f"or allowlist it in tools/lint/check_contracts.py "
-                         f"with a justification)")
+                         f"taken on the same machine)")
 
 
 def main():
