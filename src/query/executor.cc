@@ -41,7 +41,8 @@ struct VarInfo {
   size_t candidate_count = 0;
   std::vector<NodeRef> streamed;  // sorted unique candidates (when enumerated)
   bool streamed_ready = false;
-  std::unordered_set<NodeRef, NodeRefHash> candidate_set;  // lazy, joins only
+  // lint: allow-map(join membership probe; built lazily, once per joined variable)
+  std::unordered_set<NodeRef, NodeRefHash> candidate_set;
   bool set_ready = false;
 };
 
@@ -491,6 +492,43 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
   }
 
+  // Resolve the result target now, so an invalid target fails before any
+  // candidate streaming or join work (and before a governance stop that
+  // the join could hit first).
+  std::string target_var = query.target_var;
+  if (target_var.empty()) {
+    if (query.target == Target::kCount) {
+      // COUNT defaults to the first declared variable of any kind.
+      size_t best_decl = SIZE_MAX;
+      for (const auto& [name, info] : vars) {
+        if (info.declaration_index < best_decl) {
+          best_decl = info.declaration_index;
+          target_var = name;
+        }
+      }
+    } else if (query.target != Target::kGraph) {
+      // kGraph keeps "" (all variables participate).
+      VarKind want = VarKind::kContent;
+      if (query.target == Target::kReferents) want = VarKind::kReferent;
+      size_t best_decl = SIZE_MAX;
+      for (const auto& [name, info] : vars) {
+        if (info.kind == want && info.declaration_index < best_decl) {
+          best_decl = info.declaration_index;
+          target_var = name;
+        }
+      }
+      if (target_var.empty()) {
+        return Status::InvalidArgument("no variable of the result kind in WHERE block");
+      }
+    }
+  } else if (vars.find(target_var) == vars.end()) {
+    return Status::InvalidArgument("unknown target variable ?" + target_var);
+  }
+  xml::XPathExpr fragment_xpath;
+  if (query.target == Target::kFragments) {
+    GRAPHITTI_ASSIGN_OR_RETURN(fragment_xpath, xml::XPathExpr::Compile(query.return_xpath));
+  }
+
   // ------------------------------------------------------------------
   // 2. Candidate enumeration per variable (the typed subqueries), streamed
   //    into membership sets. Variables with no narrowing filter never
@@ -667,11 +705,13 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   // ------------------------------------------------------------------
   std::vector<std::string> order;
   {
+    // lint: allow-map(planner: a handful of variable names, ordered iteration)
     std::set<std::string> remaining;
     for (const auto& [name, _] : vars) remaining.insert(name);
+    // lint: allow-map(planner: a handful of variable names)
+    std::set<std::string> bound;
 
-    auto connected_to_bound = [&](const std::string& v,
-                                  const std::set<std::string>& bound) {
+    auto connected_to_bound = [&](const std::string& v) {
       for (const EdgeInfo& e : edges) {
         if ((e.var_a == v && bound.count(e.var_b) > 0) ||
             (e.var_b == v && bound.count(e.var_a) > 0)) {
@@ -681,14 +721,13 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       return false;
     };
 
-    std::set<std::string> bound;
     if (options_.use_selectivity_order) {
       while (!remaining.empty()) {
         std::string best;
         size_t best_size = SIZE_MAX;
         bool best_connected = false;
         for (const std::string& v : remaining) {
-          bool conn = connected_to_bound(v, bound);
+          bool conn = connected_to_bound(v);
           size_t size = vars[v].candidate_count;
           // Prefer connected variables; among equals, smaller candidate set.
           if (std::make_tuple(!conn, size) < std::make_tuple(!best_connected, best_size) ||
@@ -726,6 +765,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   std::vector<NodeRef> row_buf;
   std::vector<NodeRef> domain_buf;
   std::vector<NodeRef> nbr_buf;
+  // lint: allow-map(multi-edge join scratch; cleared per row, never shrinks)
   std::unordered_set<NodeRef, NodeRefHash> nbr_set;
   // Single-edge join domains memoized per level: many rows bind the same
   // node in the join column, and the filtered+sorted neighbour domain is a
@@ -745,13 +785,13 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       return static_cast<size_t>(util::Mix64(NodeRefHash{}(k.node) ^ (k.hops * 0x9e3779b97f4a7c15ull)));
     }
   };
+  // lint: allow-map(reach set: probed once per CONNECTED candidate, one per memo entry)
+  using ReachSet = std::unordered_set<NodeRef, NodeRefHash>;
   // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
-  std::unordered_map<ReachKey, std::unordered_set<NodeRef, NodeRefHash>, ReachKeyHash>
-      reach_cache;
+  std::unordered_map<ReachKey, ReachSet, ReachKeyHash> reach_cache;
   std::vector<NodeRef> reach_buf;
 
-  auto reachable_from = [&](NodeRef node, size_t hops)
-      -> const std::unordered_set<NodeRef, NodeRefHash>& {
+  auto reachable_from = [&](NodeRef node, size_t hops) -> const ReachSet& {
     auto [it, inserted] = reach_cache.try_emplace(ReachKey{node, hops});
     if (inserted) {
       agraph::PathOptions popt;
@@ -933,38 +973,12 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   }
 
   // ------------------------------------------------------------------
-  // 6. Collate results per target.
+  // 6. Collate results per target. One flat key set dedups every target:
+  //    a NodeRef target keys on NodeRefHash, a splitmix64 bijection of an
+  //    injective packing, so its dedup is exact; GRAPH keys on a row hash.
+  //    A governance trip keeps the items collated so far (a partial page
+  //    is still renderable).
   // ------------------------------------------------------------------
-  std::string target_var = query.target_var;
-  if (target_var.empty()) {
-    if (query.target == Target::kCount) {
-      // COUNT defaults to the first declared variable of any kind.
-      size_t best_decl = SIZE_MAX;
-      for (const auto& [name, info] : vars) {
-        if (info.declaration_index < best_decl) {
-          best_decl = info.declaration_index;
-          target_var = name;
-        }
-      }
-    } else if (query.target != Target::kGraph) {
-      // kGraph keeps "" (all variables participate).
-      VarKind want = VarKind::kContent;
-      if (query.target == Target::kReferents) want = VarKind::kReferent;
-      size_t best_decl = SIZE_MAX;
-      for (const auto& [name, info] : vars) {
-        if (info.kind == want && info.declaration_index < best_decl) {
-          best_decl = info.declaration_index;
-          target_var = name;
-        }
-      }
-      if (target_var.empty()) {
-        return Status::InvalidArgument("no variable of the result kind in WHERE block");
-      }
-    }
-  } else if (vars.find(target_var) == vars.end()) {
-    return Status::InvalidArgument("unknown target variable ?" + target_var);
-  }
-
   auto label_for = [&](NodeRef n) { return std::string(graph.NodeLabel(n)); };
 
   // Rows of the final (closed) column; a join level that emptied out (or a
@@ -974,20 +988,17 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     auto it = var_column.find(target_var);
     return it == var_column.end() ? SIZE_MAX : it->second;
   };
-
-  // A governance trip keeps the items collated so far (a partial page is
-  // still renderable).
+  util::KeySet seen;
 
   switch (query.target) {
     case Target::kContents: {
-      std::unordered_set<NodeRef, NodeRefHash> seen;
       size_t col = target_col();
       if (col != SIZE_MAX) result.items.reserve(final_rows);
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
         if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
-        if (!seen.insert(n).second) continue;
+        if (!seen.Insert(NodeRefHash{}(n))) continue;
         ResultItem item;
         item.content_id = n.id;
         item.label = label_for(n);
@@ -996,14 +1007,13 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       break;
     }
     case Target::kReferents: {
-      std::unordered_set<NodeRef, NodeRefHash> seen;
       size_t col = target_col();
       if (col != SIZE_MAX) result.items.reserve(final_rows);
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
         if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
-        if (!seen.insert(n).second) continue;
+        if (!seen.Insert(NodeRefHash{}(n))) continue;
         ResultItem item;
         item.referent_id = n.id;
         const annotation::Referent* ref = store.GetReferent(n.id);
@@ -1014,20 +1024,17 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       break;
     }
     case Target::kFragments: {
-      GRAPHITTI_ASSIGN_OR_RETURN(xml::XPathExpr expr,
-                                 xml::XPathExpr::Compile(query.return_xpath));
-      std::unordered_set<NodeRef, NodeRefHash> seen;
       size_t col = target_col();
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
         if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
-        if (!seen.insert(n).second) continue;
+        if (!seen.Insert(NodeRefHash{}(n))) continue;
         const annotation::Annotation* ann = store.Get(n.id);
         if (ann == nullptr) continue;
         const xml::XmlDocument& content = store.ContentOf(*ann);
         if (content.root() == nullptr) continue;
-        for (const xml::XPathMatch& m : expr.Evaluate(content.root())) {
+        for (const xml::XPathMatch& m : fragment_xpath.Evaluate(content.root())) {
           ResultItem item;
           item.content_id = n.id;
           item.fragment = m.is_attribute ? m.value : m.node->ToString(/*pretty=*/false);
@@ -1038,49 +1045,53 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       break;
     }
     case Target::kCount: {
-      std::unordered_set<NodeRef, NodeRefHash> distinct;
       size_t col = target_col();
       for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
         if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
-        distinct.insert(row_buf[col]);
+        seen.Insert(NodeRefHash{}(row_buf[col]));
       }
       ResultItem item;
-      item.count = distinct.size();
-      item.label = "count(?" + target_var + ") = " + std::to_string(distinct.size());
+      item.count = seen.size();
+      item.label = "count(?" + target_var + ") = " + std::to_string(seen.size());
       result.items.push_back(std::move(item));
       break;
     }
     case Target::kGraph: {
       // One row handle per distinct binding row ("each connected subgraph
-      // forms a result page", §III). Distinctness of the sorted terminal
-      // set is tracked by a splitmix64-combined row hash instead of an
-      // ordered set of row vectors — O(row) hashing, no per-row allocation
-      // or lexicographic tree compares. A 64-bit collision would drop one
-      // subgraph; at the max_intermediate_rows default (2^20 rows) the
-      // odds are ~2^-25 per query, accepted for the collation speed.
+      // forms a result page", §III). A row is sorted and deduplicated in
+      // place, and its distinctness is keyed on a splitmix64-combined hash
+      // of that terminal set: O(row) per row, no per-row allocation. A
+      // 64-bit collision would drop one subgraph; at the
+      // max_intermediate_rows default (2^20 rows) the odds are ~2^-25 per
+      // query, accepted for the collation speed.
       //
-      // The subgraphs themselves are NOT built here: collation stores the
-      // terminal sets only, and MaterializePage runs the (batched) Steiner
-      // heuristic for just the rows of the requested page. Connectivity is
-      // therefore also decided lazily — a row whose terminals do not share
-      // a component keeps its handle and materializes to an empty,
-      // "(disconnected)"-labelled subgraph.
-      std::unordered_set<uint64_t> seen;
-      std::vector<NodeRef> terminals;
+      // First sightings append their terminals to one flat buffer, and the
+      // items are sized once and filled from it after the loop, so no
+      // item is built, moved or labelled per row. The subgraphs themselves
+      // are NOT built here: MaterializePage runs the (batched) Steiner
+      // heuristic, and sets the label, for just the rows of the requested
+      // page. Connectivity is therefore also decided lazily — a row whose
+      // terminals do not share a component keeps its handle and
+      // materializes to an empty, "(disconnected)"-labelled subgraph.
+      std::vector<NodeRef> flat;  // terminals of each distinct row, in order
+      std::vector<size_t> ends;   // end offset of each distinct row in flat
       for (size_t row = 0; row < final_rows; ++row) {
         if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
-        terminals = row_buf;
-        std::sort(terminals.begin(), terminals.end());
-        terminals.erase(std::unique(terminals.begin(), terminals.end()), terminals.end());
-        uint64_t h = util::Mix64(0x51ab7c1ed15ull ^ terminals.size());
-        for (NodeRef t : terminals) h = util::Mix64(h ^ NodeRefHash{}(t));
-        if (!seen.insert(h).second) continue;
-        ResultItem item;
-        item.label = "row(" + std::to_string(terminals.size()) + " terminals)";
-        item.terminals = std::move(terminals);  // reassigned from row_buf next row
-        result.items.push_back(std::move(item));
+        std::sort(row_buf.begin(), row_buf.end());
+        row_buf.erase(std::unique(row_buf.begin(), row_buf.end()), row_buf.end());
+        uint64_t h = util::Mix64(0x51ab7c1ed15ull ^ row_buf.size());
+        for (NodeRef t : row_buf) h = util::Mix64(h ^ NodeRefHash{}(t));
+        if (!seen.Insert(h)) continue;
+        flat.insert(flat.end(), row_buf.begin(), row_buf.end());
+        ends.push_back(flat.size());
+      }
+      result.items.resize(ends.size());
+      size_t begin = 0;
+      for (size_t i = 0; i < ends.size(); ++i) {
+        result.items[i].terminals.assign(flat.data() + begin, flat.data() + ends[i]);
+        begin = ends[i];
       }
       break;
     }

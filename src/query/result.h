@@ -3,11 +3,12 @@
 //
 // GRAPH targets are paged lazily: `items` holds one lightweight row handle
 // (the row's sorted distinct terminal nodes) per distinct binding row, and
-// the connection subgraphs themselves are only materialized — via
-// Executor::MaterializePage, batched through agraph::ConnectBatch — for the
-// rows of the requested page. The paper's §III presents connection
-// subgraphs as the paged presentation layer over binding rows; building
-// 100k Steiner subgraphs to show page 1 of 100k rows violated exactly that.
+// the connection subgraphs themselves, with their labels, are only
+// materialized — via Executor::MaterializePage, batched through
+// agraph::ConnectBatch — for the rows of the requested page. The paper's
+// §III presents connection subgraphs as the paged presentation layer over
+// binding rows; building 100k Steiner subgraphs to show page 1 of 100k rows
+// violated exactly that.
 #ifndef GRAPHITTI_QUERY_RESULT_H_
 #define GRAPHITTI_QUERY_RESULT_H_
 
@@ -25,25 +26,33 @@ namespace graphitti {
 namespace query {
 
 /// One result item; the populated fields depend on the query target.
+/// Collation emits one item per distinct target value (per distinct
+/// terminal set for kGraph, per XPath match for kFragments), in the order
+/// of first occurrence among the binding rows.
 struct ResultItem {
-  // kContents / kFragments
+  // kContents / kFragments: the annotation.
   annotation::AnnotationId content_id = 0;
-  // kReferents
+  // kReferents: the referent and a copy of its substructure.
   annotation::ReferentId referent_id = 0;
   substructure::Substructure substructure;
-  // kFragments
+  // kFragments: one XPath match, serialized (an attribute match is its
+  // value).
   std::string fragment;
   // kGraph: the row handle — sorted distinct terminal nodes of the binding
-  // row. Always populated at collation time; cheap to carry per row.
+  // row. Filled for every item at collation, from one flat buffer.
   std::vector<agraph::NodeRef> terminals;
   // kGraph: the row's type-extended connection subgraph. Empty until the
   // item's page is materialized (subgraph_ready distinguishes "not yet
   // materialized" from "materialized but disconnected").
   agraph::SubGraph subgraph;
   bool subgraph_ready = false;
-  // kCount
+  // kCount: the number of distinct values of the target variable.
   size_t count = 0;
-  /// Display label (annotation title, substructure description, ...).
+  /// Display label: for kContents, kReferents and kFragments the target
+  /// node's a-graph label (an annotation's title, a referent's substructure
+  /// key); "count(?v) = N" for kCount. A kGraph item's label is empty
+  /// until MaterializePage builds its subgraph and sets
+  /// "subgraph(N nodes)" or "subgraph(disconnected)".
   std::string label;
 };
 

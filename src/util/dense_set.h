@@ -1,5 +1,6 @@
-// Epoch-stamped scratch structures and sorted-list intersection for the
-// zero-allocation traversal and search hot paths.
+// Epoch-stamped scratch structures, a flat 64-bit key set and sorted-list
+// intersection for the zero-allocation traversal, search and collation hot
+// paths.
 //
 // The traversal core works over dense node indexes. Instead of allocating
 // (and zeroing) O(V) visited/parent/depth arrays per query, each structure
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace graphitti {
@@ -58,6 +60,51 @@ class EpochVisitSet {
  private:
   std::vector<uint64_t> stamps_;
   uint64_t epoch_ = 0;  // 64-bit: never wraps in practice
+};
+
+/// Set of 64-bit keys in one flat table: power-of-two size, linear probing,
+/// growth at half load. Keys are expected to be hashes already (NodeRefHash,
+/// a row hash), so a key's slot is its low bits with no further mixing.
+/// Slot value 0 marks an empty slot; the key 0 itself is kept in a flag.
+class KeySet {
+ public:
+  /// Returns true when `key` was not yet a member.
+  bool Insert(uint64_t key) {
+    if (key == 0) {
+      if (has_zero_) return false;
+      has_zero_ = true;
+      return true;
+    }
+    if (2 * (stored_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = key & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == 0) {
+        slots_[i] = key;
+        ++stored_;
+        return true;
+      }
+    }
+  }
+
+  size_t size() const { return stored_ + (has_zero_ ? 1 : 0); }
+
+ private:
+  void Grow() {
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), 0);
+    const size_t mask = slots_.size() - 1;
+    for (uint64_t key : old) {
+      if (key == 0) continue;
+      size_t i = key & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = key;
+    }
+  }
+
+  std::vector<uint64_t> slots_;
+  size_t stored_ = 0;  // nonzero keys in slots_
+  bool has_zero_ = false;
 };
 
 /// Membership bitset over interned edge-label ids; replaces linear

@@ -4,6 +4,10 @@
 //   - the Fig. 3 query-tab flow, including the paper's two flagship queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <set>
+
 #include "core/graphitti.h"
 #include "core/workload.h"
 #include "xml/xpath.h"
@@ -15,6 +19,29 @@ namespace {
 using annotation::AnnotationBuilder;
 using relational::Predicate;
 using relational::Value;
+
+/// Appends the text nodes under `node`, lower-cased, each after a space.
+void AppendLowerText(const xml::XmlNode* node, std::string* out) {
+  if (node == nullptr) return;
+  if (node->is_text()) {
+    out->push_back(' ');
+    for (char c : node->text()) {
+      out->push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    }
+    return;
+  }
+  for (const auto& child : node->children()) AppendLowerText(child.get(), out);
+}
+
+/// True when `word` occurs in `text` as a whole alphanumeric run.
+bool HasWord(const std::string& text, const std::string& word) {
+  auto alnum = [&](size_t i) { return std::isalnum(static_cast<unsigned char>(text[i])) != 0; };
+  for (size_t at = text.find(word); at != std::string::npos; at = text.find(word, at + 1)) {
+    const size_t end = at + word.size();
+    if ((at == 0 || !alnum(at - 1)) && (end == text.size() || !alnum(end))) return true;
+  }
+  return false;
+}
 
 TEST(IntegrationTest, Figure2AnnotationTabFlow) {
   Graphitti g;
@@ -115,6 +142,95 @@ TEST(IntegrationTest, Figure3ProteaseQueryOnGeneratedCorpus) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->items.size(), 1u);
   EXPECT_GE(r->items[0].subgraph.nodes.size(), 8u);
+}
+
+TEST(IntegrationTest, Figure3PairCollationMatchesBruteForce) {
+  // The Fig. 3 pair query on each segment of a generated corpus, with and
+  // without its constraints, against its answer enumerated by nested loops
+  // over the store, without the keyword index, the spatial index or the
+  // executor: every GRAPH item is the sorted distinct terminal set of some
+  // binding row, each such set is exactly one item, and no set is missing.
+  // Without the constraints the rows (a1,s1,a2,s2) and (a2,s2,a1,s1) share
+  // a terminal set, so the dedup is exercised on every segment.
+  Graphitti g;
+  InfluenzaParams params;
+  params.num_annotations = 1000;
+  params.protease_fraction = 0.15;
+  auto corpus = GenerateInfluenzaStudy(&g, params);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  const annotation::AnnotationStore& store = g.annotations();
+
+  std::vector<const annotation::Annotation*> protease;
+  store.ForEachAnnotation([&](annotation::AnnotationId, const annotation::Annotation& ann) {
+    std::string text;
+    AppendLowerText(store.ContentOf(ann).root(), &text);
+    if (HasWord(text, "protease")) protease.push_back(&ann);
+  });
+  ASSERT_FALSE(protease.empty());
+
+  using TerminalSets = std::set<std::vector<agraph::NodeRef>>;
+  auto check = [&](const std::string& text, const TerminalSets& expected) {
+    auto r = g.Query(text);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    TerminalSets got;
+    for (const auto& item : r->items) {
+      const std::vector<agraph::NodeRef>& t = item.terminals;
+      EXPECT_TRUE(std::is_sorted(t.begin(), t.end())) << text;
+      EXPECT_EQ(std::adjacent_find(t.begin(), t.end()), t.end()) << text;
+      EXPECT_TRUE(got.insert(t).second) << text << ": two items share a terminal set";
+    }
+    EXPECT_EQ(got, expected) << text;
+  };
+
+  struct Mark {
+    agraph::NodeRef content;
+    agraph::NodeRef referent;
+    const substructure::Substructure* sub;
+  };
+  size_t nonempty = 0;
+  for (const std::string& domain : corpus->segment_domains) {
+    std::vector<Mark> marks;  // a protease annotation and a referent it marks here
+    for (const annotation::Annotation* ann : protease) {
+      for (annotation::ReferentId rid : ann->referents) {
+        const annotation::Referent* ref = store.GetReferent(rid);
+        ASSERT_NE(ref, nullptr);
+        if (ref->substructure.domain() != domain) continue;
+        marks.push_back({agraph::NodeRef::Content(ann->id), agraph::NodeRef::Referent(rid),
+                         &ref->substructure});
+      }
+    }
+    TerminalSets pairs;
+    TerminalSets constrained;
+    for (const Mark& m1 : marks) {
+      for (const Mark& m2 : marks) {
+        std::vector<agraph::NodeRef> row = {m1.content, m1.referent, m2.content, m2.referent};
+        std::sort(row.begin(), row.end());
+        row.erase(std::unique(row.begin(), row.end()), row.end());
+        pairs.insert(row);
+        // consecutive(?s1, ?s2): two intervals of one domain, ?s1 first;
+        // disjoint(?s1, ?s2): they do not overlap.
+        if (m1.sub->type() != substructure::SubType::kInterval ||
+            m2.sub->type() != substructure::SubType::kInterval) {
+          continue;
+        }
+        if (m1.sub->interval().lo >= m2.sub->interval().lo) continue;
+        if (m1.sub->interval().Overlaps(m2.sub->interval())) continue;
+        constrained.insert(std::move(row));
+      }
+    }
+
+    const std::string where =
+        "FIND GRAPH WHERE { ?a1 CONTAINS \"protease\" ; ?a2 CONTAINS \"protease\" ; "
+        "?s1 IS REFERENT ; ?s1 DOMAIN \"" + domain + "\" ; ?s2 IS REFERENT ; ?s2 DOMAIN \"" +
+        domain + "\" ; ?a1 ANNOTATES ?s1 ; ?a2 ANNOTATES ?s2 ; } ";
+    check(where + "CONSTRAIN consecutive(?s1, ?s2), disjoint(?s1, ?s2) LIMIT 10 PAGE 1",
+          constrained);
+    check(where + "LIMIT 10 PAGE 1", pairs);
+    if (!constrained.empty()) ++nonempty;
+  }
+  // Most segments hold several protease marks, so the comparison is not
+  // between empty sets throughout.
+  EXPECT_GE(nonempty, corpus->segment_domains.size() / 2);
 }
 
 TEST(IntegrationTest, IntroTP53DeepCerebellarQueryShape) {

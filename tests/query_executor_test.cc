@@ -288,6 +288,32 @@ TEST_F(ExecutorTest, ErrorPaths) {
                   .IsInvalidArgument());
 }
 
+TEST_F(ExecutorTest, InvalidTargetFailsBeforeTheJoin) {
+  // Each WHERE block below binds a variable with 6 candidates first, so its
+  // join would overflow this 2-row limit. The invalid target must be
+  // reported instead: it is checked before any candidate or join work.
+  ExecutorOptions tight;
+  tight.max_intermediate_rows = 2;
+  Executor ex(Context(), tight);
+  // Unknown target variable.
+  EXPECT_TRUE(
+      ex.ExecuteText("FIND CONTENTS ?zz WHERE { ?a IS CONTENT }").status().IsInvalidArgument());
+  // FRAGMENTS XPath that does not compile.
+  EXPECT_TRUE(ex.ExecuteText("FIND FRAGMENTS ?a XPATH \"/annotation/[\" WHERE { ?a IS CONTENT }")
+                  .status()
+                  .IsParseError());
+  // No variable of the result kind.
+  auto none = ex.ExecuteText(
+      "FIND CONTENTS WHERE { ?s1 IS REFERENT ; ?s2 IS REFERENT ; ?s1 CONNECTED ?s2 }");
+  EXPECT_TRUE(none.status().IsInvalidArgument()) << none.status().ToString();
+  // The same WHERE blocks with valid targets do reach the row limit.
+  EXPECT_TRUE(ex.ExecuteText("FIND CONTENTS ?a WHERE { ?a IS CONTENT }").status().IsOutOfRange());
+  EXPECT_TRUE(ex.ExecuteText("FIND REFERENTS WHERE { ?s1 IS REFERENT ; ?s2 IS REFERENT ; "
+                             "?s1 CONNECTED ?s2 }")
+                  .status()
+                  .IsOutOfRange());
+}
+
 TEST_F(ExecutorTest, ResolverlessContextRejectsTableAndBelow) {
   QueryContext ctx = Context();
   ctx.objects = nullptr;
@@ -386,7 +412,25 @@ TEST_F(ExecutorTest, GraphCollationIsLazyPerPage) {
   for (size_t i = 0; i < r->items.size(); ++i) {
     EXPECT_EQ(r->items[i].subgraph_ready, i < 2) << "item " << i;
     EXPECT_FALSE(r->items[i].terminals.empty()) << "item " << i;
-    if (i >= 2) EXPECT_TRUE(r->items[i].subgraph.nodes.empty()) << "item " << i;
+    if (i >= 2) {
+      // Collation builds no label: an off-page item has none until its
+      // page is materialized.
+      EXPECT_TRUE(r->items[i].subgraph.nodes.empty()) << "item " << i;
+      EXPECT_TRUE(r->items[i].label.empty()) << "item " << i << ": " << r->items[i].label;
+    } else {
+      EXPECT_EQ(r->items[i].label.rfind("subgraph(", 0), 0u) << r->items[i].label;
+    }
+  }
+  // A flip labels exactly the rows it materializes.
+  ASSERT_TRUE(Executor(Context()).MaterializePage(&*r, 4).ok());
+  EXPECT_EQ(r->stats.subgraphs_materialized, 4u);
+  for (const ResultItem& item : r->Page()) {
+    EXPECT_TRUE(item.subgraph_ready);
+    EXPECT_EQ(item.label.rfind("subgraph(", 0), 0u) << item.label;
+  }
+  for (size_t i = 0; i < r->items.size(); ++i) {
+    bool built = i < 2 || (i >= 6 && i < 8);
+    EXPECT_EQ(r->items[i].label.empty(), !built) << "item " << i;
   }
 }
 

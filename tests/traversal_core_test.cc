@@ -2,8 +2,9 @@
 // scratch must behave identically across repeated and interleaved calls
 // (stale stamps never leak between generations or graphs), the
 // bidirectional FindPath must agree with a reference one-sided BFS under
-// every option combination, and the galloping posting-list intersection
-// must handle its edge cases.
+// every option combination, the galloping posting-list intersection
+// must handle its edge cases, and the flat key set that dedups query
+// collation must keep every distinct key across grows and probe chains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,6 +321,45 @@ TEST(EpochVisitSetTest, GenerationsIsolateAndEraseWorks) {
   EXPECT_TRUE(s.Insert(3));
   s.Begin(16);  // growth keeps earlier stamps invalid
   for (uint32_t i = 0; i < 16; ++i) EXPECT_FALSE(s.Contains(i));
+}
+
+TEST(KeySetTest, DedupsAcrossGrowsAndStoresKeyZero) {
+  KeySet s;
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_TRUE(s.Insert(0));  // 0 marks an empty slot, yet is a valid key
+  EXPECT_FALSE(s.Insert(0));
+  EXPECT_EQ(s.size(), 1u);
+  // 5000 keys grow the table from 16 to 16384 slots, ten times; every key
+  // must survive each rehash and be refused as a duplicate afterwards.
+  for (uint64_t k = 1; k <= 5000; ++k) {
+    EXPECT_TRUE(s.Insert(Mix64(k))) << k;
+    EXPECT_FALSE(s.Insert(Mix64(k))) << k;
+  }
+  for (uint64_t k = 1; k <= 5000; ++k) EXPECT_FALSE(s.Insert(Mix64(k))) << k;
+  EXPECT_FALSE(s.Insert(0));
+  EXPECT_EQ(s.size(), 5001u);
+}
+
+TEST(KeySetTest, KeysCollidingModuloTheTableSizeStayDistinct) {
+  // The slot is a key's low bits. Keys that differ only above bit 12 share
+  // one home slot in every table up to 4096 slots: the multiples of 4096
+  // pile up from slot 0, and the keys ending in 0xfff start at the last
+  // slot, so their probes wrap around into the first pile.
+  KeySet s;
+  for (uint64_t k = 1; k <= 300; ++k) {
+    EXPECT_TRUE(s.Insert(k << 12)) << k;
+    EXPECT_TRUE(s.Insert((k << 12) | 0xfff)) << k;
+  }
+  for (uint64_t k = 1; k <= 300; ++k) {
+    EXPECT_FALSE(s.Insert(k << 12)) << k;
+    EXPECT_FALSE(s.Insert((k << 12) | 0xfff)) << k;
+  }
+  // Keys homed inside the piles are still told apart from them.
+  EXPECT_TRUE(s.Insert(1));
+  EXPECT_TRUE(s.Insert(0xfff));
+  EXPECT_FALSE(s.Insert(1));
+  EXPECT_FALSE(s.Insert(0xfff));
+  EXPECT_EQ(s.size(), 602u);
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ Checks:
   3. test registration    — every tests/*.cc matches *_test.cc, the glob
      CMake turns into a ctest suite (a stray helper.cc would silently
      never run).
-  4. hot-path maps        — no std::map / std::unordered_map in
-     src/agraph, src/query, src/spatial without a
+  4. hot-path maps/sets   — no std::map / std::unordered_map / std::set /
+     std::unordered_set in src/agraph, src/query, src/spatial without a
      `// lint: allow-map(<reason>)` waiver on the same or preceding line.
   5. bench result pairs   — every BENCH_<name>.json at the repo root has
      its BENCH_<name>_pre.json companion, so a perf claim always ships
@@ -34,7 +34,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 PRIMARY_TAGS = ("[read]", "[commit]", "[any-thread]", "[unversioned]", "[boot]")
 
 HOT_DIRS = ("src/agraph", "src/query", "src/spatial")
-MAP_RE = re.compile(r"\bstd::(?:unordered_)?map\b")
+MAP_RE = re.compile(r"\bstd::(?:unordered_)?(?:map|set)\b")
 WAIVER_RE = re.compile(r"//\s*lint:\s*allow-map\([^)]+\)")
 
 
@@ -205,7 +205,7 @@ def check_hot_path_maps(errors):
                         continue
                     relpath = os.path.relpath(path, ROOT)
                     fail(errors,
-                         f"{relpath}:{i + 1}: std::map/unordered_map in a "
+                         f"{relpath}:{i + 1}: std::(unordered_)map/set in a "
                          f"hot-path dir without a "
                          f"'// lint: allow-map(<reason>)' waiver")
 
@@ -236,7 +236,7 @@ def main():
               file=sys.stderr)
         return 1
     print("check_contracts: all contracts hold "
-          "(tags, bench/test registration, hot-path maps, bench pairs)")
+          "(tags, bench/test registration, hot-path maps/sets, bench pairs)")
     return 0
 
 
