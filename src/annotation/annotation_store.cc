@@ -35,10 +35,7 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
   if (!sub.valid()) {
     return util::Status::InvalidArgument("invalid substructure: " + sub.ToString());
   }
-  // Serialized once per intern: this string is both the dedup map key and
-  // the a-graph display label (ToString is hot under bulk ingest).
-  std::string key = sub.ToString();
-  auto it = referent_by_key_.find(key);
+  auto it = referent_by_key_.find(sub);
   if (it != referent_by_key_.end()) {
     Referent& ref = referents_[it->second];
     ++ref.refcount;
@@ -95,9 +92,9 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
   referents_by_domain_[sub.domain()].push_back(id);
 
   agraph::NodeRef node = ReferentNode(id);
-  uint32_t idx = graph_->EnsureNodeIndex(node, key);
+  uint32_t idx = graph_->EnsureNodeIndex(node, sub.ToString());
   if (node_index != nullptr) *node_index = idx;
-  referent_by_key_.emplace(std::move(key), id);
+  referent_by_key_.emplace(sub, id);
   if (object_id != 0) {
     agraph::NodeRef object_node = agraph::NodeRef::Object(object_id);
     if (undo != nullptr && !graph_->HasNode(object_node)) {
@@ -133,7 +130,7 @@ void AnnotationStore::ReleaseReferent(ReferentId id) {
     if (pos != dom->second.end() && *pos == id) dom->second.erase(pos);
     if (dom->second.empty()) referents_by_domain_.erase(dom);
   }
-  referent_by_key_.erase(ref.substructure.ToString());
+  referent_by_key_.erase(ref.substructure);
   referents_.erase(it);
 }
 
@@ -513,7 +510,7 @@ std::vector<AnnotationId> AnnotationStore::AnnotationsOfReferent(ReferentId id) 
 
 util::Result<ReferentId> AnnotationStore::FindReferent(
     const substructure::Substructure& sub) const {
-  auto it = referent_by_key_.find(sub.ToString());
+  auto it = referent_by_key_.find(sub);
   if (it == referent_by_key_.end()) {
     return util::Status::NotFound("no referent for " + sub.ToString());
   }
@@ -770,13 +767,11 @@ util::Status AnnotationStore::RestoreSnapshotState(
   // CommitBatch). A-graph referent nodes are created lazily at first use.
   BatchStaging staging;
   // Per-referent facts the annotation loop below needs — the restored
-  // Referent's address, its dedup key (reused as the a-graph node label so
-  // Substructure::ToString runs once per referent, not twice) and the
-  // of-object edge flag — collected in one hash map so that loop does one
-  // lookup per reference instead of an rb-tree find plus a re-serialize.
+  // Referent's address and the of-object edge flag — collected in one hash
+  // map so that loop does one lookup per reference instead of an rb-tree
+  // find.
   struct RefAux {
     const Referent* ref;
-    std::string_view key;  // into referent_by_key_ (node-stable keys)
     bool object_edge;
   };
   std::unordered_map<ReferentId, RefAux> ref_aux;
@@ -814,8 +809,8 @@ util::Status AnnotationStore::RestoreSnapshotState(
       last_domain = sub.domain();
     }
     last_domain_vec->push_back(ref.id);
-    auto key_it = referent_by_key_.emplace(sub.ToString(), ref.id).first;
-    ref_aux.emplace(ref.id, RefAux{&ref, key_it->first, rr.object_edge});
+    referent_by_key_.emplace(sub, ref.id);
+    ref_aux.emplace(ref.id, RefAux{&ref, rr.object_edge});
   }
   for (auto& [domain, entries] : staging.intervals) {
     GRAPHITTI_RETURN_NOT_OK(indexes_->BulkLoadIntervals(domain, std::move(entries)));
@@ -864,7 +859,7 @@ util::Status AnnotationStore::RestoreSnapshotState(
       agraph::NodeRef rnode = ReferentNode(rid);
       uint32_t ref_idx;
       if (!graph_->HasNode(rnode)) {
-        ref_idx = graph_->EnsureNodeIndex(rnode, aux.key);
+        ref_idx = graph_->EnsureNodeIndex(rnode, aux.ref->substructure.ToString());
         if (aux.ref->object_id != 0 && aux.object_edge) {
           agraph::NodeRef object_node = agraph::NodeRef::Object(aux.ref->object_id);
           graph_->EnsureNode(object_node);

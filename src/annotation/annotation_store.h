@@ -340,10 +340,12 @@ class AnnotationStore {
 
   std::map<AnnotationId, Annotation> annotations_;
   std::map<ReferentId, Referent> referents_;
-  // Substructure::ToString() key -> referent. Hashed, not ordered: the key
-  // is only ever used for exact lookup, and bulk ingest hammers it once per
-  // mark.
-  std::unordered_map<std::string, ReferentId> referent_by_key_;
+  // Substructure -> referent, the dedup map: two marks share a referent
+  // exactly when their substructures are equal (operator==). Hashed, not
+  // ordered: the key is only ever used for exact lookup, and bulk ingest
+  // hammers it once per mark.
+  std::unordered_map<substructure::Substructure, ReferentId, substructure::SubstructureHash>
+      referent_by_key_;
   // Domain -> ascending referent ids (ids are monotonically issued, so
   // push_back keeps each list sorted). Drives ForEachReferentInDomain.
   // Hashed: only per-domain lookups, never ordered iteration. Queries pay

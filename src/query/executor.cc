@@ -765,6 +765,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   std::vector<NodeRef> row_buf;
   std::vector<NodeRef> domain_buf;
   std::vector<NodeRef> nbr_buf;
+  std::vector<NodeRef> reduced_buf;  // a cartesian level's semi-join-reduced domain
   // lint: allow-map(multi-edge join scratch; cleared per row, never shrinks)
   std::unordered_set<NodeRef, NodeRefHash> nbr_set;
   // Single-edge join domains memoized per level: many rows bind the same
@@ -859,6 +860,38 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     size_t prev_rows = table.BeginColumn();
     if (prev_rows > UINT32_MAX) {
       return Status::OutOfRange("binding table exceeds 2^32 rows per level");
+    }
+
+    // Semi-join reduction of a reused cartesian level: before the domain is
+    // rescanned for every parent row, drop each candidate of v with no
+    // neighbour along a label edge to a not-yet-bound variable w that
+    // passes w's own membership test. A dropped candidate's rows would die
+    // when w is bound through that edge, so the final table, and every
+    // item, is unchanged; only the intermediate rows shrink. A first level
+    // (one parent row) is left alone: there the pass would only move w's
+    // neighbour scans earlier.
+    if (cartesian != nullptr && prev_rows > 1) {
+      reduced_buf.assign(cartesian->begin(), cartesian->end());
+      cartesian = &reduced_buf;
+      for (const EdgeInfo& e : edges) {
+        const std::string& w = (e.var_a == v) ? e.var_b : (e.var_b == v ? e.var_a : v);
+        if (e.label.empty() || w == v || var_column.count(w) > 0) continue;
+        VarInfo& winfo = vars[w];
+        ensure_candidate_set(winfo);
+        // Compacts in place, so the survivors stay ascending.
+        size_t kept = 0;
+        for (NodeRef cand : reduced_buf) {
+          if (Tripped(&gate, &stop)) break;
+          nbr_buf.clear();
+          graph.AppendNeighbors(cand, /*directed=*/false, e.label, &nbr_buf);
+          if (std::any_of(nbr_buf.begin(), nbr_buf.end(),
+                          [&](NodeRef n) { return is_candidate(winfo, n); })) {
+            reduced_buf[kept++] = cand;
+          }
+        }
+        reduced_buf.resize(kept);
+        if (stop != StopReason::kCompleted) break;
+      }
     }
 
     // Extend each parent row: compute the candidate domain, filter it
@@ -961,6 +994,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       TripStop(&stop, StopReason::kMemoryBudget);
     }
     var_column[v] = var_column.size();
+    stats.level_rows.push_back(table.NumRows());
     stats.rows_examined += table.NumRows();
     if (stop != StopReason::kCompleted) break;
     if (table.NumRows() == 0) break;
@@ -1217,7 +1251,8 @@ Result<std::string> Executor::Explain(const Query& query) const {
          "):\n";
   for (size_t i = 0; i < result.stats.binding_order.size(); ++i) {
     out += "  " + std::to_string(i + 1) + ". bind ?" + result.stats.binding_order[i] +
-           "  (candidates: " + std::to_string(result.stats.candidate_counts[i]) + ")\n";
+           "  (candidates: " + std::to_string(result.stats.candidate_counts[i]) +
+           ", rows: " + std::to_string(result.stats.level_rows[i]) + ")\n";
   }
   out += "rows examined: " + std::to_string(result.stats.rows_examined) + "\n";
   out += "peak rows: " + std::to_string(result.stats.peak_rows) +

@@ -91,6 +91,9 @@ struct ExecutionStats {
   std::vector<std::string> binding_order;
   /// Candidate-set size per variable, keyed like binding_order.
   std::vector<size_t> candidate_counts;
+  /// Binding rows each join level kept, keyed like binding_order; they
+  /// sum to rows_examined.
+  std::vector<size_t> level_rows;
   /// Intermediate binding rows materialized across all joins.
   size_t rows_examined = 0;
   /// Final (pre-paging) result item count.

@@ -39,9 +39,12 @@ struct Rect {
   static Rect Point2D(double x, double y) { return Make2D(x, y, x, y); }
   static Rect Point3D(double x, double y, double z) { return Make3D(x, y, z, x, y, z); }
 
+  /// lo <= hi on every dimension; a NaN bound fails, since it compares
+  /// false with everything (it would overlap every window and never equal
+  /// itself).
   bool valid() const {
     for (int d = 0; d < dims; ++d) {
-      if (lo[d] > hi[d]) return false;
+      if (!(lo[d] <= hi[d])) return false;
     }
     return true;
   }

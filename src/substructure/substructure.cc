@@ -1,6 +1,10 @@
 #include "substructure/substructure.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+
+#include "util/dense_set.h"
 
 namespace graphitti {
 namespace substructure {
@@ -112,6 +116,40 @@ bool Substructure::operator==(const Substructure& other) const {
     default:
       return elements_ == other.elements_;
   }
+}
+
+namespace {
+uint64_t MixIn(uint64_t h, uint64_t x) { return util::Mix64(h ^ x); }
+
+uint64_t BoundBits(double d) {
+  if (d == 0) d = 0;  // -0.0 == 0.0, so both hash as +0.0
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+}  // namespace
+
+size_t SubstructureHash::operator()(const Substructure& sub) const {
+  uint64_t h = MixIn(static_cast<uint64_t>(sub.type()), std::hash<std::string>{}(sub.domain()));
+  switch (sub.type()) {
+    case SubType::kInterval:
+      h = MixIn(h, static_cast<uint64_t>(sub.interval().lo));
+      h = MixIn(h, static_cast<uint64_t>(sub.interval().hi));
+      break;
+    case SubType::kRegion: {
+      const spatial::Rect& r = sub.rect();
+      h = MixIn(h, static_cast<uint64_t>(r.dims));
+      for (int d = 0; d < r.dims && d < spatial::Rect::kMaxDims; ++d) {
+        h = MixIn(h, BoundBits(r.lo[d]));
+        h = MixIn(h, BoundBits(r.hi[d]));
+      }
+      break;
+    }
+    default:
+      h = MixIn(h, sub.elements().size());
+      for (uint64_t e : sub.elements()) h = MixIn(h, e);
+  }
+  return static_cast<size_t>(h);
 }
 
 std::string Substructure::ToString() const {

@@ -66,6 +66,9 @@ class Substructure {
 
   bool operator==(const Substructure& other) const;
 
+  /// Display string (the a-graph label of a referent). It abbreviates long
+  /// element sets and rounds region bounds, so it is not a key: two unequal
+  /// substructures may print alike.
   std::string ToString() const;
 
  private:
@@ -74,6 +77,13 @@ class Substructure {
   spatial::Interval interval_;
   spatial::Rect rect_;
   std::vector<uint64_t> elements_;
+};
+
+/// Hash over the type, the domain and the full payload, consistent with
+/// operator==: it reads exactly the fields operator== compares, and hashes
+/// 0.0 and -0.0 alike.
+struct SubstructureHash {
+  size_t operator()(const Substructure& sub) const;
 };
 
 }  // namespace substructure

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "agraph/agraph.h"
 #include "annotation/annotation_store.h"
 #include "spatial/index_manager.h"
@@ -87,6 +89,74 @@ TEST_F(AnnotationStoreTest, SharedReferentDeduplication) {
   auto related = graph_.IndirectlyRelatedContents(agraph::NodeRef::Content(1));
   ASSERT_EQ(related.size(), 1u);
   EXPECT_EQ(related[0].id, 2u);
+}
+
+// Pairs of unequal substructures that print alike: node sets that differ
+// only past the 8th element, and regions whose bounds differ below the
+// 6th decimal.
+std::vector<substructure::Substructure> LookalikeMarks() {
+  return {substructure::Substructure::MakeNodeSet("g1", {1, 2, 3, 4, 5, 6, 7, 8, 9}),
+          substructure::Substructure::MakeNodeSet("g1", {1, 2, 3, 4, 5, 6, 7, 8, 10}),
+          substructure::Substructure::MakeRegion("atlas", spatial::Rect::Make2D(1e-7, 0, 1, 1)),
+          substructure::Substructure::MakeRegion("atlas", spatial::Rect::Make2D(2e-7, 0, 1, 1))};
+}
+
+TEST_F(AnnotationStoreTest, DedupComparesSubstructuresExactly) {
+  // Each mark gets its own referent, and each annotation points at the
+  // substructure it marked.
+  const std::vector<substructure::Substructure> marks = LookalikeMarks();
+  std::vector<AnnotationId> ids;
+  for (const substructure::Substructure& sub : marks) {
+    AnnotationBuilder b;
+    b.Title("lookalike").Mark(sub);
+    auto id = store_.Commit(b);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  EXPECT_EQ(store_.num_referents(), 4u);
+  for (size_t i = 0; i < marks.size(); ++i) {
+    const Annotation* ann = store_.Get(ids[i]);
+    ASSERT_NE(ann, nullptr);
+    ASSERT_EQ(ann->referents.size(), 1u);
+    EXPECT_EQ(store_.GetReferent(ann->referents[0])->substructure, marks[i]) << i;
+    auto found = store_.FindReferent(marks[i]);
+    ASSERT_TRUE(found.ok()) << i;
+    EXPECT_EQ(*found, ann->referents[0]) << i;
+  }
+
+  // Removing one of a lookalike pair releases only its own referent.
+  ASSERT_TRUE(store_.Remove(ids[0]).ok());
+  EXPECT_EQ(store_.num_referents(), 3u);
+  EXPECT_TRUE(store_.FindReferent(marks[0]).status().IsNotFound());
+  EXPECT_TRUE(store_.FindReferent(marks[1]).ok());
+}
+
+TEST_F(AnnotationStoreTest, SignedZeroBoundsShareOneReferent) {
+  // -0.0 == 0.0, so the two regions are equal substructures and the key's
+  // hash must agree: one shared referent, not two.
+  AnnotationBuilder a;
+  a.Title("plus").MarkRegion("atlas", spatial::Rect::Make2D(0.0, 0, 1, 1));
+  AnnotationBuilder b;
+  b.Title("minus").MarkRegion("atlas", spatial::Rect::Make2D(-0.0, 0, 1, 1));
+  ASSERT_TRUE(store_.Commit(a).ok());
+  ASSERT_TRUE(store_.Commit(b).ok());
+  EXPECT_EQ(store_.num_referents(), 1u);
+}
+
+TEST_F(AnnotationStoreTest, NaNRegionRejected) {
+  // A NaN bound is not a region: it would overlap every window and never
+  // equal itself as a dedup key.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(spatial::Rect::Make2D(nan, 0, 1, 1).valid());
+  EXPECT_FALSE(spatial::Rect::Make2D(0, 0, 1, nan).valid());
+  AnnotationBuilder b;
+  b.Title("nan").MarkRegion("atlas", spatial::Rect::Make2D(nan, 0, 10, 10));
+  EXPECT_TRUE(store_.Commit(b).status().IsInvalidArgument());
+  EXPECT_EQ(store_.size(), 0u);
+  EXPECT_EQ(store_.num_referents(), 0u);
+  auto hits = indexes_.QueryRegions("atlas", spatial::Rect::Make2D(0, 0, 10, 10));
+  ASSERT_TRUE(hits.ok());
+  EXPECT_TRUE(hits->empty());
 }
 
 TEST_F(AnnotationStoreTest, DuplicateMarkWithinOneAnnotationCollapses) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -423,6 +424,99 @@ TEST(CommitRollback, MidLoopMarkFailureLeavesStoreUntouched) {
   EXPECT_EQ(*id, 2u);
   EXPECT_EQ(g->Stats().num_referents, 1u);  // still the one shared referent
   EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
+// Four unequal substructures in two pairs that print alike (a node set
+// differing only past its 8th element; regions differing below the 6th
+// decimal): the referent dedup must keep all four apart.
+std::vector<AnnotationBuilder> LookalikeBuilders() {
+  std::vector<AnnotationBuilder> out(4);
+  out[0].Title("set9").Body("lookalike").MarkNodeSet("ppi", {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  out[1].Title("set10").Body("lookalike").MarkNodeSet("ppi", {1, 2, 3, 4, 5, 6, 7, 8, 10});
+  out[2].Title("x1").Body("lookalike").MarkRegion("atlas", Rect::Make2D(1e-7, 0, 1, 1));
+  out[3].Title("x2").Body("lookalike").MarkRegion("atlas", Rect::Make2D(2e-7, 0, 1, 1));
+  return out;
+}
+
+// Each of the four lookalike annotations marks its own referent, holding
+// exactly the substructure it named.
+void ExpectFourDistinctReferents(const Graphitti& g, const std::vector<AnnotationId>& ids) {
+  const std::vector<AnnotationBuilder> builders = LookalikeBuilders();
+  const annotation::AnnotationStore& store = g.annotations();
+  EXPECT_EQ(store.num_referents(), 4u);
+  ASSERT_EQ(ids.size(), builders.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const annotation::Annotation* ann = store.Get(ids[i]);
+    ASSERT_NE(ann, nullptr) << i;
+    ASSERT_EQ(ann->referents.size(), 1u) << i;
+    const substructure::Substructure& marked = builders[i].marks()[0].first;
+    EXPECT_EQ(store.GetReferent(ann->referents[0])->substructure, marked) << i;
+    auto found = store.FindReferent(marked);
+    ASSERT_TRUE(found.ok()) << i;
+    EXPECT_EQ(*found, ann->referents[0]) << i;
+  }
+  EXPECT_TRUE(g.ValidateIntegrity().ok());
+}
+
+TEST(CommitBatch, DedupComparesSubstructuresExactly) {
+  auto loop = FreshEngine();
+  std::vector<AnnotationId> loop_ids;
+  for (const AnnotationBuilder& b : LookalikeBuilders()) {
+    auto id = loop->Commit(b);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    loop_ids.push_back(*id);
+  }
+  ExpectFourDistinctReferents(*loop, loop_ids);
+
+  auto batched = FreshEngine();
+  auto batch_ids = batched->CommitBatch(LookalikeBuilders());
+  ASSERT_TRUE(batch_ids.ok()) << batch_ids.status().ToString();
+  ExpectFourDistinctReferents(*batched, *batch_ids);
+  EXPECT_EQ(loop->ExportAGraph(), batched->ExportAGraph());
+
+  // Re-marking all four in one batch shares the existing referents.
+  ASSERT_TRUE(batched->CommitBatch(LookalikeBuilders()).ok());
+  EXPECT_EQ(batched->annotations().num_referents(), 4u);
+  EXPECT_TRUE(batched->ValidateIntegrity().ok());
+}
+
+TEST(CommitBatch, RejectsNaNRegion) {
+  // A NaN region bound used to commit and then match every window.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto g = FreshEngine();
+  AnnotationBuilder bad;
+  bad.Title("nan").Body("body").MarkRegion("atlas", Rect::Make2D(nan, 0, 10, 10));
+  EXPECT_TRUE(g->Commit(bad).status().IsInvalidArgument());
+  EXPECT_TRUE(g->CommitBatch({bad}).status().IsInvalidArgument());
+  EXPECT_EQ(g->Stats().num_annotations, 0u);
+  auto r = g->Query("FIND REFERENTS WHERE { ?s TYPE region ; ?s DOMAIN \"atlas\" ; "
+                    "?s OVERLAPS RECT [0,0, 10,10] }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->items.empty());
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
+TEST(BulkReload, LookalikeReferentsRoundTrip) {
+  auto original = FreshEngine();
+  auto ids = original->CommitBatch(LookalikeBuilders());
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+
+  fs::path dir = fs::temp_directory_path() / "graphitti_bulk_commit_test_lookalike";
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  ASSERT_TRUE(original->SaveTo(dir.string()).ok());
+  auto reloaded = Graphitti::LoadFrom(dir.string());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectFourDistinctReferents(**reloaded, *ids);
+  EXPECT_EQ(original->ExportAGraph(), (*reloaded)->ExportAGraph());
+
+  // The restored dedup map still finds each one: re-marking shares it.
+  for (const AnnotationBuilder& b : LookalikeBuilders()) {
+    ASSERT_TRUE((*reloaded)->Commit(b).ok());
+  }
+  EXPECT_EQ((*reloaded)->annotations().num_referents(), 4u);
+  EXPECT_TRUE((*reloaded)->ValidateIntegrity().ok());
+  fs::remove_all(dir, ec);
 }
 
 TEST(BulkReload, TenThousandAnnotationRoundTrip) {

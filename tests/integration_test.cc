@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
+#include <map>
 #include <set>
 
 #include "core/graphitti.h"
@@ -148,10 +150,13 @@ TEST(IntegrationTest, Figure3PairCollationMatchesBruteForce) {
   // The Fig. 3 pair query on each segment of a generated corpus, with and
   // without its constraints, against its answer enumerated by nested loops
   // over the store, without the keyword index, the spatial index or the
-  // executor: every GRAPH item is the sorted distinct terminal set of some
-  // binding row, each such set is exactly one item, and no set is missing.
-  // Without the constraints the rows (a1,s1,a2,s2) and (a2,s2,a1,s1) share
-  // a terminal set, so the dedup is exercised on every segment.
+  // executor. The loops run in the executor's reported binding order, each
+  // variable over its ascending domain, and keep a row when every check
+  // whose variables are bound passes: the executor's binding rows in the
+  // executor's row order. The items must be the first occurrences of the
+  // rows' sorted distinct terminal sets, in that order. Without the
+  // constraints the rows (a1,s1,a2,s2) and (a2,s2,a1,s1) share a terminal
+  // set, so the dedup is exercised on every segment.
   Graphitti g;
   InfluenzaParams params;
   params.num_annotations = 1000;
@@ -160,76 +165,126 @@ TEST(IntegrationTest, Figure3PairCollationMatchesBruteForce) {
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   const annotation::AnnotationStore& store = g.annotations();
 
-  std::vector<const annotation::Annotation*> protease;
-  store.ForEachAnnotation([&](annotation::AnnotationId, const annotation::Annotation& ann) {
+  // ?a1 and ?a2 range over the protease annotations, ascending by id.
+  // ANNOTATES pairs come from Annotation::referents, kept both ways, sorted.
+  std::vector<agraph::NodeRef> contents;
+  std::map<uint64_t, std::vector<agraph::NodeRef>> marks_of;   // content -> referents
+  std::map<uint64_t, std::vector<agraph::NodeRef>> marked_by;  // referent -> contents
+  store.ForEachAnnotation([&](annotation::AnnotationId id, const annotation::Annotation& ann) {
     std::string text;
     AppendLowerText(store.ContentOf(ann).root(), &text);
-    if (HasWord(text, "protease")) protease.push_back(&ann);
+    if (!HasWord(text, "protease")) return;
+    contents.push_back(agraph::NodeRef::Content(id));
+    for (annotation::ReferentId rid : ann.referents) {
+      marks_of[id].push_back(agraph::NodeRef::Referent(rid));
+      marked_by[rid].push_back(agraph::NodeRef::Content(id));
+    }
   });
-  ASSERT_FALSE(protease.empty());
+  ASSERT_FALSE(contents.empty());
+  for (auto& [id, refs] : marks_of) std::sort(refs.begin(), refs.end());
 
-  using TerminalSets = std::set<std::vector<agraph::NodeRef>>;
-  auto check = [&](const std::string& text, const TerminalSets& expected) {
-    auto r = g.Query(text);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    TerminalSets got;
-    for (const auto& item : r->items) {
-      const std::vector<agraph::NodeRef>& t = item.terminals;
-      EXPECT_TRUE(std::is_sorted(t.begin(), t.end())) << text;
-      EXPECT_EQ(std::adjacent_find(t.begin(), t.end()), t.end()) << text;
-      EXPECT_TRUE(got.insert(t).second) << text << ": two items share a terminal set";
+  using Row = std::vector<agraph::NodeRef>;
+  // Variables by index: ?a1, ?s1, ?a2, ?s2.
+  const std::vector<std::string> names = {"a1", "s1", "a2", "s2"};
+  auto brute_force = [&](const std::vector<agraph::NodeRef>& referents, bool constrained,
+                         const std::vector<std::string>& binding_order) {
+    // A join that empties early reports a shorter order; the variables it
+    // never reached follow in any order, since no row survives anyway.
+    std::vector<size_t> order;
+    for (const std::string& v : binding_order) {
+      order.push_back(std::find(names.begin(), names.end(), v) - names.begin());
     }
-    EXPECT_EQ(got, expected) << text;
-  };
-
-  struct Mark {
-    agraph::NodeRef content;
-    agraph::NodeRef referent;
-    const substructure::Substructure* sub;
-  };
-  size_t nonempty = 0;
-  for (const std::string& domain : corpus->segment_domains) {
-    std::vector<Mark> marks;  // a protease annotation and a referent it marks here
-    for (const annotation::Annotation* ann : protease) {
-      for (annotation::ReferentId rid : ann->referents) {
-        const annotation::Referent* ref = store.GetReferent(rid);
-        ASSERT_NE(ref, nullptr);
-        if (ref->substructure.domain() != domain) continue;
-        marks.push_back({agraph::NodeRef::Content(ann->id), agraph::NodeRef::Referent(rid),
-                         &ref->substructure});
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (std::find(order.begin(), order.end(), i) == order.end()) order.push_back(i);
+    }
+    agraph::NodeRef bound[4];
+    bool is_bound[4] = {false, false, false, false};
+    // The constraints, once ?s1 and ?s2 are both bound.
+    auto passes = [&]() {
+      if (!constrained || !is_bound[1] || !is_bound[3]) return true;
+      // consecutive(?s1, ?s2): two intervals of one domain, ?s1 first;
+      // disjoint(?s1, ?s2): they do not overlap.
+      const substructure::Substructure& s1 = store.GetReferent(bound[1].id)->substructure;
+      const substructure::Substructure& s2 = store.GetReferent(bound[3].id)->substructure;
+      if (s1.type() != substructure::SubType::kInterval ||
+          s2.type() != substructure::SubType::kInterval) {
+        return false;
       }
-    }
-    TerminalSets pairs;
-    TerminalSets constrained;
-    for (const Mark& m1 : marks) {
-      for (const Mark& m2 : marks) {
-        std::vector<agraph::NodeRef> row = {m1.content, m1.referent, m2.content, m2.referent};
+      return s1.interval().lo < s2.interval().lo && !s1.interval().Overlaps(s2.interval());
+    };
+    std::vector<Row> items;
+    std::set<Row> seen;
+    std::function<void(size_t)> bind = [&](size_t depth) {
+      if (depth == order.size()) {
+        Row row(bound, bound + 4);
         std::sort(row.begin(), row.end());
         row.erase(std::unique(row.begin(), row.end()), row.end());
-        pairs.insert(row);
-        // consecutive(?s1, ?s2): two intervals of one domain, ?s1 first;
-        // disjoint(?s1, ?s2): they do not overlap.
-        if (m1.sub->type() != substructure::SubType::kInterval ||
-            m2.sub->type() != substructure::SubType::kInterval) {
-          continue;
-        }
-        if (m1.sub->interval().lo >= m2.sub->interval().lo) continue;
-        if (m1.sub->interval().Overlaps(m2.sub->interval())) continue;
-        constrained.insert(std::move(row));
+        if (seen.insert(row).second) items.push_back(std::move(row));
+        return;
       }
-    }
+      const size_t v = order[depth];
+      // ?a1 ANNOTATES ?s1 ; ?a2 ANNOTATES ?s2: once v's partner is bound,
+      // v ranges over the partner's neighbours within v's domain, the
+      // values of the ascending domain that pass the check, in order.
+      const size_t partner = v ^ 1;
+      static const std::vector<agraph::NodeRef> kNone;
+      const std::vector<agraph::NodeRef>* range = (v % 2 == 0) ? &contents : &referents;
+      if (is_bound[partner]) {
+        auto& index = (v % 2 == 0) ? marked_by : marks_of;
+        auto it = index.find(bound[partner].id);
+        range = it == index.end() ? &kNone : &it->second;
+      }
+      is_bound[v] = true;
+      for (agraph::NodeRef n : *range) {
+        if (v % 2 == 1 && !std::binary_search(referents.begin(), referents.end(), n)) {
+          continue;  // a referent of another segment
+        }
+        bound[v] = n;
+        if (passes()) bind(depth + 1);
+      }
+      is_bound[v] = false;
+    };
+    bind(0);
+    return items;
+  };
 
+  auto check = [&](const std::string& text, const std::vector<agraph::NodeRef>& referents,
+                   bool constrained) {
+    auto r = g.Query(text);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return size_t{0};
+    std::vector<Row> got;
+    for (const auto& item : r->items) {
+      const Row& t = item.terminals;
+      EXPECT_TRUE(std::is_sorted(t.begin(), t.end())) << text;
+      EXPECT_EQ(std::adjacent_find(t.begin(), t.end()), t.end()) << text;
+      got.push_back(t);
+    }
+    EXPECT_EQ(std::set<Row>(got.begin(), got.end()).size(), got.size())
+        << text << ": two items share a terminal set";
+    EXPECT_EQ(got, brute_force(referents, constrained, r->stats.binding_order)) << text;
+    return got.size();
+  };
+
+  size_t nonempty = 0;
+  for (const std::string& domain : corpus->segment_domains) {
+    // ?s1 and ?s2 range over the segment's referents, ascending by id.
+    std::vector<agraph::NodeRef> referents;
+    store.ForEachReferent([&](annotation::ReferentId id, const annotation::Referent& ref) {
+      if (ref.substructure.domain() == domain) referents.push_back(agraph::NodeRef::Referent(id));
+    });
     const std::string where =
         "FIND GRAPH WHERE { ?a1 CONTAINS \"protease\" ; ?a2 CONTAINS \"protease\" ; "
         "?s1 IS REFERENT ; ?s1 DOMAIN \"" + domain + "\" ; ?s2 IS REFERENT ; ?s2 DOMAIN \"" +
         domain + "\" ; ?a1 ANNOTATES ?s1 ; ?a2 ANNOTATES ?s2 ; } ";
-    check(where + "CONSTRAIN consecutive(?s1, ?s2), disjoint(?s1, ?s2) LIMIT 10 PAGE 1",
-          constrained);
-    check(where + "LIMIT 10 PAGE 1", pairs);
-    if (!constrained.empty()) ++nonempty;
+    if (check(where + "CONSTRAIN consecutive(?s1, ?s2), disjoint(?s1, ?s2) LIMIT 10 PAGE 1",
+              referents, true) > 0) {
+      ++nonempty;
+    }
+    check(where + "LIMIT 10 PAGE 1", referents, false);
   }
   // Most segments hold several protease marks, so the comparison is not
-  // between empty sets throughout.
+  // between empty sequences throughout.
   EXPECT_GE(nonempty, corpus->segment_domains.size() / 2);
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "annotation/annotation_store.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -365,6 +367,69 @@ TEST_F(ExecutorTest, PeakStatsTrackBindingTable) {
   EXPECT_GT(r->stats.peak_bytes, 0u);
   EXPECT_LE(r->stats.peak_bytes,
             r->stats.rows_examined * (sizeof(agraph::NodeRef) + sizeof(uint32_t)));
+}
+
+TEST_F(ExecutorTest, SemiJoinReducesReusedCartesianLevel) {
+  // Plan: ?a (4 protease contents), ?s joined through ANNOTATES (4 rows),
+  // then ?b by cartesian product over its 4 candidates for each of the 4
+  // rows, then ?t joined through ANNOTATES. ?t's window [0, 650] holds the
+  // referents of ann0, ann1, ann2 and the noise, but not ann3's [700, 800],
+  // so ?b = ann3 has no ANNOTATES neighbour among ?t's candidates: the
+  // reduction drops it before the 4 x 4 product is built.
+  const char* where = R"(WHERE {
+      ?a CONTAINS "protease" ; ?s IS REFERENT ; ?a ANNOTATES ?s ;
+      ?b CONTAINS "motif" ; ?t IS REFERENT ; ?t DOMAIN "flu:seg4" ;
+      ?t OVERLAPS [0, 650] ; ?b ANNOTATES ?t ; })";
+  auto r = Run(std::string("FIND GRAPH ") + where + " LIMIT 100 PAGE 1");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.binding_order, (std::vector<std::string>{"a", "s", "b", "t"}));
+  EXPECT_EQ(r->stats.candidate_counts, (std::vector<size_t>{4, 6, 4, 4}));
+  // 4 + 4 + (4 rows x 3 kept ?b candidates) + 12; unreduced, ?b's level
+  // held 16 rows, 4 of which died at ?t.
+  EXPECT_EQ(r->stats.level_rows, (std::vector<size_t>{4, 4, 12, 12}));
+  EXPECT_EQ(r->stats.rows_examined, 32u);
+  EXPECT_EQ(r->stats.peak_rows, 12u);
+
+  // Items: the distinct terminal sets of rows (?a, ?b) in binding order,
+  // first occurrences only ((1,0) repeats (0,1), and so on).
+  auto mark = [&](size_t i) {
+    return agraph::NodeRef::Referent(store_.Get(ids_[i])->referents[0]);
+  };
+  const std::vector<std::pair<size_t, size_t>> pairs = {
+      {0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}, {3, 0}, {3, 1}, {3, 2}};
+  ASSERT_EQ(r->items.size(), pairs.size());
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    auto [x, y] = pairs[k];
+    std::vector<agraph::NodeRef> want = {agraph::NodeRef::Content(ids_[x]), mark(x),
+                                         agraph::NodeRef::Content(ids_[y]), mark(y)};
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    EXPECT_EQ(r->items[k].terminals, want) << "item " << k;
+  }
+
+  auto contents = Run(std::string("FIND CONTENTS ?b ") + where);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  ASSERT_EQ(contents->items.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(contents->items[i].content_id, ids_[i]);
+
+  // Explain shows the kept rows on each bind line.
+  auto plan = Executor(Context()).ExplainText(std::string("FIND COUNT ") + where);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("3. bind ?b  (candidates: 4, rows: 12)"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("rows examined: 32"), std::string::npos) << *plan;
+}
+
+TEST_F(ExecutorTest, SemiJoinLeavesFirstLevelAlone) {
+  // A cartesian first level has one parent row, so it is not reduced: ?b
+  // keeps all 4 candidates and ann3's row dies at ?t, as without the pass.
+  auto r = Run(R"(FIND CONTENTS ?b WHERE {
+      ?b CONTAINS "motif" ; ?t IS REFERENT ; ?t DOMAIN "flu:seg4" ;
+      ?t OVERLAPS [0, 650] ; ?b ANNOTATES ?t })");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.binding_order, (std::vector<std::string>{"b", "t"}));
+  EXPECT_EQ(r->stats.level_rows, (std::vector<size_t>{4, 3}));
+  EXPECT_EQ(r->stats.rows_examined, 7u);
+  ASSERT_EQ(r->items.size(), 3u);
 }
 
 TEST_F(ExecutorTest, ConnectedHonorsHopBudget) {

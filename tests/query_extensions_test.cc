@@ -135,6 +135,17 @@ TEST_F(QueryExtensionsTest, ExplainRendersPlan) {
   EXPECT_NE(plan->find("bind ?a"), std::string::npos);
   EXPECT_NE(plan->find("candidates: 3"), std::string::npos);
   EXPECT_NE(plan->find("rows examined"), std::string::npos);
+  // Each bind line carries the rows its join level kept; they sum to the
+  // rows examined. Three protease contents each annotate one of the five
+  // referents.
+  EXPECT_NE(plan->find("1. bind ?a  (candidates: 3, rows: 3)"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("2. bind ?s  (candidates: 5, rows: 3)"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("rows examined: 6\n"), std::string::npos) << *plan;
+  auto stats = g_.Query(
+      "FIND CONTENTS WHERE { ?a CONTAINS \"protease\" ; ?s IS REFERENT ; ?a ANNOTATES ?s }");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->stats.level_rows, (std::vector<size_t>{3, 3}));
+  EXPECT_EQ(stats->stats.level_rows.size(), stats->stats.binding_order.size());
 
   ExecutorOptions naive;
   naive.use_selectivity_order = false;
