@@ -127,8 +127,9 @@ class AnnotationBuilder {
   util::Result<xml::XmlDocument> BuildContentXml(AnnotationId id = 0) const;
 
   /// Inverse of BuildContentXml: reconstructs a builder (dc fields, body,
-  /// user tags, ontology refs, marks) from a stored annotation document.
-  /// Used by persistence and by edit-then-recommit workflows.
+  /// user tags, ontology refs, marks) from a stored annotation document —
+  /// XML as interchange, for edit-then-recommit workflows. Recovery does
+  /// not use it: the snapshot and the WAL carry the fields in binary.
   static util::Result<AnnotationBuilder> FromContentXml(const xml::XmlNode* root);
 
  private:

@@ -229,31 +229,30 @@ util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& buil
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatch(
     const std::vector<AnnotationBuilder>& builders,
-    const std::vector<AnnotationId>& forced_ids,
-    std::vector<xml::XmlDocument>* prebuilt_contents) {
-  return CommitBatchImpl(builders, forced_ids, prebuilt_contents, /*consume=*/false);
+    const std::vector<AnnotationId>& forced_ids) {
+  return CommitBatchImpl(builders, forced_ids, nullptr, /*consume=*/false);
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatch(
     std::vector<AnnotationBuilder>&& builders,
     const std::vector<AnnotationId>& forced_ids,
-    std::vector<xml::XmlDocument>* prebuilt_contents) {
-  return CommitBatchImpl(builders, forced_ids, prebuilt_contents, /*consume=*/true);
+    std::vector<std::string>* cold_contents) {
+  return CommitBatchImpl(builders, forced_ids, cold_contents, /*consume=*/true);
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     const std::vector<AnnotationBuilder>& builders,
     const std::vector<AnnotationId>& forced_ids,
-    std::vector<xml::XmlDocument>* prebuilt_contents, bool consume) {
+    std::vector<std::string>* cold_contents, bool consume) {
   std::vector<AnnotationId> ids;
   if (builders.empty()) return ids;
   if (!forced_ids.empty() && forced_ids.size() != builders.size()) {
     return util::Status::InvalidArgument(
         "forced_ids must be empty or have one entry per builder");
   }
-  if (prebuilt_contents != nullptr && prebuilt_contents->size() != builders.size()) {
+  if (cold_contents != nullptr && cold_contents->size() != builders.size()) {
     return util::Status::InvalidArgument(
-        "prebuilt_contents must be null or have one document per builder");
+        "cold_contents must be null or have one entry per builder");
   }
 
   // --- Validate. Nothing in this block touches shared state, so any error
@@ -262,7 +261,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   // ids continue from it.
   ids.reserve(builders.size());
   std::vector<xml::XmlDocument> contents;
-  contents.reserve(builders.size());
+  if (cold_contents == nullptr) contents.reserve(builders.size());
   std::unordered_set<AnnotationId> assigned;
   assigned.reserve(builders.size());
   uint64_t next_id = next_annotation_id_;
@@ -284,23 +283,19 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     AnnotationId id = forced != 0 ? forced : next_id;
     assigned.insert(id);
     next_id = std::max(next_id, id + 1);
-    if (prebuilt_contents != nullptr && !(*prebuilt_contents)[i].empty()) {
-      // Reload fast path: the content document was just parsed from disk;
-      // adopt it instead of re-serializing the builder. BuildContentXml's
-      // own validation still has to happen (it rejects empty user-tag
-      // names; substructure validity is checked in the marks loop below).
+    if (cold_contents == nullptr) {
+      GRAPHITTI_ASSIGN_OR_RETURN(xml::XmlDocument content, b.BuildContentXml(id));
+      contents.push_back(std::move(content));
+    } else {
+      // Cold content skips BuildContentXml, whose own validation still has
+      // to happen: it rejects empty user-tag names (substructure validity
+      // is checked in the marks loop below).
       for (const auto& [name, value] : b.user_tags()) {
         (void)value;
         if (name.empty()) {
           return util::Status::InvalidArgument("user tag with empty name");
         }
       }
-      xml::XmlDocument content = std::move((*prebuilt_contents)[i]);
-      content.root()->SetAttribute("id", std::to_string(id));
-      contents.push_back(std::move(content));
-    } else {
-      GRAPHITTI_ASSIGN_OR_RETURN(xml::XmlDocument content, b.BuildContentXml(id));
-      contents.push_back(std::move(content));
     }
     ids.push_back(id);
     node_estimate += 1 + b.marks().size() + b.ontology_refs().size();
@@ -370,7 +365,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
       ann.user_tags = b.user_tags();
       ann.ontology_refs = b.ontology_refs();
     }
-    ann.content = std::move(contents[i]);
+    if (cold_contents == nullptr) ann.content = std::move(contents[i]);
 
     agraph::NodeRef content_node = ContentNode(id);
     const uint32_t content_idx = graph_->EnsureNodeIndex(
@@ -417,6 +412,16 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     }
   }
   next_annotation_id_ = std::max(next_annotation_id_, next_id);
+  if (cold_contents != nullptr) {
+    // Logged content parks cold, as a restored snapshot's does: ContentOf
+    // parses it on first access, ContentXml passes it through verbatim.
+    util::MutexLock lock(hydrate_mu_);
+    ReserveAmortized(&cold_content_, ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      cold_content_.emplace(ids[i], std::move((*cold_contents)[i]));
+    }
+    has_cold_.store(true, std::memory_order_release);
+  }
 
   // --- Flush: one bulk tree build per touched domain, one sort + merge
   // per posting list an out-of-order forced id left unsorted.
@@ -522,8 +527,8 @@ size_t AnnotationStore::TokenizeForIndex(const Annotation& ann, std::string* tex
   std::string& text = *text_buf;
   text.clear();
   // The content document's text nodes are exactly the annotation's field
-  // values in build order — dc fields, body, user-tag values (content
-  // always round-trips BuildContentXml; see CommitBatch's prebuilt-content
+  // values in build order — dc fields, body, user-tag values (content is
+  // always BuildContentXml's output; see CommitBatch's cold-content
   // contract) — so the search text is assembled from the contiguous struct
   // fields instead of a pointer-chasing DOM walk. Semantics match
   // CollectTextSeparated over the built DOM, including the empty-tag-value
@@ -744,7 +749,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::XQuerySearch(
 util::Status AnnotationStore::RestoreSnapshotState(
     std::vector<RestoredReferent> referents, std::vector<RestoredAnnotation> annotations,
     RestoredKeywordIndex keyword_index, std::vector<std::string> term_names,
-    uint64_t next_annotation_id, uint64_t next_referent_id) {
+    uint64_t next_annotation_id, uint64_t next_referent_id, const RestoreHeadroom& headroom) {
   if (!annotations_.empty() || !referents_.empty() || !postings_.empty() ||
       !term_names_.empty()) {
     return util::Status::Internal("RestoreSnapshotState requires an empty store");
@@ -776,7 +781,7 @@ util::Status AnnotationStore::RestoreSnapshotState(
   };
   std::unordered_map<ReferentId, RefAux> ref_aux;
   ref_aux.reserve(referents.size());
-  referent_by_key_.reserve(referents.size());
+  referent_by_key_.reserve(referents.size() + headroom.marks);
   // Snapshot referents cluster by domain (commit order), so remember the
   // last domain bucket instead of re-hashing the domain string every row.
   std::string_view last_domain;
@@ -832,12 +837,17 @@ util::Status AnnotationStore::RestoreSnapshotState(
 
   // Annotations: metadata hot, content cold, a-graph wired in commit
   // order (content node; per first-use referent: referent node, then its
-  // of-object edge, then the annotates edge; then term edges).
+  // of-object edge, then the annotates edge; then term edges). The
+  // structures the WAL tail's batches grow next are sized for them too.
   const uint32_t annotates_label = graph_->InternEdgeLabel(kEdgeAnnotates);
   const uint32_t refers_to_label = graph_->InternEdgeLabel(kEdgeRefersTo);
-  graph_->Reserve(annotations.size() + referents_.size() + term_names_.size());
-  lower_text_.reserve(annotations.size());
-  cold_content_.reserve(annotations.size());
+  graph_->Reserve(annotations.size() + referents_.size() + term_names_.size() +
+                  headroom.nodes);
+  lower_text_.reserve(annotations.size() + headroom.annotations);
+  // Uncontended (the store is not published yet); cold_content_ is
+  // hydrate-side state.
+  util::MutexLock lock(hydrate_mu_);
+  cold_content_.reserve(annotations.size() + headroom.annotations);
   uint64_t prev_aid = 0;
   for (RestoredAnnotation& ra : annotations) {
     Annotation& ann = ra.ann;

@@ -92,28 +92,26 @@ class AnnotationStore {
   /// shape, integrity) is identical to committing the builders one by one.
   /// `forced_ids`, when non-empty, must have one entry per builder
   /// (0 = assign fresh) — the WAL-replay path.
-  ///
-  /// `prebuilt_contents`, when non-null, must have one document per
-  /// builder; a non-empty document is *consumed* (moved, id attribute
-  /// restamped) as that annotation's content instead of re-serializing the
-  /// builder through BuildContentXml — the WAL-replay fast path, where the
-  /// content was just parsed from the log. An empty document falls back to
-  /// BuildContentXml. Callers must pass documents that round-trip to the
-  /// builder (FromContentXml(doc) == builder), or stored content and
-  /// search text will disagree with the per-commit path.
   util::Result<std::vector<AnnotationId>> CommitBatch(
       const std::vector<AnnotationBuilder>& builders,
-      const std::vector<AnnotationId>& forced_ids = {},
-      std::vector<xml::XmlDocument>* prebuilt_contents = nullptr);
+      const std::vector<AnnotationId>& forced_ids = {});
 
   /// Consuming overload: identical observable semantics, but each
   /// annotation's metadata (Dublin Core fields, body, user tags, ontology
   /// refs) is moved out of its builder instead of copied — for callers
   /// that discard the builders afterwards, like WAL replay.
+  ///
+  /// `cold_contents`, when non-null, must have one entry per builder: the
+  /// serialized content (BuildContentXml(id).ToString(false)) of that
+  /// builder under its forced id. Each entry is moved into the cold
+  /// content store instead of building a DOM, exactly as a snapshot
+  /// restore parks content (see ContentOf) — the WAL-replay path, whose
+  /// log carries the bytes. Bytes that do not match the builder make
+  /// stored content and search text disagree.
   util::Result<std::vector<AnnotationId>> CommitBatch(
       std::vector<AnnotationBuilder>&& builders,
       const std::vector<AnnotationId>& forced_ids = {},
-      std::vector<xml::XmlDocument>* prebuilt_contents = nullptr);
+      std::vector<std::string>* cold_contents = nullptr);
 
   /// Removes an annotation; referents drop a refcount and disappear from
   /// spatial indexes and the a-graph when orphaned.
@@ -177,13 +175,13 @@ class AnnotationStore {
 
   // --- Content access (lazy hydration) ---
   //
-  // After a binary-snapshot restore, annotation content arrives as
-  // serialized XML bytes parked in cold_content_; the DOM is parsed on
-  // first access instead of at load time (parsing 50k documents dominates
-  // restart cost). These accessors are the only sanctioned way to read
-  // Annotation::content — they are safe under the engine's shared gate
-  // (internal mutex + atomic fast path), and on a store with no cold
-  // entries (every store that never restored a snapshot) the fast path is
+  // After a binary-snapshot restore or WAL replay, annotation content
+  // arrives as serialized XML bytes parked in cold_content_; the DOM is
+  // parsed on first access instead of at load time (parsing 50k documents
+  // dominates restart cost). These accessors are the only sanctioned way
+  // to read Annotation::content — they are safe under the engine's shared
+  // gate (internal mutex + atomic fast path), and on a store with no cold
+  // entries (every store that never recovered from disk) the fast path is
   // a single relaxed-ish atomic load.
 
   /// The annotation's content DOM, hydrating it from the cold bytes first
@@ -216,6 +214,15 @@ class AnnotationStore {
     std::string lower_text;   // pre-lowered content text for phrase search
   };
 
+  /// Capacity a restore reserves beyond the snapshot's own contents for a
+  /// WAL tail about to replay on top (all zero: size for the snapshot
+  /// alone).
+  struct RestoreHeadroom {
+    size_t annotations = 0;
+    size_t marks = 0;
+    size_t nodes = 0;  // a-graph nodes, estimated as CommitBatch does
+  };
+
   /// The keyword index as decoded from a snapshot: token strings in dense
   /// id order with their ascending posting lists. Restoring this verbatim
   /// skips re-tokenizing every document at load time.
@@ -230,13 +237,16 @@ class AnnotationStore {
   /// a-graph (core::Graphitti restores objects first). Spatial entries are
   /// bulk-loaded per domain; a-graph nodes/edges are wired in the same
   /// order the original commits produced, so ExportAGraph of a restored
-  /// engine matches the saved one line for line.
+  /// engine matches the saved one line for line. The a-graph, dedup map,
+  /// phrase text and cold content are sized for the snapshot plus
+  /// `headroom`.
   util::Status RestoreSnapshotState(std::vector<RestoredReferent> referents,
                                     std::vector<RestoredAnnotation> annotations,
                                     RestoredKeywordIndex keyword_index,
                                     std::vector<std::string> term_names,
                                     uint64_t next_annotation_id,
-                                    uint64_t next_referent_id);
+                                    uint64_t next_referent_id,
+                                    const RestoreHeadroom& headroom);
 
   // --- Snapshot encode accessors (core/durability.cc) ---
   const std::vector<std::string>& TermNames() const { return term_names_; }
@@ -298,7 +308,7 @@ class AnnotationStore {
   util::Result<std::vector<AnnotationId>> CommitBatchImpl(
       const std::vector<AnnotationBuilder>& builders,
       const std::vector<AnnotationId>& forced_ids,
-      std::vector<xml::XmlDocument>* prebuilt_contents, bool consume);
+      std::vector<std::string>* cold_contents, bool consume);
 
   /// Tokenizes `ann`'s search text (content text, user-tag keys, ontology
   /// terms) into `words` — sorted, deduplicated views into `text_buf` —
@@ -370,10 +380,10 @@ class AnnotationStore {
   uint64_t next_annotation_id_ = 1;
   uint64_t next_referent_id_ = 1;
 
-  // Cold content store for snapshot-restored annotations: id -> serialized
-  // XML not yet parsed into Annotation::content. ContentOf moves entries
-  // out as they hydrate; has_cold_ flips false when the map drains, which
-  // re-arms the lock-free fast path. All mutable: hydration is a
+  // Cold content store for snapshot-restored and WAL-replayed annotations:
+  // id -> serialized XML not yet parsed into Annotation::content. ContentOf
+  // moves entries out as they hydrate; has_cold_ flips false when the map
+  // drains, which re-arms the lock-free fast path. All mutable: hydration is a
   // logically-const cache fill performed under hydrate_mu_.
   mutable util::Mutex hydrate_mu_;
   mutable std::unordered_map<AnnotationId, std::string> cold_content_

@@ -29,7 +29,6 @@
 #include "persist/format.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
-#include "xml/xml_parser.h"
 
 namespace graphitti {
 namespace core {
@@ -50,6 +49,16 @@ using util::Result;
 using util::Status;
 
 namespace {
+
+// Minimum encoded sizes of the elements of count-prefixed lists, for
+// Decoder::GetCount: a count that could not fit in the bytes left fails
+// the decode before anything is reserved.
+constexpr size_t kMinString = 4;                         // u32 length
+constexpr size_t kMinStringPair = 2 * kMinString;        // user tag, ontology ref
+constexpr size_t kMinValue = 1;                          // tag byte (null)
+constexpr size_t kMinColumn = kMinString + 1 + 1;        // name, type, nullable
+constexpr size_t kMinSubstructure = 1 + kMinString + 4;  // type, domain, empty set
+constexpr size_t kMinMark = kMinSubstructure + 8;        // + object id
 
 // --- Value / schema encoding (shared by kObject records and table rows) ---
 
@@ -139,7 +148,7 @@ void EncodeSchema(Encoder* enc, const Schema& schema) {
 }
 
 Result<Schema> DecodeSchema(Decoder* dec) {
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncols, dec->GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncols, dec->GetCount<uint32_t>(kMinColumn));
   relational::SchemaBuilder sb;
   for (uint32_t i = 0; i < ncols; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string name, dec->GetString());
@@ -256,7 +265,7 @@ Result<substructure::Substructure> DecodeSubstructure(Decoder* dec) {
     case substructure::SubType::kNodeSet:
     case substructure::SubType::kBlockSet:
     case substructure::SubType::kTreeClade: {
-      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount<uint32_t>(8));
       std::vector<uint64_t> elems;
       elems.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
@@ -278,6 +287,108 @@ Result<substructure::Substructure> DecodeSubstructure(Decoder* dec) {
   return Status::Internal("unknown substructure type tag " + std::to_string(type_tag));
 }
 
+// --- Annotation metadata: Dublin Core, body, user tags, ontology refs ---
+//
+// The same bytes in a snapshot's annotation entry and a WAL commit entry.
+
+void EncodeMetadata(Encoder* enc, const annotation::DublinCore& dc, const std::string& body,
+                    const std::vector<std::pair<std::string, std::string>>& user_tags,
+                    const std::vector<annotation::OntologyRef>& ontology_refs) {
+  EncodeDublinCore(enc, dc);
+  enc->PutString(body);
+  enc->PutU32(static_cast<uint32_t>(user_tags.size()));
+  for (const auto& [k, v] : user_tags) {
+    enc->PutString(k);
+    enc->PutString(v);
+  }
+  enc->PutU32(static_cast<uint32_t>(ontology_refs.size()));
+  for (const annotation::OntologyRef& oref : ontology_refs) {
+    enc->PutString(oref.ontology);
+    enc->PutString(oref.term);
+  }
+}
+
+// Decodes into `ann`'s dc, body, user_tags and ontology_refs.
+Status DecodeMetadata(Decoder* dec, annotation::Annotation* ann) {
+  GRAPHITTI_RETURN_NOT_OK(DecodeDublinCore(dec, &ann->dc));
+  GRAPHITTI_ASSIGN_OR_RETURN(ann->body, dec->GetString());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntags, dec->GetCount<uint32_t>(kMinStringPair));
+  ann->user_tags.reserve(ntags);
+  for (uint32_t j = 0; j < ntags; ++j) {
+    GRAPHITTI_ASSIGN_OR_RETURN(std::string k, dec->GetString());
+    GRAPHITTI_ASSIGN_OR_RETURN(std::string v, dec->GetString());
+    ann->user_tags.emplace_back(std::move(k), std::move(v));
+  }
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t norefs, dec->GetCount<uint32_t>(kMinStringPair));
+  ann->ontology_refs.reserve(norefs);
+  for (uint32_t j = 0; j < norefs; ++j) {
+    annotation::OntologyRef oref;
+    GRAPHITTI_ASSIGN_OR_RETURN(oref.ontology, dec->GetString());
+    GRAPHITTI_ASSIGN_OR_RETURN(oref.term, dec->GetString());
+    ann->ontology_refs.push_back(std::move(oref));
+  }
+  return Status::OK();
+}
+
+// --- WAL commit records ---
+
+// id, Dublin Core bitmap, body, then the tag, ontology-ref and mark
+// counts, then the content XML.
+constexpr size_t kMinCommitEntry = 8 + 4 + kMinString + 3 * 4 + kMinString;
+
+// One kCommitBatch record decoded for replay: a builder per annotation,
+// its logged id, and its post-commit content XML, which parks cold.
+struct CommitRecord {
+  std::vector<AnnotationId> ids;
+  std::vector<annotation::AnnotationBuilder> builders;
+  std::vector<std::string> contents;
+};
+
+Result<CommitRecord> DecodeCommitRecord(std::string_view payload) {
+  Decoder dec(payload);
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t count, dec.GetCount<uint32_t>(kMinCommitEntry));
+  CommitRecord rec;
+  rec.ids.reserve(count);
+  rec.builders.reserve(count);
+  rec.contents.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    GRAPHITTI_ASSIGN_OR_RETURN(AnnotationId id, dec.GetU64());
+    annotation::Annotation fields;
+    GRAPHITTI_RETURN_NOT_OK(DecodeMetadata(&dec, &fields));
+    annotation::AnnotationBuilder b;
+    b.DublinCoreFields(std::move(fields.dc)).Body(std::move(fields.body));
+    for (auto& [k, v] : fields.user_tags) b.UserTag(std::move(k), std::move(v));
+    for (annotation::OntologyRef& oref : fields.ontology_refs) {
+      b.OntologyReference(std::move(oref.ontology), std::move(oref.term));
+    }
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nmarks, dec.GetCount<uint32_t>(kMinMark));
+    for (uint32_t j = 0; j < nmarks; ++j) {
+      GRAPHITTI_ASSIGN_OR_RETURN(substructure::Substructure sub, DecodeSubstructure(&dec));
+      GRAPHITTI_ASSIGN_OR_RETURN(uint64_t object_id, dec.GetU64());
+      b.Mark(std::move(sub), object_id);
+    }
+    GRAPHITTI_ASSIGN_OR_RETURN(std::string content, dec.GetString());
+    rec.ids.push_back(id);
+    rec.builders.push_back(std::move(b));
+    rec.contents.push_back(std::move(content));
+  }
+  if (!dec.Done()) {
+    return Status::Internal("WAL commit record has " + std::to_string(dec.remaining()) +
+                            " trailing bytes");
+  }
+  return rec;
+}
+
+// Commits a decoded record under its logged ids; the content parks cold.
+Status ReplayCommitRecord(CommitRecord rec, AnnotationStore* store) {
+  // Duplicate delivery of an already-applied record (e.g. replay after a
+  // crash mid-checkpoint-cleanup): skip the whole batch.
+  for (AnnotationId id : rec.ids) {
+    if (store->Get(id) != nullptr) return Status::OK();
+  }
+  return store->CommitBatch(std::move(rec.builders), rec.ids, &rec.contents).status();
+}
+
 }  // namespace
 
 // --- WAL record payload encoders (append sites live in graphitti.cc) ---
@@ -285,15 +396,22 @@ Result<substructure::Substructure> DecodeSubstructure(Decoder* dec) {
 namespace walrec {
 
 std::string EncodeCommitBatch(const AnnotationStore& store,
+                              const annotation::AnnotationBuilder* builders,
                               const std::vector<AnnotationId>& ids) {
   Encoder enc;
   enc.PutU32(static_cast<uint32_t>(ids.size()));
-  for (AnnotationId id : ids) {
-    const annotation::Annotation* ann = store.Get(id);
-    enc.PutU64(id);
-    // The post-commit content XML (with the id attribute stamped) is the
-    // replay unit: FromContentXml reconstructs the builder and the parsed
-    // document rides along as the prebuilt content.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const annotation::AnnotationBuilder& b = builders[i];
+    enc.PutU64(ids[i]);
+    EncodeMetadata(&enc, b.dc(), b.body(), b.user_tags(), b.ontology_refs());
+    enc.PutU32(static_cast<uint32_t>(b.marks().size()));
+    for (const auto& [sub, object_id] : b.marks()) {
+      EncodeSubstructure(&enc, sub);
+      enc.PutU64(object_id);
+    }
+    // The post-commit content XML (id attribute stamped) as opaque bytes:
+    // replay parks it cold instead of parsing it.
+    const annotation::Annotation* ann = store.Get(ids[i]);
     enc.PutString(ann == nullptr ? std::string() : store.ContentXml(*ann));
   }
   return enc.Take();
@@ -391,35 +509,10 @@ Status Graphitti::ApplyWalRecord(const persist::WalRecord& record, EngineState& 
   // directly (never the public mutators, which would publish and log).
   Decoder dec(record.payload);
   switch (record.type) {
-    case persist::WalRecordType::kCommitBatch: {
-      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
-      std::vector<AnnotationId> ids;
-      std::vector<std::string> xmls;
-      ids.reserve(count);
-      xmls.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        GRAPHITTI_ASSIGN_OR_RETURN(AnnotationId id, dec.GetU64());
-        GRAPHITTI_ASSIGN_OR_RETURN(std::string xml, dec.GetString());
-        // Duplicate delivery of an already-applied record (e.g. replay
-        // after a crash mid-checkpoint-cleanup): skip the whole batch.
-        if (state.store->Get(id) != nullptr) return Status::OK();
-        ids.push_back(id);
-        xmls.push_back(std::move(xml));
-      }
-      std::vector<annotation::AnnotationBuilder> builders;
-      std::vector<xml::XmlDocument> contents;
-      builders.reserve(count);
-      contents.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        GRAPHITTI_ASSIGN_OR_RETURN(xml::XmlDocument doc, xml::ParseXml(xmls[i]));
-        GRAPHITTI_ASSIGN_OR_RETURN(
-            annotation::AnnotationBuilder builder,
-            annotation::AnnotationBuilder::FromContentXml(doc.root()));
-        builders.push_back(std::move(builder));
-        contents.push_back(std::move(doc));
-      }
-      return state.store->CommitBatch(std::move(builders), ids, &contents).status();
-    }
+    case persist::WalRecordType::kCommitBatch:
+      // RecoverInto decodes these up front (their sizes size the restore)
+      // and replays them itself.
+      return Status::Internal("commit records replay through RecoverInto");
     case persist::WalRecordType::kRemove: {
       GRAPHITTI_ASSIGN_OR_RETURN(AnnotationId id, dec.GetU64());
       Status s = state.store->Remove(id);
@@ -430,7 +523,7 @@ Status Graphitti::ApplyWalRecord(const persist::WalRecord& record, EngineState& 
       GRAPHITTI_ASSIGN_OR_RETURN(std::string table, dec.GetString());
       GRAPHITTI_ASSIGN_OR_RETURN(std::string label, dec.GetString());
       GRAPHITTI_ASSIGN_OR_RETURN(RowId logged_rid, dec.GetU64());
-      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncols, dec.GetU32());
+      GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncols, dec.GetCount<uint32_t>(kMinValue));
       {
         util::MutexLock meta(meta_mu_);
         if (objects_.count(object_id) > 0) return Status::OK();  // duplicate
@@ -606,18 +699,7 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
   enc.PutU64(store.size());
   store.ForEachAnnotation([&](AnnotationId id, const annotation::Annotation& ann) {
     enc.PutU64(id);
-    EncodeDublinCore(&enc, ann.dc);
-    enc.PutString(ann.body);
-    enc.PutU32(static_cast<uint32_t>(ann.user_tags.size()));
-    for (const auto& [k, v] : ann.user_tags) {
-      enc.PutString(k);
-      enc.PutString(v);
-    }
-    enc.PutU32(static_cast<uint32_t>(ann.ontology_refs.size()));
-    for (const annotation::OntologyRef& oref : ann.ontology_refs) {
-      enc.PutString(oref.ontology);
-      enc.PutString(oref.term);
-    }
+    EncodeMetadata(&enc, ann.dc, ann.body, ann.user_tags, ann.ontology_refs);
     enc.PutU32(static_cast<uint32_t>(ann.referents.size()));
     for (ReferentId rid : ann.referents) enc.PutU64(rid);
     // Byte-exact serialized content (cold entries pass through verbatim),
@@ -633,7 +715,18 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
 
 // --- Snapshot restore ---
 
-Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& state) {
+Status Graphitti::RestoreFromSnapshotBody(std::string_view body,
+                                          const AnnotationStore::RestoreHeadroom& tail,
+                                          EngineState& state) {
+  // Minimum encoded sizes of the body's list elements (Decoder::GetCount).
+  constexpr size_t kMinCoordSystem = 2 * kMinString + 1 + 2 * spatial::Rect::kMaxDims * 8;
+  constexpr size_t kMinTable = kMinString + 4 + 4 + 8;  // name, ncols, nidx, nrows
+  constexpr size_t kMinIndex = kMinString + 1;
+  constexpr size_t kMinObject = 8 + kMinString + 8 + kMinString;
+  constexpr size_t kMinToken = kMinString + 4;
+  constexpr size_t kMinReferent = 8 + 8 + 8 + 1 + kMinSubstructure;
+  // id, Dublin Core bitmap, body, tag/ref/referent counts, content, text.
+  constexpr size_t kMinAnnotation = 8 + 4 + kMinString + 3 * 4 + 2 * kMinString;
   Decoder dec(body);
   // Cooperative cancellation, checked every 1024 items of the bulk loops.
   // The caller owns rollback: a kCancelled return means `state` (and the
@@ -648,7 +741,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
   // Boot/recovery mode: `state` is not yet observable by any reader, so
   // it is rebuilt in place through the substrates directly (never the
   // public mutators, which would publish and log).
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncs, dec.GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ncs, dec.GetCount<uint32_t>(kMinCoordSystem));
   for (uint32_t i = 0; i < ncs; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string name, dec.GetString());
     GRAPHITTI_ASSIGN_OR_RETURN(std::string canonical, dec.GetString());
@@ -671,7 +764,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
 
   // Tables. Built-ins already exist (same construction path), user tables
   // are created; rows re-insert contiguously so ordinal == RowId.
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntables, dec.GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntables, dec.GetCount<uint32_t>(kMinTable));
   std::map<std::string, std::vector<RowId>> rows_by_ordinal;
   for (uint32_t i = 0; i < ntables; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string name, dec.GetString());
@@ -680,17 +773,20 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
     if (table == nullptr) {
       GRAPHITTI_ASSIGN_OR_RETURN(table, state.catalog.CreateTable(name, std::move(schema)));
     }
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nidx, dec.GetU32());
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nidx, dec.GetCount<uint32_t>(kMinIndex));
     for (uint32_t j = 0; j < nidx; ++j) {
       GRAPHITTI_ASSIGN_OR_RETURN(std::string col, dec.GetString());
       GRAPHITTI_ASSIGN_OR_RETURN(uint8_t kind, dec.GetU8());
       Status s = table->CreateIndex(col, kind == 0 ? IndexKind::kHash : IndexKind::kOrdered);
       if (!s.ok() && !s.IsAlreadyExists()) return s;
     }
-    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrows, dec.GetU64());
+    // A row encodes one value, at least a tag byte, per column. Rows of a
+    // zero-column table encode to nothing, so their count bounds nothing
+    // and reserves nothing.
     const size_t ncols = table->schema().num_columns();
+    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrows, dec.GetCount<uint64_t>(ncols * kMinValue));
     std::vector<RowId>& rids = rows_by_ordinal[name];
-    rids.reserve(nrows);
+    if (ncols > 0) rids.reserve(nrows);
     for (uint64_t r = 0; r < nrows; ++r) {
       GRAPHITTI_RETURN_NOT_OK(hydrate_check(r));
       Row row;
@@ -705,7 +801,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
   }
 
   // Objects.
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nobjects, dec.GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nobjects, dec.GetCount<uint32_t>(kMinObject));
   for (uint32_t i = 0; i < nobjects; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(uint64_t object_id, dec.GetU64());
     GRAPHITTI_ASSIGN_OR_RETURN(std::string table, dec.GetString());
@@ -727,7 +823,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
   }
 
   // Ontologies.
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nontos, dec.GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nontos, dec.GetCount<uint32_t>(kMinStringPair));
   for (uint32_t i = 0; i < nontos; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string name, dec.GetString());
     GRAPHITTI_ASSIGN_OR_RETURN(std::string obo, dec.GetString());
@@ -736,7 +832,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
 
   // Annotation store.
   std::vector<std::string> term_names;
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nterms, dec.GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nterms, dec.GetCount<uint32_t>(kMinString));
   term_names.reserve(nterms);
   for (uint32_t i = 0; i < nterms; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string t, dec.GetString());
@@ -744,12 +840,12 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
   }
 
   AnnotationStore::RestoredKeywordIndex keyword_index;
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntokens, dec.GetU32());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntokens, dec.GetCount<uint32_t>(kMinToken));
   keyword_index.tokens.reserve(ntokens);
   keyword_index.postings.reserve(ntokens);
   for (uint32_t i = 0; i < ntokens; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string token, dec.GetString());
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount<uint32_t>(8));
     std::vector<AnnotationId> posting;
     posting.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
@@ -760,7 +856,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
     keyword_index.postings.push_back(std::move(posting));
   }
 
-  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrefs, dec.GetU64());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrefs, dec.GetCount<uint64_t>(kMinReferent));
   std::vector<AnnotationStore::RestoredReferent> referents;
   referents.reserve(nrefs);
   for (uint64_t i = 0; i < nrefs; ++i) {
@@ -776,31 +872,15 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
     referents.push_back(std::move(rr));
   }
 
-  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nanns, dec.GetU64());
+  GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nanns, dec.GetCount<uint64_t>(kMinAnnotation));
   std::vector<AnnotationStore::RestoredAnnotation> annotations;
   annotations.reserve(nanns);
   for (uint64_t i = 0; i < nanns; ++i) {
     GRAPHITTI_RETURN_NOT_OK(hydrate_check(i));
     AnnotationStore::RestoredAnnotation ra;
     GRAPHITTI_ASSIGN_OR_RETURN(ra.ann.id, dec.GetU64());
-    GRAPHITTI_RETURN_NOT_OK(DecodeDublinCore(&dec, &ra.ann.dc));
-    GRAPHITTI_ASSIGN_OR_RETURN(ra.ann.body, dec.GetString());
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntags, dec.GetU32());
-    ra.ann.user_tags.reserve(ntags);
-    for (uint32_t j = 0; j < ntags; ++j) {
-      GRAPHITTI_ASSIGN_OR_RETURN(std::string k, dec.GetString());
-      GRAPHITTI_ASSIGN_OR_RETURN(std::string v, dec.GetString());
-      ra.ann.user_tags.emplace_back(std::move(k), std::move(v));
-    }
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t norefs, dec.GetU32());
-    ra.ann.ontology_refs.reserve(norefs);
-    for (uint32_t j = 0; j < norefs; ++j) {
-      annotation::OntologyRef oref;
-      GRAPHITTI_ASSIGN_OR_RETURN(oref.ontology, dec.GetString());
-      GRAPHITTI_ASSIGN_OR_RETURN(oref.term, dec.GetString());
-      ra.ann.ontology_refs.push_back(std::move(oref));
-    }
-    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nr, dec.GetU32());
+    GRAPHITTI_RETURN_NOT_OK(DecodeMetadata(&dec, &ra.ann));
+    GRAPHITTI_ASSIGN_OR_RETURN(uint32_t nr, dec.GetCount<uint32_t>(8));
     ra.ann.referents.reserve(nr);
     for (uint32_t j = 0; j < nr; ++j) {
       GRAPHITTI_ASSIGN_OR_RETURN(ReferentId rid, dec.GetU64());
@@ -819,7 +899,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body, EngineState& st
   }
   return state.store->RestoreSnapshotState(std::move(referents), std::move(annotations),
                                            std::move(keyword_index), std::move(term_names),
-                                           next_ann, next_ref);
+                                           next_ann, next_ref, tail);
 }
 
 // --- Recovery and checkpointing ---
@@ -842,25 +922,18 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
   if (plan.has_wal) {
     GRAPHITTI_ASSIGN_OR_RETURN(wal, persist::ReadWal(*env, plan.wal_path));
   }
-  std::vector<persist::WalRecord> wal_records = std::move(wal.records);
+  auto stash = std::make_unique<PendingRestore>();
+  stash->has_snapshot = plan.has_snapshot;
+  stash->snapshot_body = std::move(plan.snapshot_body);
+  stash->wal_records = std::move(wal.records);
   if (options.eager_restore) {
     // The engine is brand new: its initial version has no observers, so
     // recovery rebuilds it in place.
-    EngineState& state = *g->CurrentState();
-    if (plan.has_snapshot) {
-      GRAPHITTI_RETURN_NOT_OK(g->RestoreFromSnapshotBody(plan.snapshot_body, state));
-    }
-    for (const persist::WalRecord& rec : wal_records) {
-      GRAPHITTI_RETURN_NOT_OK(g->ApplyWalRecord(rec, state));
-    }
-  } else if (plan.has_snapshot || !wal_records.empty()) {
+    GRAPHITTI_RETURN_NOT_OK(g->RecoverInto(*stash, *g->CurrentState()));
+  } else if (stash->has_snapshot || !stash->wal_records.empty()) {
     // Fast restart: the snapshot body is already CRC-verified, so decoding
     // it (and replaying the verified tail) is deferred to the first public
     // call — see EnsureHydrated/HydrateNow.
-    auto stash = std::make_unique<PendingRestore>();
-    stash->has_snapshot = plan.has_snapshot;
-    stash->snapshot_body = std::move(plan.snapshot_body);
-    stash->wal_records = std::move(wal_records);
     {
       // Boot-time (g is unshared), but the stash is hydrate-side state —
       // uncontended lock keeps the write statically provable.
@@ -891,6 +964,36 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
     (void)env->SyncDir(directory);
   }
   return g;
+}
+
+Status Graphitti::RecoverInto(const PendingRestore& input, EngineState& state) {
+  // Commit records decode first: their annotation, mark and node counts
+  // size the snapshot restore for snapshot plus tail, so the replayed
+  // batches below grow nothing the restore just sized exactly.
+  std::vector<CommitRecord> commits;
+  AnnotationStore::RestoreHeadroom tail;
+  for (const persist::WalRecord& rec : input.wal_records) {
+    if (rec.type != persist::WalRecordType::kCommitBatch) continue;
+    GRAPHITTI_ASSIGN_OR_RETURN(CommitRecord commit, DecodeCommitRecord(rec.payload));
+    tail.annotations += commit.builders.size();
+    for (const annotation::AnnotationBuilder& b : commit.builders) {
+      tail.marks += b.marks().size();
+      tail.nodes += 1 + b.marks().size() + b.ontology_refs().size();
+    }
+    commits.push_back(std::move(commit));
+  }
+  if (input.has_snapshot) {
+    GRAPHITTI_RETURN_NOT_OK(RestoreFromSnapshotBody(input.snapshot_body, tail, state));
+  }
+  auto next_commit = commits.begin();
+  for (const persist::WalRecord& rec : input.wal_records) {
+    if (hydrate_cancel_.cancelled()) return Status::Cancelled("hydration cancelled");
+    GRAPHITTI_RETURN_NOT_OK(rec.type == persist::WalRecordType::kCommitBatch
+                                ? ReplayCommitRecord(std::move(*next_commit++),
+                                                     state.store.get())
+                                : ApplyWalRecord(rec, state));
+  }
+  return Status::OK();
 }
 
 void Graphitti::DiscardPartialHydration() {
@@ -929,19 +1032,7 @@ Status Graphitti::HydrateNow() const {
   // the WAL, so nothing gets re-logged.
   std::unique_ptr<PendingRestore> stash = std::move(pending_restore_);
   Graphitti* self = const_cast<Graphitti*>(this);
-  EngineState& state = *CurrentState();
-  Status st;
-  if (stash->has_snapshot) st = self->RestoreFromSnapshotBody(stash->snapshot_body, state);
-  if (st.ok()) {
-    for (const persist::WalRecord& rec : stash->wal_records) {
-      if (hydrate_cancel_.cancelled()) {
-        st = Status::Cancelled("hydration cancelled");
-        break;
-      }
-      st = self->ApplyWalRecord(rec, state);
-      if (!st.ok()) break;
-    }
-  }
+  Status st = self->RecoverInto(*stash, *CurrentState());
   if (!st.ok()) {
     if (st.IsCancelled()) {
       // Cancellation is retryable, never sticky: throw away the half-built

@@ -19,7 +19,10 @@ namespace graphitti {
 namespace core {
 namespace walrec {
 
+/// One commit record for the annotations `builders[i]` just committed to
+/// `store` as `ids[i]` (`builders` points at ids.size() builders).
 std::string EncodeCommitBatch(const annotation::AnnotationStore& store,
+                              const annotation::AnnotationBuilder* builders,
                               const std::vector<annotation::AnnotationId>& ids);
 std::string EncodeRemove(annotation::AnnotationId id);
 std::string EncodeObject(const ObjectInfo& info, const relational::Row& row);

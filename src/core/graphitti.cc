@@ -541,7 +541,7 @@ util::Result<annotation::AnnotationId> Graphitti::Commit(
   const annotation::AnnotationId id = *out_id;
   if (env_ != nullptr) {
     GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kCommitBatch,
-                                      walrec::EncodeCommitBatch(*scratch->store, {id})));
+                                      walrec::EncodeCommitBatch(*scratch->store, &builder, {id})));
   }
   PublishOp(std::move(scratch), std::move(op));
   return id;
@@ -558,8 +558,9 @@ util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitBatch(
   GRAPHITTI_ASSIGN_OR_RETURN(std::vector<annotation::AnnotationId> ids,
                              scratch->store->CommitBatch(builders));
   if (env_ != nullptr && !ids.empty()) {
-    GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kCommitBatch,
-                                      walrec::EncodeCommitBatch(*scratch->store, ids)));
+    GRAPHITTI_RETURN_NOT_OK(
+        WalAppend(persist::WalRecordType::kCommitBatch,
+                  walrec::EncodeCommitBatch(*scratch->store, builders.data(), ids)));
   }
   if (builders.size() > kMaxReplayBatch) {
     // Replaying a bulk load onto the standby would double its cost;

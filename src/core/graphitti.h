@@ -576,12 +576,15 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
       REQUIRES(commit_mu_);
   /// Serializes one version (+ engine metadata) into a snapshot body.
   std::string EncodeSnapshotBody(const EngineState& state) const;
-  /// Rebuilds `state` from a snapshot body. Boot/recovery only: `state`
-  /// must be a freshly constructed version no reader can observe.
-  util::Status RestoreFromSnapshotBody(std::string_view body, EngineState& state);
-  /// Applies one WAL record to `state` during recovery (idempotent:
-  /// duplicate deliveries of already-applied records are skipped).
-  /// Boot/recovery only, like RestoreFromSnapshotBody.
+  /// Rebuilds `state` from a snapshot body, sizing the store for `tail`
+  /// more annotations on top. Boot/recovery only: `state` must be a freshly
+  /// constructed version no reader can observe.
+  util::Status RestoreFromSnapshotBody(std::string_view body,
+                                       const annotation::AnnotationStore::RestoreHeadroom& tail,
+                                       EngineState& state);
+  /// Applies one WAL record other than a commit record to `state` during
+  /// recovery (idempotent: duplicate deliveries of already-applied records
+  /// are skipped). Boot/recovery only, like RestoreFromSnapshotBody.
   util::Status ApplyWalRecord(const persist::WalRecord& record, EngineState& state);
   /// Shared recovery core for LoadFrom (read-only) and OpenDurable.
   static util::Result<std::unique_ptr<Graphitti>> RecoverBinary(
@@ -608,6 +611,13 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     std::string snapshot_body;
     std::vector<persist::WalRecord> wal_records;
   };
+
+  /// The one restore-then-replay routine, shared by eager open and
+  /// deferred hydration: decodes the tail's commit records, restores the
+  /// snapshot sized for snapshot plus tail, then replays the tail in log
+  /// order. Leaves `input` intact, so a cancelled hydration can retry.
+  /// Boot/recovery only, like RestoreFromSnapshotBody.
+  util::Status RecoverInto(const PendingRestore& input, EngineState& state);
 
   /// Fast path for the per-call hook: one relaxed-cost atomic load when the
   /// engine is hydrated (always, for non-durable/eager engines).

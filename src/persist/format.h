@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/result.h"
 #include "util/status.h"
@@ -109,6 +110,32 @@ class Decoder {
   util::Result<std::string> GetString() {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string_view s, GetStringView());
     return std::string(s);
+  }
+
+  /// Reads an element count (u32 or u64, as `Count` names) for a list
+  /// whose every element encodes to at least `min_element_size` bytes,
+  /// failing with kInternal when that many elements cannot fit in the
+  /// remaining bytes. Every count-prefixed loop reads its count here, so a
+  /// corrupt count fails the decode instead of driving a reserve() into
+  /// std::length_error or std::bad_alloc.
+  template <typename Count>
+  util::Result<Count> GetCount(size_t min_element_size) {
+    static_assert(std::is_same_v<Count, uint32_t> || std::is_same_v<Count, uint64_t>,
+                  "counts are encoded as u32 or u64");
+    Count n = 0;
+    if constexpr (std::is_same_v<Count, uint32_t>) {
+      GRAPHITTI_ASSIGN_OR_RETURN(n, GetU32());
+    } else {
+      GRAPHITTI_ASSIGN_OR_RETURN(n, GetU64());
+    }
+    if (min_element_size > 0 && n > remaining() / min_element_size) {
+      return util::Status::Internal("count " + std::to_string(n) + " at offset " +
+                                    std::to_string(pos_) + " needs at least " +
+                                    std::to_string(min_element_size) +
+                                    " bytes per element; " + std::to_string(remaining()) +
+                                    " remain");
+    }
+    return n;
   }
 
   bool Done() const { return pos_ == data_.size(); }

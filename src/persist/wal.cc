@@ -21,7 +21,8 @@ std::string EncodeHeader(uint64_t generation) {
   return enc.Take();
 }
 
-// Parses the 16-byte header; kInternal if magic/version are wrong.
+// Parses the 16-byte header: kInternal if it is short or its magic is
+// wrong, kUnsupported if it names a version this build does not read.
 Result<uint64_t> DecodeHeader(std::string_view data, const std::string& path) {
   if (data.size() < kWalHeaderSize) {
     return Status::Internal("WAL '" + path + "' shorter than its header");
@@ -32,8 +33,11 @@ Result<uint64_t> DecodeHeader(std::string_view data, const std::string& path) {
   Decoder dec(data.substr(4, 12));
   GRAPHITTI_ASSIGN_OR_RETURN(uint32_t version, dec.GetU32());
   if (version != kWalVersion) {
-    return Status::Internal("WAL '" + path + "' has unsupported version " +
-                            std::to_string(version));
+    return Status::Unsupported("WAL '" + path + "' has version " + std::to_string(version) +
+                               "; this build reads only version " +
+                               std::to_string(kWalVersion) +
+                               "; open it with the release that wrote it and SaveTo a "
+                               "new directory, whose snapshot this build reads");
   }
   return dec.GetU64();
 }

@@ -1,7 +1,7 @@
 // Append-only write-ahead log of committed mutations.
 //
 // File layout:
-//   header:  "GWAL" | u32 version (1) | u64 generation            (16 bytes)
+//   header:  "GWAL" | u32 version (2) | u64 generation            (16 bytes)
 //   record:  u32 len | u32 crc32c | u8 type | payload             (repeated)
 // where len = 1 + payload size and the CRC covers type + payload. Everything
 // is little-endian (persist/format.h).
@@ -32,7 +32,11 @@ namespace graphitti {
 namespace persist {
 
 inline constexpr char kWalMagic[4] = {'G', 'W', 'A', 'L'};
-inline constexpr uint32_t kWalVersion = 1;
+// Version 2 carries commit records as binary fields plus opaque content
+// XML (core/durability.cc); version 1 carried the content XML alone, which
+// replay had to parse. A WAL of any other version is refused as
+// kUnsupported, never replayed.
+inline constexpr uint32_t kWalVersion = 2;
 inline constexpr size_t kWalHeaderSize = 16;
 // Records larger than this are treated as torn (a length field of garbage
 // bytes would otherwise make the reader try to swallow gigabytes).
@@ -129,7 +133,7 @@ class WalWriter {
 /// Reads a WAL, stopping cleanly at the first torn record. Fails with
 /// kInternal only when the header itself is missing or malformed — a torn
 /// *record* is normal crash debris, a torn *header* means this was never a
-/// valid WAL.
+/// valid WAL — and with kUnsupported when it names another version.
 util::Result<WalContents> ReadWal(const Env& env, const std::string& path);
 
 }  // namespace persist

@@ -1,6 +1,7 @@
 #include "spatial/rect.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 namespace graphitti {
@@ -49,14 +50,37 @@ bool Rect::operator==(const Rect& other) const {
   return true;
 }
 
+namespace {
+
+// Appends `v` as printf's "%f" does: fixed notation, six decimals, which
+// std::to_chars defines by reference to printf. The buffer holds the
+// longest such text, -DBL_MAX's 317 characters.
+void AppendFixed6(std::string* out, double v) {
+  char buf[320];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 6);
+  out->append(buf, r.ptr);
+}
+
+}  // namespace
+
 std::string Rect::ToString() const {
-  std::string out = "[";
-  for (int d = 0; d < dims; ++d) {
-    if (d) out += " x ";
-    out += "(" + std::to_string(lo[d]) + "," + std::to_string(hi[d]) + ")";
-  }
-  out += "]";
+  std::string out;
+  AppendTo(&out);
   return out;
+}
+
+void Rect::AppendTo(std::string* out) const {
+  out->push_back('[');
+  for (int d = 0; d < dims; ++d) {
+    if (d) out->append(" x ");
+    out->push_back('(');
+    AppendFixed6(out, lo[d]);
+    out->push_back(',');
+    AppendFixed6(out, hi[d]);
+    out->push_back(')');
+  }
+  out->push_back(']');
 }
 
 }  // namespace spatial

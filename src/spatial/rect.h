@@ -93,7 +93,11 @@ struct Rect {
 
   bool operator==(const Rect& other) const;
 
+  /// "[(lo,hi) x (lo,hi)]", one pair per dimension, each bound in printf's
+  /// "%f" format (std::to_string's).
   std::string ToString() const;
+  /// Appends ToString()'s text to `out` (the a-graph label path).
+  void AppendTo(std::string* out) const;
 };
 
 }  // namespace spatial

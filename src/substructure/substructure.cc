@@ -1,6 +1,7 @@
 #include "substructure/substructure.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <string>
 
@@ -152,11 +153,24 @@ size_t SubstructureHash::operator()(const Substructure& sub) const {
   return static_cast<size_t>(h);
 }
 
+namespace {
+
+// Appends an integer in decimal, as std::to_string would, without the
+// temporary string.
+template <typename Int>
+void AppendInt(std::string* out, Int v) {
+  char buf[24];  // the longest 64-bit value, INT64_MIN, takes 20
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+}  // namespace
+
 std::string Substructure::ToString() const {
   std::string_view type_name = SubTypeToString(type_);
   std::string out;
   // One allocation for the common interval case: this string is built once
-  // per mark on bulk ingest (it is the referent dedup key).
+  // per new referent (its a-graph label), on ingest and on restore alike.
   out.reserve(type_name.size() + 1 + domain_.size() + 48);
   out += type_name;
   out += '@';
@@ -164,22 +178,22 @@ std::string Substructure::ToString() const {
   switch (type_) {
     case SubType::kInterval:
       out += '[';
-      out += std::to_string(interval_.lo);
+      AppendInt(&out, interval_.lo);
       out += ',';
-      out += std::to_string(interval_.hi);
+      AppendInt(&out, interval_.hi);
       out += ']';
       break;
     case SubType::kRegion:
-      out += rect_.ToString();
+      rect_.AppendTo(&out);
       break;
     default: {
-      out += "{";
+      out += '{';
       for (size_t i = 0; i < elements_.size() && i < 8; ++i) {
-        if (i) out += ",";
-        out += std::to_string(elements_[i]);
+        if (i) out += ',';
+        AppendInt(&out, elements_[i]);
       }
       if (elements_.size() > 8) out += ",...";
-      out += "}";
+      out += '}';
     }
   }
   return out;

@@ -25,6 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/graphitti.h"
 
 namespace graphitti {
@@ -676,6 +678,84 @@ TEST(ConcurrencyStressTest, SaveToRacingAWriterLoadsConsistentState) {
   for (const std::string& message : failures.Take()) ADD_FAILURE() << message;
   EXPECT_EQ(g.Stats().num_annotations, kWriterCycles);
   EXPECT_TRUE(g.ValidateIntegrity().ok());
+}
+
+// Content a restart replays from the WAL tail parks cold, like a restored
+// snapshot's, and hydrates on first access under the store's hydrate
+// mutex. Readers race each other through that first access while a writer
+// commits (cloning the store, cold entries included); every reader must
+// see every document whole.
+TEST(ConcurrencyStressTest, ReplayedColdContentHydratesUnderConcurrentReaders) {
+  constexpr size_t kSnapshot = 40;
+  constexpr size_t kTail = 60;
+  constexpr int kReaders = 4;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("graphitti_cold_race_" + std::to_string(::getpid()));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  auto cold = [](size_t i) {
+    AnnotationBuilder b;
+    b.Title("cold " + std::to_string(i)).Body("parked until read");
+    b.MarkInterval("chrC", static_cast<int64_t>(i) * 10, static_cast<int64_t>(i) * 10 + 5);
+    return b;
+  };
+  {
+    auto g = Graphitti::OpenDurable(dir.string());
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    std::vector<AnnotationBuilder> base;
+    for (size_t i = 0; i < kSnapshot; ++i) base.push_back(cold(i));
+    ASSERT_TRUE((*g)->CommitBatch(base).ok());
+    ASSERT_TRUE((*g)->Checkpoint().ok());
+    for (size_t i = kSnapshot; i < kSnapshot + kTail; ++i) {
+      ASSERT_TRUE((*g)->Commit(cold(i)).ok());
+    }
+  }
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < kSnapshot + kTail; ++i) {
+    expected.push_back("<dc:title>cold " + std::to_string(i) + "</dc:title>");
+  }
+
+  auto opened = Graphitti::OpenDurable(dir.string());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Graphitti& g = **opened;
+  Failures failures;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int round = 0; round < 5; ++round) {
+        auto res = g.Query(
+            "FIND FRAGMENTS ?a XPATH \"/annotation/dc:title\" WHERE { ?a CONTAINS \"cold\" }");
+        if (!res.ok()) {
+          failures.Add("query failed: " + res.status().ToString());
+          return;
+        }
+        std::vector<std::string> got;
+        for (const query::ResultItem& item : res->items) got.push_back(item.fragment);
+        if (got != expected) failures.Add("reader saw " + std::to_string(got.size()) +
+                                          " fragments, not the " +
+                                          std::to_string(expected.size()) + " logged");
+      }
+    });
+  }
+  std::thread writer([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < 20; ++i) {
+      AnnotationBuilder b;
+      b.Title("warm " + std::to_string(i)).MarkInterval("chrW", i, i + 1);
+      auto id = g.Commit(b);
+      if (!id.ok()) failures.Add("commit failed: " + id.status().ToString());
+    }
+  });
+  go.store(true);
+  for (std::thread& t : readers) t.join();
+  writer.join();
+  for (const std::string& message : failures.Take()) ADD_FAILURE() << message;
+  EXPECT_EQ(g.Stats().num_annotations, kSnapshot + kTail + 20);
+  EXPECT_TRUE(g.ValidateIntegrity().ok());
+  opened->reset();
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace

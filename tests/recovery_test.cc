@@ -6,12 +6,17 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <tuple>
 
 #include "core/graphitti.h"
 #include "core/workload.h"
 #include "persist/fault_env.h"
+#include "persist/format.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
+#include "xml/xml_parser.h"
 
 namespace graphitti {
 namespace core {
@@ -70,7 +75,8 @@ TEST(RecoveryTest, FreshOpenCommitsSurviveReopen) {
   EXPECT_EQ(g->annotations().Get(a1)->dc.title, "first");
   ASSERT_NE(g->annotations().Get(a2), nullptr);
   EXPECT_TRUE(g->ValidateIntegrity().ok());
-  // Replayed commits are fully hot: keyword search and content agree.
+  // Replayed commits index their fields at once (keyword search finds
+  // them); their content XML parks cold until first access.
   EXPECT_EQ(g->annotations().SearchKeyword("first").size(), 1u);
 }
 
@@ -452,6 +458,147 @@ TEST(RecoveryTest, DurableEngineRefusesMutate) {
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 }
 
+// --- Corrupt but CRC-valid input: hydration fails, nothing aborts ---
+
+// Opens `env`'s directory (deferred hydration must not look at the bytes)
+// and expects the first call to fail with kInternal and a second call to
+// return the same sticky status.
+void ExpectHydrationFailsInternal(FaultInjectionEnv* env, const std::string& what) {
+  DurabilityOptions opts;
+  opts.env = env;
+  auto g = Graphitti::OpenDurable(kDir, opts);
+  ASSERT_TRUE(g.ok()) << what << ": " << g.status().ToString();
+  auto first = (*g)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"x\" }");
+  ASSERT_FALSE(first.ok()) << what;
+  EXPECT_TRUE(first.status().IsInternal()) << what << ": " << first.status().ToString();
+  auto second = (*g)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"x\" }");
+  ASSERT_FALSE(second.ok()) << what;
+  EXPECT_EQ(second.status().ToString(), first.status().ToString()) << what;
+}
+
+// Writes wal-0 holding `records` after a fresh header.
+void WriteWal(FaultInjectionEnv* env, const std::vector<persist::WalRecord>& records) {
+  ASSERT_TRUE(env->CreateDirs(kDir).ok());
+  auto w = persist::WalWriter::Open(env, WalPath(0), 0, persist::WalOptions{});
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  for (const persist::WalRecord& rec : records) {
+    ASSERT_TRUE((*w)->AppendRecord(rec.type, rec.payload).ok());
+  }
+}
+
+TEST(RecoveryTest, SnapshotReferentCountBeyondBodyFailsHydration) {
+  // An empty engine's body up to the referent count, which claims 2^56
+  // referents: reserving for it would throw std::length_error.
+  persist::Encoder enc;
+  enc.PutU32(0);  // coordinate systems
+  enc.PutU32(0);  // tables (the built-ins already exist)
+  enc.PutU32(0);  // objects
+  enc.PutU64(1);  // next object id
+  enc.PutU32(0);  // ontologies
+  enc.PutU32(0);  // term names
+  enc.PutU32(0);  // keyword tokens
+  enc.PutU64(uint64_t{1} << 56);  // referents
+  FaultInjectionEnv env;
+  ASSERT_TRUE(env.CreateDirs(kDir).ok());
+  ASSERT_TRUE(persist::WriteSnapshotFile(&env, SnapshotPath(1), 1, enc.buffer()).ok());
+  ExpectHydrationFailsInternal(&env, "referent count 2^56");
+}
+
+TEST(RecoveryTest, CommitRecordCountBeyondPayloadFailsHydration) {
+  // A commit record claiming 2^32-1 annotations in a 4-byte payload:
+  // reserving for them would throw std::bad_alloc.
+  persist::Encoder enc;
+  enc.PutU32(0xFFFFFFFFu);
+  FaultInjectionEnv env;
+  WriteWal(&env, {{persist::WalRecordType::kCommitBatch, enc.Take()}});
+  ExpectHydrationFailsInternal(&env, "commit count 0xFFFFFFFF");
+}
+
+// Coordinate systems and objects that RichBuilder's marks refer to.
+struct RichObjects {
+  uint64_t seq = 0;
+  uint64_t protein = 0;
+};
+
+RichObjects RegisterRichObjects(Graphitti* g) {
+  EXPECT_TRUE(g->RegisterCoordinateSystem("atlas", 2).ok());
+  EXPECT_TRUE(g->RegisterCoordinateSystem("atlas3", 3).ok());
+  RichObjects o;
+  o.seq = *g->IngestDnaSequence("AF1", "H5N1", "flu:seg4", "ACGTACGT");
+  o.protein = *g->IngestDnaSequence("AF2", "H1N1", "flu:seg6", "TTGACA");
+  return o;
+}
+
+// Sets every field a commit record carries: all 13 Dublin Core fields and
+// user tags with XML-special characters, ontology refs, and marks of all
+// five substructure kinds with object ids, one of them marked twice.
+// `k` shifts the marks so different builders get different referents.
+AnnotationBuilder RichBuilder(const std::string& tag, int k, uint64_t object_id) {
+  annotation::DublinCore dc;
+  dc.title = "title <" + tag + "> & \"q\"";
+  dc.creator = "o'creator & co";
+  dc.subject = "<subject/>";
+  dc.description = "a > b && c < d";
+  dc.date = "2026-10-18";
+  dc.type = "Text";
+  dc.format = "text/xml; charset=\"utf-8\"";
+  dc.identifier = "urn:id:" + tag;
+  dc.source = "http://example.org/?a=1&b=2";
+  dc.language = "en";
+  dc.relation = "]]> <![CDATA[";
+  dc.coverage = "chr1:1-100";
+  dc.rights = "(c) 'all' <rights>";
+  AnnotationBuilder b;
+  b.DublinCoreFields(dc).Body("body of " + tag + " with <markup> & \"quotes\"");
+  b.UserTag("note", "x < y & 'z' > \"w\"");
+  b.UserTag("blank", "");
+  b.OntologyReference("go", "GO:000" + std::to_string(k % 3));
+  b.OntologyReference("so", "SO:" + tag);
+  const int64_t lo = 10 + 100 * k;
+  b.MarkInterval("flu:seg4", lo, lo + 10, object_id);
+  b.MarkRegion("atlas", spatial::Rect::Make2D(0.5 + k, -1.25, 3.75 + k, 4), object_id);
+  b.MarkRegion("atlas3", spatial::Rect::Make3D(-0.0, k, 1e-7, 2, k + 1.5, 3), object_id);
+  b.MarkNodeSet("ppi", {3, 1, static_cast<uint64_t>(k) + 10}, object_id);
+  b.MarkBlockSet("dna_sequences", {0, static_cast<uint64_t>(k) + 1}, object_id);
+  b.MarkClade("flu-tree", {7, 8, static_cast<uint64_t>(k) + 20}, object_id);
+  b.MarkInterval("flu:seg4", lo, lo + 10, object_id);  // duplicate mark
+  return b;
+}
+
+TEST(RecoveryTest, EveryCommitRecordPrefixFailsHydration) {
+  // A valid commit record carrying every field kind, from a live engine.
+  std::vector<persist::WalRecord> records;
+  {
+    FaultInjectionEnv env;
+    {
+      auto g = MustOpen(&env);
+      RichObjects o = RegisterRichObjects(g.get());
+      ASSERT_TRUE(g->Commit(RichBuilder("prefix", 1, o.seq)).ok());
+    }
+    auto wal = persist::ReadWal(env, WalPath(0));
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    records = std::move(wal->records);
+  }
+  ASSERT_FALSE(records.empty());
+  ASSERT_EQ(records.back().type, persist::WalRecordType::kCommitBatch);
+  const std::string payload = records.back().payload;
+  {
+    // The whole record replays; only its strict prefixes must fail.
+    FaultInjectionEnv env;
+    WriteWal(&env, records);
+    auto g = MustOpen(&env);
+    EXPECT_EQ(g->Stats().num_annotations, 1u);
+  }
+  for (size_t len = 0; len < payload.size(); ++len) {
+    FaultInjectionEnv env;
+    records.back().payload = payload.substr(0, len);
+    WriteWal(&env, records);
+    ExpectHydrationFailsInternal(&env, "commit record prefix of " + std::to_string(len) +
+                                           " of " + std::to_string(payload.size()) +
+                                           " bytes");
+  }
+}
+
 // --- Real-filesystem cases: SaveTo/LoadFrom share the durable format ---
 
 class RecoveryFsTest : public ::testing::Test {
@@ -555,6 +702,159 @@ TEST_F(RecoveryFsTest, LegacyXmlDirectoryIsRefused) {
   EXPECT_TRUE(Graphitti::OpenDurable(dir_.string()).status().IsUnsupported());
   EXPECT_TRUE(fs::exists(dir_ / "manifest.txt"));
   EXPECT_FALSE(fs::exists(dir_ / persist::WalFileName(0)));
+}
+
+// Every file in `dir` by name, with its bytes.
+std::map<std::string, std::string> DirContents(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    out[e.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+TEST_F(RecoveryFsTest, Version1WalIsRefused) {
+  // A version-1 WAL carries commit records this build cannot decode. Next
+  // to a valid snapshot, neither entry point may replay it or start over
+  // it, and no file changes.
+  {
+    auto g = Graphitti::OpenDurable(dir_.string());
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    CommitOne(g->get(), "in snapshot");
+    ASSERT_TRUE((*g)->Checkpoint().ok());
+    CommitOne(g->get(), "in tail");
+  }
+  const fs::path wal = dir_ / persist::WalFileName(1);
+  {
+    std::fstream f(wal, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);  // the u32 version after the magic
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, 4);
+  }
+  const std::map<std::string, std::string> before = DirContents(dir_);
+  ASSERT_EQ(before.size(), 2u);
+
+  auto loaded = Graphitti::LoadFrom(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsUnsupported()) << loaded.status().ToString();
+  auto opened = Graphitti::OpenDurable(dir_.string());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsUnsupported()) << opened.status().ToString();
+  for (const util::Status& st : {loaded.status(), opened.status()}) {
+    EXPECT_NE(st.ToString().find("version 1"), std::string::npos) << st.ToString();
+    EXPECT_NE(st.ToString().find("version 2"), std::string::npos) << st.ToString();
+  }
+  EXPECT_EQ(DirContents(dir_), before);
+}
+
+// Everything a replayed engine must agree on with the live one.
+struct EngineImage {
+  std::string agraph;
+  std::map<annotation::AnnotationId, std::string> contents;
+  std::vector<std::tuple<annotation::ReferentId, size_t, uint64_t, std::string>> referents;
+
+  bool operator==(const EngineImage& o) const {
+    return agraph == o.agraph && contents == o.contents && referents == o.referents;
+  }
+};
+
+EngineImage ImageOf(const Graphitti& g) {
+  EngineImage img;
+  img.agraph = g.ExportAGraph();
+  const annotation::AnnotationStore& store = g.annotations();
+  store.ForEachAnnotation([&](annotation::AnnotationId id, const annotation::Annotation& a) {
+    img.contents[id] = store.ContentXml(a);
+  });
+  store.ForEachReferent([&](annotation::ReferentId id, const annotation::Referent& r) {
+    img.referents.emplace_back(id, r.refcount, r.object_id, r.substructure.ToString());
+  });
+  return img;
+}
+
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+TEST_F(RecoveryFsTest, CommitRecordFieldsSurviveReplay) {
+  FaultInjectionEnv env;
+  EngineImage live;
+  std::vector<annotation::AnnotationId> tail_kept;
+  {
+    auto g = MustOpen(&env);
+    RichObjects o = RegisterRichObjects(g.get());
+    // In the snapshot: an interval with no object, which a tail commit
+    // later adopts, and an annotation the tail removes.
+    AnnotationBuilder unowned;
+    unowned.Title("unowned").MarkInterval("flu:seg4", 5000, 5100);
+    ASSERT_TRUE(g->Commit(unowned).ok());
+    auto doomed = g->Commit(RichBuilder("snapshot", 0, o.seq));
+    ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+    ASSERT_TRUE(g->Checkpoint().ok());
+
+    // The tail: a single commit, a batch, adoptions, removes.
+    auto one = g->Commit(RichBuilder("one", 1, o.seq));
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    auto batch = g->CommitBatch({RichBuilder("two", 2, o.protein), RichBuilder("three", 1, 0),
+                                 RichBuilder("four", 4, 0)});
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    AnnotationBuilder adopt_snapshot;
+    adopt_snapshot.Title("adopts snapshot referent").MarkInterval("flu:seg4", 5000, 5100, o.seq);
+    auto adopt1 = g->Commit(adopt_snapshot);
+    ASSERT_TRUE(adopt1.ok());
+    // "four" marked its referents with no object; this adopts them.
+    auto adopt2 = g->Commit(RichBuilder("five", 4, o.protein));
+    ASSERT_TRUE(adopt2.ok());
+    ASSERT_TRUE(g->RemoveAnnotation(*doomed).ok());
+    ASSERT_TRUE(g->RemoveAnnotation((*batch)[0]).ok());
+    tail_kept = {*one, (*batch)[1], (*batch)[2], *adopt1, *adopt2};
+
+    const annotation::Referent* adopted = g->annotations().GetReferent(
+        *g->annotations().FindReferent(substructure::Substructure::MakeInterval(
+            "flu:seg4", spatial::Interval(5000, 5100))));
+    ASSERT_NE(adopted, nullptr);
+    EXPECT_EQ(adopted->object_id, o.seq);
+    ASSERT_TRUE(g->ValidateIntegrity().ok());
+    live = ImageOf(*g);
+    ASSERT_TRUE(g->SaveTo((dir_ / "live").string()).ok());
+  }
+  const std::string live_save = ReadBytes(dir_ / "live" / persist::SnapshotFileName(1));
+  ASSERT_FALSE(live_save.empty());
+
+  for (bool eager : {false, true}) {
+    SCOPED_TRACE(eager ? "eager" : "deferred");
+    DurabilityOptions opts;
+    opts.env = &env;
+    opts.eager_restore = eager;
+    auto opened = Graphitti::OpenDurable(kDir, opts);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Graphitti& g = **opened;
+    EXPECT_TRUE(ImageOf(g) == live);
+    EXPECT_TRUE(g.ValidateIntegrity().ok());
+    const fs::path save = dir_ / (eager ? "eager" : "deferred");
+    ASSERT_TRUE(g.SaveTo(save.string()).ok());
+    EXPECT_TRUE(ReadBytes(save / persist::SnapshotFileName(1)) == live_save);
+
+    // The tail's content is cold until an XQuery reads the collection,
+    // which hydrates it: each document is the logged XML parsed.
+    auto hits = g.annotations().XQuerySearch(
+        "for $a in collection()/annotation where contains($a/body, 'quotes') return $a");
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    std::vector<annotation::AnnotationId> expected = tail_kept;
+    expected.erase(std::remove(expected.begin(), expected.end(), tail_kept[3]), expected.end());
+    EXPECT_EQ(*hits, expected);
+    EngineImage hydrated = ImageOf(g);
+    EXPECT_EQ(hydrated.agraph, live.agraph);
+    EXPECT_TRUE(hydrated.referents == live.referents);
+    ASSERT_EQ(hydrated.contents.size(), live.contents.size());
+    for (const auto& [id, xml] : live.contents) {
+      auto parsed = xml::ParseXml(xml);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(hydrated.contents[id], parsed->ToString(false)) << "annotation " << id;
+    }
+  }
 }
 
 }  // namespace

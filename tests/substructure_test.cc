@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdint>
+#include <limits>
+
 #include "spatial/index_manager.h"
 #include "substructure/operators.h"
 #include "substructure/substructure.h"
@@ -65,6 +69,40 @@ TEST(SubstructureTest, EqualityAndToString) {
 }
 
 // --- ifOverlap ---
+
+// Labels reach a-graph exports and REFERENTS/GRAPH answers, and are
+// embedded in stored content XML, so their text is pinned: region bounds
+// in printf's "%f" format (six decimals, no exponent), interval bounds in
+// full decimal.
+TEST(SubstructureTest, LabelTextIsPrintfFormat) {
+  EXPECT_EQ(Substructure::MakeRegion("atlas", Rect::Make2D(0.5, -2.25, 1e20, 3)).ToString(),
+            "region@atlas[(0.500000,100000000000000000000.000000) x (-2.250000,3.000000)]");
+  EXPECT_EQ(Substructure::MakeRegion("atlas", Rect::Make2D(-0.0, 1.0 / 3, 0.0, 2.0 / 3))
+                .ToString(),
+            "region@atlas[(-0.000000,0.000000) x (0.333333,0.666667)]");
+  EXPECT_EQ(Substructure::MakeRegion("atlas3", Rect::Make3D(-7.125, 1e-7, -1, 2.5, 6e-7, 0))
+                .ToString(),
+            "region@atlas3[(-7.125000,2.500000) x (0.000000,0.000001) x (-1.000000,0.000000)]");
+  EXPECT_EQ(Substructure::MakeInterval("chr1", Interval(INT64_MIN, INT64_MAX)).ToString(),
+            "interval@chr1[-9223372036854775808,9223372036854775807]");
+  EXPECT_EQ(Substructure::MakeInterval("chr1", Interval(-5, 0)).ToString(),
+            "interval@chr1[-5,0]");
+  EXPECT_EQ(Substructure::MakeNodeSet("g", {1, 2, 3, 4, 5, 6, 7, 8, UINT64_MAX}).ToString(),
+            "node-set@g{1,2,3,4,5,6,7,8,...}");
+  EXPECT_EQ(Substructure::MakeTreeClade("t", {UINT64_MAX}).ToString(),
+            "tree-clade@t{18446744073709551615}");
+  // Extremes of the double range, one bound per dimension.
+  Rect wide;
+  wide.dims = 2;
+  wide.lo = {-DBL_MAX, 5e-324, 0};
+  wide.hi = {DBL_MAX, std::numeric_limits<double>::infinity(), 0};
+  const std::string max_digits =
+      "179769313486231570814527423731704356798070567525844996598917476803157260780028538760"
+      "589558632766878171540458953514382464234321326889464182768467546703537516986049910576"
+      "551282076245490090389328944075868508455133942304583236903222948165808559332123348274"
+      "797826204144723168738177180919299881250404026184124858368.000000";
+  EXPECT_EQ(wide.ToString(), "[(-" + max_digits + "," + max_digits + ") x (0.000000,inf)]");
+}
 
 TEST(IfOverlapTest, Intervals) {
   Substructure a = Substructure::MakeInterval("chr1", Interval(0, 10));
