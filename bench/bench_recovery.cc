@@ -300,10 +300,11 @@ void BM_Recovery_Checkpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_Recovery_Checkpoint)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 
-// The small-batch BulkLoad cliff: incremental per-entry inserts versus the
-// unconditional drain-and-rebuild, appending `batch` entries to a 100k-entry
-// interval tree.
-void SmallBatchBulkLoad(benchmark::State& state, size_t factor) {
+// The small-batch BulkLoad cliff: appending `batch` entries to a 100k-entry
+// interval tree. Batches up to 1/16 of the tree (6250 entries) take
+// per-entry inserts; 8192 is above the threshold and takes the
+// drain-and-rebuild, so the series measures both sides.
+void BM_SmallBatchBulkLoad_Fallback(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   constexpr size_t kBase = 100000;
   Rng rng(37);
@@ -317,7 +318,6 @@ void SmallBatchBulkLoad(benchmark::State& state, size_t factor) {
   for (auto _ : state) {
     state.PauseTiming();
     graphitti::spatial::IndexManager mgr;
-    mgr.set_small_batch_factor(factor);
     if (!mgr.BulkLoadIntervals("chr1", base).ok()) std::abort();
     std::vector<IntervalEntry> entries;
     entries.reserve(batch);
@@ -330,21 +330,11 @@ void SmallBatchBulkLoad(benchmark::State& state, size_t factor) {
   }
   state.counters["batch"] = static_cast<double>(batch);
 }
-void BM_SmallBatchBulkLoad_Fallback(benchmark::State& state) {
-  SmallBatchBulkLoad(state, 16);
-}
-void BM_SmallBatchBulkLoad_RebuildAlways(benchmark::State& state) {
-  SmallBatchBulkLoad(state, 0);
-}
 BENCHMARK(BM_SmallBatchBulkLoad_Fallback)
     ->Arg(8)
     ->Arg(64)
     ->Arg(512)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SmallBatchBulkLoad_RebuildAlways)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(512)
+    ->Arg(8192)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

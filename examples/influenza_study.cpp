@@ -52,6 +52,10 @@ int main() {
       .OntologyReference("flu", "FLU:1");
   std::printf("XML preview before commit:\n%s", b.BuildContentXml()->ToString().c_str());
   auto ann = g.Commit(b);
+  if (!ann.ok()) {
+    std::fprintf(stderr, "commit failed: %s\n", ann.status().ToString().c_str());
+    return 1;
+  }
   std::printf("committed annotation %llu\n\n", static_cast<unsigned long long>(*ann));
 
   // --- Figure 1: indirect relatedness through shared referents.

@@ -45,6 +45,10 @@ int main() {
                   corpus->image_objects[3])
       .OntologyReference(corpus->ontology_name, "NIF:1");
   auto ann = g.Commit(b);
+  if (!ann.ok()) {
+    std::fprintf(stderr, "commit failed: %s\n", ann.status().ToString().c_str());
+    return 1;
+  }
   std::printf("committed 50um-space region annotation %llu\n\n",
               static_cast<unsigned long long>(*ann));
 

@@ -31,7 +31,7 @@ AnnotationStore::AnnotationStore(spatial::IndexManager* indexes, agraph::AGraph*
 
 util::Result<ReferentId> AnnotationStore::InternReferent(
     const substructure::Substructure& sub, uint64_t object_id, BatchStaging* staging,
-    uint32_t* node_index, MarkUndo* undo) {
+    uint32_t* node_index) {
   if (!sub.valid()) {
     return util::Status::InvalidArgument("invalid substructure: " + sub.ToString());
   }
@@ -39,15 +39,8 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
   if (it != referent_by_key_.end()) {
     Referent& ref = referents_[it->second];
     ++ref.refcount;
-    if (ref.object_id == 0 && object_id != 0) {
-      // Object-id adoption mutates a *shared* referent; record it so a
-      // caller whose commit later fails can restore the pre-commit state.
-      if (undo != nullptr) undo->adoptions.push_back(it->second);
-      ref.object_id = object_id;
-    }
-    if (node_index != nullptr) {
-      *node_index = graph_->EnsureNodeIndex(ReferentNode(it->second));
-    }
+    if (ref.object_id == 0 && object_id != 0) ref.object_id = object_id;
+    *node_index = graph_->EnsureNodeIndex(ReferentNode(it->second));
     return it->second;
   }
 
@@ -55,28 +48,19 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
 
   // Spatial kinds join the shared per-domain index; this is where the
   // "one interval tree per chromosome / one R-tree per coordinate system"
-  // policy is applied. Validation errors (unknown coordinate system,
-  // invalid rect) surface here, before any state change. A batch defers
-  // the insertion into per-domain accumulators (flushed as one bulk build
-  // per domain) but canonicalizes regions now, so flush cannot fail.
+  // policy is applied. The entry is staged into a per-domain accumulator
+  // (flushed as one bulk load per domain), but regions canonicalize now,
+  // so the flush cannot fail.
   switch (sub.type()) {
     case substructure::SubType::kInterval:
-      if (staging != nullptr) {
-        staging->intervals[sub.domain()].push_back({sub.interval(), id});
-      } else {
-        GRAPHITTI_RETURN_NOT_OK(indexes_->AddInterval(sub.domain(), sub.interval(), id));
-      }
+      staging->intervals[sub.domain()].push_back({sub.interval(), id});
       break;
-    case substructure::SubType::kRegion:
-      if (staging != nullptr) {
-        GRAPHITTI_ASSIGN_OR_RETURN(
-            auto canonical,
-            indexes_->coordinate_systems().ToCanonical(sub.domain(), sub.rect()));
-        staging->regions[canonical.first].push_back({canonical.second, id});
-      } else {
-        GRAPHITTI_RETURN_NOT_OK(indexes_->AddRegion(sub.domain(), sub.rect(), id));
-      }
+    case substructure::SubType::kRegion: {
+      GRAPHITTI_ASSIGN_OR_RETURN(
+          auto canonical, indexes_->coordinate_systems().ToCanonical(sub.domain(), sub.rect()));
+      staging->regions[canonical.first].push_back({canonical.second, id});
       break;
+    }
     default:
       break;  // set-typed referents are stored in the referent table only
   }
@@ -92,14 +76,10 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
   referents_by_domain_[sub.domain()].push_back(id);
 
   agraph::NodeRef node = ReferentNode(id);
-  uint32_t idx = graph_->EnsureNodeIndex(node, sub.ToString());
-  if (node_index != nullptr) *node_index = idx;
+  *node_index = graph_->EnsureNodeIndex(node, sub.ToString());
   referent_by_key_.emplace(sub, id);
   if (object_id != 0) {
     agraph::NodeRef object_node = agraph::NodeRef::Object(object_id);
-    if (undo != nullptr && !graph_->HasNode(object_node)) {
-      undo->created_object_nodes.push_back(object_node);
-    }
     graph_->EnsureNode(object_node);
     (void)graph_->AddEdge(node, object_node, kEdgeOfObject);
   }
@@ -136,138 +116,54 @@ void AnnotationStore::ReleaseReferent(ReferentId id) {
 
 util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& builder,
                                                    AnnotationId forced_id) {
-  if (builder.marks().empty()) {
-    return util::Status::InvalidArgument(
-        "an annotation must mark at least one referent (it is a linker object)");
-  }
-  if (forced_id != 0 && annotations_.count(forced_id) > 0) {
-    return util::Status::AlreadyExists("annotation id " + std::to_string(forced_id) +
-                                       " already in use");
-  }
-  AnnotationId id = forced_id != 0 ? forced_id : next_annotation_id_;
-  GRAPHITTI_ASSIGN_OR_RETURN(xml::XmlDocument content, builder.BuildContentXml(id));
-
-  // Validate all marks before mutating shared state, so a bad mark cannot
-  // leave earlier marks half-committed.
-  for (const auto& [sub, object_id] : builder.marks()) {
-    (void)object_id;
-    if (!sub.valid()) {
-      return util::Status::InvalidArgument("invalid marked substructure: " + sub.ToString());
-    }
-    if (sub.type() == substructure::SubType::kRegion &&
-        !indexes_->coordinate_systems().Contains(sub.domain())) {
-      return util::Status::NotFound("coordinate system '" + sub.domain() +
-                                    "' not registered");
-    }
-  }
-
-  Annotation ann;
-  ann.id = id;
-  ann.dc = builder.dc();
-  ann.body = builder.body();
-  ann.user_tags = builder.user_tags();
-  ann.ontology_refs = builder.ontology_refs();
-  ann.content = std::move(content);
-
-  agraph::NodeRef content_node = ContentNode(id);
-  graph_->EnsureNode(content_node,
-                     ann.dc.title.empty() ? ("annotation-" + std::to_string(id))
-                                          : ann.dc.title);
-
-  MarkUndo undo;
-  for (const auto& [sub, object_id] : builder.marks()) {
-    util::Result<ReferentId> rid_or =
-        InternReferent(sub, object_id, nullptr, nullptr, &undo);
-    if (!rid_or.ok()) {
-      // A mark can still fail after the up-front checks (e.g. a region
-      // whose rect dims mismatch its registered coordinate system, caught
-      // at canonicalization). Roll back everything staged for this
-      // annotation — release the referents interned so far (dropping
-      // index entries and a-graph nodes for the ones this commit created)
-      // and the content node — so a failed Commit leaves the store
-      // exactly as it was.
-      for (auto rit = ann.referents.rbegin(); rit != ann.referents.rend(); ++rit) {
-        ReleaseReferent(*rit);
-      }
-      // Shared referents whose object id this commit adopted (they had
-      // none) go back to unowned; referents released to zero above are
-      // simply gone from the map.
-      for (ReferentId rid : undo.adoptions) {
-        auto ar = referents_.find(rid);
-        if (ar != referents_.end()) ar->second.object_id = 0;
-      }
-      // Object nodes this commit created are isolated by now (their only
-      // edges came from referents released above) — remove them too.
-      for (const agraph::NodeRef& obj : undo.created_object_nodes) {
-        (void)graph_->RemoveNode(obj);
-      }
-      (void)graph_->RemoveNode(content_node);
-      return rid_or.status();
-    }
-    ReferentId rid = *rid_or;
-    // Skip duplicate referent links within one annotation.
-    if (std::find(ann.referents.begin(), ann.referents.end(), rid) != ann.referents.end()) {
-      // InternReferent already bumped the refcount; undo the extra count.
-      auto it = referents_.find(rid);
-      if (it != referents_.end() && it->second.refcount > 1) --it->second.refcount;
-      continue;
-    }
-    ann.referents.push_back(rid);
-    (void)graph_->AddEdge(content_node, ReferentNode(rid), kEdgeAnnotates);
-  }
-
-  for (const OntologyRef& oref : ann.ontology_refs) {
-    agraph::NodeRef term_node = TermNode(oref.Qualified());
-    (void)graph_->AddEdge(content_node, term_node, kEdgeRefersTo);
-  }
-
-  IndexContentText(id, ann);
-  annotations_.emplace(id, std::move(ann));
-  next_annotation_id_ = std::max(next_annotation_id_, id + 1);
-  return id;
+  const std::vector<AnnotationId> forced =
+      forced_id == 0 ? std::vector<AnnotationId>() : std::vector<AnnotationId>{forced_id};
+  GRAPHITTI_ASSIGN_OR_RETURN(std::vector<AnnotationId> ids,
+                             CommitBatchImpl(&builder, 1, forced, nullptr, /*consume=*/false));
+  return ids.front();
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatch(
-    const std::vector<AnnotationBuilder>& builders,
+    const AnnotationBuilder* builders, size_t count,
     const std::vector<AnnotationId>& forced_ids) {
-  return CommitBatchImpl(builders, forced_ids, nullptr, /*consume=*/false);
+  return CommitBatchImpl(builders, count, forced_ids, nullptr, /*consume=*/false);
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatch(
     std::vector<AnnotationBuilder>&& builders,
     const std::vector<AnnotationId>& forced_ids,
     std::vector<std::string>* cold_contents) {
-  return CommitBatchImpl(builders, forced_ids, cold_contents, /*consume=*/true);
+  return CommitBatchImpl(builders.data(), builders.size(), forced_ids, cold_contents,
+                         /*consume=*/true);
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
-    const std::vector<AnnotationBuilder>& builders,
+    const AnnotationBuilder* builders, size_t count,
     const std::vector<AnnotationId>& forced_ids,
     std::vector<std::string>* cold_contents, bool consume) {
   std::vector<AnnotationId> ids;
-  if (builders.empty()) return ids;
-  if (!forced_ids.empty() && forced_ids.size() != builders.size()) {
+  if (count == 0) return ids;
+  if (!forced_ids.empty() && forced_ids.size() != count) {
     return util::Status::InvalidArgument(
         "forced_ids must be empty or have one entry per builder");
   }
-  if (cold_contents != nullptr && cold_contents->size() != builders.size()) {
+  if (cold_contents != nullptr && cold_contents->size() != count) {
     return util::Status::InvalidArgument(
         "cold_contents must be null or have one entry per builder");
   }
 
   // --- Validate. Nothing in this block touches shared state, so any error
-  // rejects the whole batch with the store untouched. Id assignment mirrors
-  // a loop of Commit exactly: forced ids jump the counter forward, fresh
-  // ids continue from it.
-  ids.reserve(builders.size());
+  // rejects the whole batch with the store untouched. Forced ids jump the
+  // id counter forward; fresh ids continue from it.
+  ids.reserve(count);
   std::vector<xml::XmlDocument> contents;
-  if (cold_contents == nullptr) contents.reserve(builders.size());
+  if (cold_contents == nullptr) contents.reserve(count);
   std::unordered_set<AnnotationId> assigned;
-  assigned.reserve(builders.size());
+  assigned.reserve(count);
   uint64_t next_id = next_annotation_id_;
   size_t node_estimate = 0;
   size_t total_marks = 0;
-  for (size_t i = 0; i < builders.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     const AnnotationBuilder& b = builders[i];
     if (b.marks().empty()) {
       return util::Status::InvalidArgument(
@@ -329,7 +225,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   // to the store, because a WAL tail replays one batch per record.
   graph_->Reserve(node_estimate);
   ReserveAmortized(&referent_by_key_, total_marks);
-  ReserveAmortized(&lower_text_, builders.size());
+  ReserveAmortized(&lower_text_, count);
   BatchStaging staging;
   // Token posting appends go straight onto the shared lists, which stay
   // sorted while ids arrive ascending and above every id already listed —
@@ -346,7 +242,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
   // dense index so the per-mark path never re-hashes refs or labels.
   const uint32_t annotates_label = graph_->InternEdgeLabel(kEdgeAnnotates);
   const uint32_t refers_to_label = graph_->InternEdgeLabel(kEdgeRefersTo);
-  for (size_t i = 0; i < builders.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     const AnnotationBuilder& b = builders[i];
     AnnotationId id = ids[i];
     Annotation ann;
@@ -394,8 +290,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
                              refers_to_label);
     }
 
-    // One-pass keyword accumulation: tokens are interned now but postings
-    // are merged once at flush instead of appended per commit.
+    // Postings append in place; see sorted_prefix above for the repair.
     size_t content_len = TokenizeForIndex(ann, &text_buf, &words);
     lower_text_.emplace(id, std::string(text_buf.data(), content_len));
     for (std::string_view w : words) {
@@ -526,13 +421,12 @@ size_t AnnotationStore::TokenizeForIndex(const Annotation& ann, std::string* tex
                                          std::vector<std::string_view>* words) {
   std::string& text = *text_buf;
   text.clear();
-  // The content document's text nodes are exactly the annotation's field
-  // values in build order — dc fields, body, user-tag values (content is
-  // always BuildContentXml's output; see CommitBatch's cold-content
-  // contract) — so the search text is assembled from the contiguous struct
-  // fields instead of a pointer-chasing DOM walk. Semantics match
-  // CollectTextSeparated over the built DOM, including the empty-tag-value
-  // separator case.
+  // The content document's text is the annotation's field values in build
+  // order — dc fields, body, user-tag values (content is always
+  // BuildContentXml's output; see CommitBatch's cold-content contract) — so
+  // the search text is assembled from the contiguous struct fields instead
+  // of a pointer-chasing DOM walk. An empty user-tag value still adds its
+  // separator.
   ann.dc.AppendValuesSeparated(&text);
   if (!ann.body.empty()) {
     if (!text.empty()) text.push_back(' ');
@@ -544,7 +438,7 @@ size_t AnnotationStore::TokenizeForIndex(const Annotation& ann, std::string* tex
     text.append(v);
   }
   // One lower-casing pass over the content, in place; the buffer then
-  // serves both the phrase cache (the commit paths copy the content
+  // serves both the phrase cache (the commit pipeline copies the content
   // prefix into lower_text_) and tokenization (TokenizeWordViews does no
   // case folding of its own).
   for (char& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -573,26 +467,6 @@ uint32_t AnnotationStore::InternToken(std::string_view w) {
   uint32_t tid = token_ids_.Intern(w);
   if (tid == postings_.size()) postings_.emplace_back();
   return tid;
-}
-
-void AnnotationStore::IndexContentText(AnnotationId id, const Annotation& ann) {
-  std::string text_buf;
-  std::vector<std::string_view> words;
-  size_t content_len = TokenizeForIndex(ann, &text_buf, &words);
-  // Phrase search matches the serialized content only (not tags/terms),
-  // case-insensitively; cache the lower-cased form once at commit.
-  lower_text_.emplace(id, std::string(text_buf.data(), content_len));
-  for (std::string_view w : words) {
-    uint32_t tid = InternToken(w);
-    std::vector<AnnotationId>& posting = postings_[tid];
-    // Ids normally arrive ascending; forced ids (persistence replay) may
-    // not, so keep the posting sorted either way.
-    if (posting.empty() || posting.back() < id) {
-      posting.push_back(id);
-    } else {
-      posting.insert(std::upper_bound(posting.begin(), posting.end(), id), id);
-    }
-  }
 }
 
 void AnnotationStore::UnindexContentText(AnnotationId id, const Annotation& ann) {

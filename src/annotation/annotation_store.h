@@ -1,6 +1,6 @@
 // AnnotationStore: the commit pipeline and search surface over annotations.
 //
-// Commit wires the three §II structures together:
+// A commit wires the three §II structures together:
 //   1. the content XML joins the document collection (searchable via
 //      keyword index, XPath and XQuery),
 //   2. each marked substructure becomes (or reuses) a Referent and is
@@ -8,14 +8,16 @@
 //   3. content/referent/term/object nodes and labeled edges are added to
 //      the a-graph.
 //
-// Thread-safety: the store performs no synchronization of its own; the
-// owning core::Graphitti runs Commit/Remove on its gate's exclusive side
-// and everything else on the shared side. The store keeps that split
-// clean by building ALL read-acceleration state eagerly at commit time —
-// keyword postings, the per-annotation lowercase text that phrase search
-// scans (lower_text_), the per-domain referent index — so no const search
+// Thread-safety: the store performs no synchronization of its own beyond
+// cold-content hydration (hydrate_mu_). The owning core::Graphitti runs
+// every commit and removal on an unpublished scratch version under its
+// commit mutex, and serves reads from published versions that no writer
+// mutates again (util/epoch.h). The store keeps that split clean by
+// building ALL read-acceleration state eagerly at commit time — keyword
+// postings, the per-annotation lowercase text that phrase search scans
+// (lower_text_), the per-domain referent index — so no const search
 // method ever writes. The one non-const lookup, TermNode (creates the
-// term node on first use), is only called from Commit.
+// term node on first use), is only called from the commit path.
 #ifndef GRAPHITTI_ANNOTATION_ANNOTATION_STORE_H_
 #define GRAPHITTI_ANNOTATION_ANNOTATION_STORE_H_
 
@@ -62,38 +64,32 @@ class AnnotationStore {
 
   // --- Commit / remove ---
 
-  /// Commits a built annotation: assigns ids, materializes the XML, indexes
-  /// substructures (deduplicating identical marks into shared referents),
-  /// and extends the a-graph. Errors are validated up front (invalid marks,
-  /// unknown coordinate systems); a failure that can only surface mid-way
-  /// through the marks loop (e.g. a region whose rect dims mismatch its
-  /// registered coordinate system) rolls back the referents and content
-  /// node staged for this annotation, so a failed Commit never leaves the
-  /// store half-mutated. `forced_id` (non-zero) preserves a persisted id;
-  /// it must not collide with an existing annotation.
+  /// Commits a built annotation: a batch of one through CommitBatch's
+  /// pipeline. `forced_id` (non-zero) preserves a persisted id; it must not
+  /// collide with an existing annotation.
   util::Result<AnnotationId> Commit(const AnnotationBuilder& builder,
                                     AnnotationId forced_id = 0);
 
-  /// Commits a batch of annotations through the bulk pipeline. Every
-  /// builder is validated up front — marks, coordinate systems (including
+  /// Commits `count` annotations starting at `builders`: assigns ids,
+  /// materializes the XML, indexes substructures (deduplicating identical
+  /// marks into shared referents), and extends the a-graph. Every builder
+  /// is validated up front — marks, coordinate systems (including
   /// rect-dims canonicalization), forced-id collisions against the store
   /// and within the batch — before any state changes, so a bad builder
-  /// rejects the whole batch with the store untouched (all-or-nothing,
-  /// unlike a loop of Commit which stops at the first failure). Referent
-  /// interning then stages spatial insertion into per-domain interval and
-  /// per-canonical-system region accumulators that flush through
-  /// IndexManager::BulkLoadIntervals / BulkLoadRegions (one tree build per
-  /// touched domain); keyword postings append in one pass (ids ascend, so
-  /// appends are already sorted) with a sort + merge at flush for each
+  /// rejects the whole batch with the store untouched (all-or-nothing).
+  /// Referent interning then stages spatial insertion into per-domain
+  /// interval and per-canonical-system region accumulators that flush
+  /// through IndexManager::BulkLoadIntervals / BulkLoadRegions (a fresh
+  /// pack, a merge-rebuild, or per-entry inserts when the batch is at most
+  /// 1/16 of the tree); keyword postings append in one pass (ids ascend,
+  /// so appends are already sorted) with a sort + merge at flush for each
   /// list an out-of-order forced id left unsorted; a-graph node storage
   /// grows geometrically (AGraph::Reserve) and edges wire by dense index.
-  /// Per-batch costs are proportional to the batch, not to the store. On
-  /// success, observable state (assigned ids, query answers, a-graph
-  /// shape, integrity) is identical to committing the builders one by one.
+  /// Per-batch costs are proportional to the batch, not to the store.
   /// `forced_ids`, when non-empty, must have one entry per builder
   /// (0 = assign fresh) — the WAL-replay path.
   util::Result<std::vector<AnnotationId>> CommitBatch(
-      const std::vector<AnnotationBuilder>& builders,
+      const AnnotationBuilder* builders, size_t count,
       const std::vector<AnnotationId>& forced_ids = {});
 
   /// Consuming overload: identical observable semantics, but each
@@ -284,15 +280,6 @@ class AnnotationStore {
   }
 
  private:
-  /// Undo log for one Commit's marks loop: shared referents whose object
-  /// id the commit adopted (had none before), and object nodes the commit
-  /// created in the a-graph — restored/removed if a later mark fails, so a
-  /// failed Commit leaves no trace.
-  struct MarkUndo {
-    std::vector<ReferentId> adoptions;
-    std::vector<agraph::NodeRef> created_object_nodes;
-  };
-
   /// Deferred spatial insertions for one CommitBatch: interval entries per
   /// 1D domain and canonical-frame region entries per canonical system,
   /// flushed through the IndexManager bulk builds after staging.
@@ -303,17 +290,18 @@ class AnnotationStore {
     std::unordered_map<std::string, std::vector<spatial::RTreeEntry>> regions;
   };
 
-  /// Shared CommitBatch engine. `consume` is true only for the rvalue
-  /// overload, which owns the builders and may steal their metadata.
+  /// The one commit pipeline behind Commit and both CommitBatch overloads.
+  /// `consume` is true only for the rvalue overload, which owns the
+  /// builders and may steal their metadata.
   util::Result<std::vector<AnnotationId>> CommitBatchImpl(
-      const std::vector<AnnotationBuilder>& builders,
+      const AnnotationBuilder* builders, size_t count,
       const std::vector<AnnotationId>& forced_ids,
       std::vector<std::string>* cold_contents, bool consume);
 
   /// Tokenizes `ann`'s search text (content text, user-tag keys, ontology
   /// terms) into `words` — sorted, deduplicated views into `text_buf` —
   /// and returns the length of the lowered *content* prefix in `text_buf`
-  /// (what the commit paths copy into lower_text_; this function itself
+  /// (what the commit pipeline copies into lower_text_; this function itself
   /// mutates no store state, so the removal path reuses it freely). Both
   /// out-params are caller-owned scratch, reusable across calls (a batch
   /// tokenizes thousands of annotations with two allocations total); the
@@ -323,25 +311,18 @@ class AnnotationStore {
   /// Token id for `w`, interning it (with an empty posting list) on first
   /// sight.
   uint32_t InternToken(std::string_view w);
-  void IndexContentText(AnnotationId id, const Annotation& ann);
   /// Drops `ann`'s postings by re-deriving its token set from the stored
-  /// fields (the same deterministic derivation IndexContentText used), so
-  /// ingest never materializes per-annotation token vectors.
+  /// fields (the same deterministic derivation commit used), so ingest
+  /// never materializes per-annotation token vectors.
   void UnindexContentText(AnnotationId id, const Annotation& ann);
-  /// Interns (or refcounts) the referent for `sub`. With `staging` null,
-  /// spatial kinds are inserted into the shared index immediately
-  /// (per-commit path); with `staging` set, the index entry is accumulated
-  /// for a later bulk flush instead (batch path).
-  /// `node_index`, when non-null, receives the referent's a-graph dense
-  /// index so batch callers can wire edges without re-hashing the ref
-  /// (valid only until the next node removal). `undo`, when non-null,
-  /// collects the side effects a failing commit must reverse (object-id
-  /// adoptions, object nodes created).
+  /// Interns (or refcounts) the referent for `sub`. A new spatial referent's
+  /// index entry is accumulated in `staging` for the batch's bulk flush.
+  /// `node_index` receives the referent's a-graph dense index so the
+  /// caller can wire edges without re-hashing the ref (valid only until
+  /// the next node removal).
   util::Result<ReferentId> InternReferent(const substructure::Substructure& sub,
-                                          uint64_t object_id,
-                                          BatchStaging* staging = nullptr,
-                                          uint32_t* node_index = nullptr,
-                                          MarkUndo* undo = nullptr);
+                                          uint64_t object_id, BatchStaging* staging,
+                                          uint32_t* node_index);
   /// Removes one reference to `id`, erasing the referent entirely at zero.
   void ReleaseReferent(ReferentId id);
 

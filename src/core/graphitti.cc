@@ -526,29 +526,18 @@ util::Status Graphitti::AdmitCommit(util::AdmissionController::Ticket* ticket) {
 
 util::Result<annotation::AnnotationId> Graphitti::Commit(
     const annotation::AnnotationBuilder& builder) {
-  util::AdmissionController::Ticket ticket;
-  GRAPHITTI_RETURN_NOT_OK(AdmitCommit(&ticket));
-  GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
-  util::MutexLock commit(commit_mu_);
-  GRAPHITTI_RETURN_NOT_OK(WalGuard());
-  std::unique_ptr<EngineState> scratch = AcquireScratch();
-  auto out_id = std::make_shared<annotation::AnnotationId>(0);
-  EngineOp op = [builder, out_id](EngineState& s) -> Status {
-    GRAPHITTI_ASSIGN_OR_RETURN(*out_id, s.store->Commit(builder));
-    return Status::OK();
-  };
-  GRAPHITTI_RETURN_NOT_OK(op(*scratch));
-  const annotation::AnnotationId id = *out_id;
-  if (env_ != nullptr) {
-    GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kCommitBatch,
-                                      walrec::EncodeCommitBatch(*scratch->store, &builder, {id})));
-  }
-  PublishOp(std::move(scratch), std::move(op));
-  return id;
+  GRAPHITTI_ASSIGN_OR_RETURN(std::vector<annotation::AnnotationId> ids,
+                             CommitAnnotations(&builder, 1));
+  return ids.front();
 }
 
 util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitBatch(
     const std::vector<annotation::AnnotationBuilder>& builders) {
+  return CommitAnnotations(builders.data(), builders.size());
+}
+
+util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitAnnotations(
+    const annotation::AnnotationBuilder* builders, size_t count) {
   util::AdmissionController::Ticket ticket;
   GRAPHITTI_RETURN_NOT_OK(AdmitCommit(&ticket));
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
@@ -556,19 +545,20 @@ util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitBatch(
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
   std::unique_ptr<EngineState> scratch = AcquireScratch();
   GRAPHITTI_ASSIGN_OR_RETURN(std::vector<annotation::AnnotationId> ids,
-                             scratch->store->CommitBatch(builders));
+                             scratch->store->CommitBatch(builders, count));
   if (env_ != nullptr && !ids.empty()) {
     GRAPHITTI_RETURN_NOT_OK(
         WalAppend(persist::WalRecordType::kCommitBatch,
-                  walrec::EncodeCommitBatch(*scratch->store, builders.data(), ids)));
+                  walrec::EncodeCommitBatch(*scratch->store, builders, ids)));
   }
-  if (builders.size() > kMaxReplayBatch) {
+  if (count > kMaxReplayBatch) {
     // Replaying a bulk load onto the standby would double its cost;
     // publish unreplayable and let the next commit pay one clone.
     PublishOp(std::move(scratch), nullptr);
   } else {
-    PublishOp(std::move(scratch), [builders](EngineState& s) {
-      return s.store->CommitBatch(builders).status();
+    std::vector<annotation::AnnotationBuilder> batch(builders, builders + count);
+    PublishOp(std::move(scratch), [batch = std::move(batch)](EngineState& s) {
+      return s.store->CommitBatch(batch.data(), batch.size()).status();
     });
   }
   return ids;

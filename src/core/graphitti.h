@@ -329,15 +329,14 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// recovers it, and a WAL failure means the commit never becomes
   /// visible at all.
   util::Result<annotation::AnnotationId> Commit(const annotation::AnnotationBuilder& builder);
-  /// [commit] Commits a batch of annotations through the bulk pipeline:
-  /// the commit lock is taken once for the whole batch (not per
-  /// annotation), referent index insertions flush as one bulk tree build
-  /// per touched domain, and keyword postings append in one pass. On
-  /// success the observable state (assigned ids, query answers, a-graph
-  /// shape) is identical to a loop of Commit over the same builders; on
-  /// failure the batch is all-or-nothing — it is applied to an
-  /// unpublished scratch version, so readers never observe any of it.
-  /// The ingest fast path for corpus loads.
+  /// [commit] Commits a batch of annotations through the same routine as
+  /// Commit: the commit lock is taken once for the whole batch (not per
+  /// annotation), referent index insertions flush as one bulk load per
+  /// touched domain, and keyword postings append in one pass. The batch
+  /// is all-or-nothing: every builder is validated before any state
+  /// changes, and it is applied to an unpublished scratch version, so
+  /// readers never observe any of a failed batch. The ingest fast path
+  /// for corpus loads.
   /// [durable] The whole batch is one WAL record: recovery replays it
   /// all-or-nothing, so a crash mid-anything never resurfaces a torn batch.
   util::Result<std::vector<annotation::AnnotationId>> CommitBatch(
@@ -537,6 +536,15 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   void PublishOp(std::unique_ptr<EngineState> next, EngineOp op)
       REQUIRES(commit_mu_);
 
+  /// The one annotation commit routine behind Commit and CommitBatch:
+  /// admission and hydration, then under commit_mu_ the WAL guard, the
+  /// scratch version, the store's batch pipeline over `count` builders at
+  /// `builders`, one kCommitBatch WAL record, and publication — with a
+  /// replay op holding a copy of the builders when the batch has at most
+  /// kMaxReplayBatch of them.
+  util::Result<std::vector<annotation::AnnotationId>> CommitAnnotations(
+      const annotation::AnnotationBuilder* builders, size_t count);
+
   /// Shared tail of the seven Ingest* methods and IngestRecord: applies
   /// "insert row + register object `label`" to scratch, WAL-logs the
   /// kObject record, inserts the registration metadata, publishes.
@@ -557,16 +565,16 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
 
   // --- Durability plumbing (core/durability.cc) ---
 
-  /// Refuses durable mutations after a WAL I/O failure (wal_failed_), so
-  /// the durable log never silently develops a gap; OK on non-durable
-  /// engines. Call at the top of every [durable] mutator, before any
-  /// state changes.
   /// Admission gate for commit-class mutators: acquires a kCommit slot
   /// into *ticket (empty when admission is unconfigured) and tallies
   /// sheds. Called before commit_mu_ is taken so refused work never
   /// contends with admitted work.
   util::Status AdmitCommit(util::AdmissionController::Ticket* ticket);
 
+  /// Refuses durable mutations after a WAL I/O failure (wal_failed_), so
+  /// the durable log never silently develops a gap; OK on non-durable
+  /// engines. Call at the top of every [durable] mutator, before any
+  /// state changes.
   util::Status WalGuard() const REQUIRES(commit_mu_);
   /// Appends (and per policy fsyncs) one record; a failure poisons the
   /// engine (wal_failed_) until the next successful Checkpoint. No-op on

@@ -3,6 +3,18 @@
 namespace graphitti {
 namespace spatial {
 
+namespace {
+
+// Small-batch routing threshold for the BulkLoad* entry points: a batch
+// with `entries.size() * kSmallBatchFactor <= existing tree size` goes in
+// by per-entry inserts instead of draining and rebuilding the whole tree.
+// Per-entry insertion is O(k log n) against the rebuild's
+// O((n + k) log(n + k)), so the cliff sits well past the point where
+// rebuild amortizes.
+constexpr size_t kSmallBatchFactor = 16;
+
+}  // namespace
+
 IntervalTree* IndexManager::GetOrCreateIntervalTree(std::string_view domain) {
   auto it = interval_trees_.find(domain);
   if (it != interval_trees_.end()) return it->second.get();
@@ -43,8 +55,7 @@ util::Status IndexManager::BulkLoadIntervals(std::string_view domain,
   if (entries.empty()) return util::Status::OK();
   if (domain.empty()) return util::Status::InvalidArgument("empty interval domain");
   auto it = interval_trees_.find(domain);
-  if (it != interval_trees_.end() && small_batch_factor_ != 0 &&
-      entries.size() * small_batch_factor_ <= it->second->size()) {
+  if (it != interval_trees_.end() && entries.size() * kSmallBatchFactor <= it->second->size()) {
     // Small batch against a large tree: per-entry inserts beat a full
     // merge-rebuild. Roll back on failure so the tree stays untouched,
     // matching the rebuild path's all-or-nothing contract.
@@ -138,8 +149,7 @@ util::Status IndexManager::BulkLoadRegions(std::string_view system,
     e.rect = cs.ToCanonical(e.rect);
   }
   auto it = rtrees_.find(cs.canonical);
-  if (it != rtrees_.end() && small_batch_factor_ != 0 &&
-      entries.size() * small_batch_factor_ <= it->second->size()) {
+  if (it != rtrees_.end() && entries.size() * kSmallBatchFactor <= it->second->size()) {
     // Small batch vs. large canonical tree: per-entry inserts with
     // rollback (entries are already canonicalized and validated above).
     RTree* tree = it->second.get();
@@ -221,7 +231,6 @@ std::vector<std::string> IndexManager::RegionSystems() const {
 IndexManager IndexManager::Clone() const {
   IndexManager copy;
   copy.coord_systems_ = coord_systems_;
-  copy.small_batch_factor_ = small_batch_factor_;
   for (const auto& [domain, tree] : interval_trees_) {
     copy.interval_trees_.emplace(domain,
                                  std::make_unique<IntervalTree>(tree->Clone()));

@@ -37,17 +37,6 @@ class IndexManager {
   CoordinateSystemRegistry& coordinate_systems() { return coord_systems_; }
   const CoordinateSystemRegistry& coordinate_systems() const { return coord_systems_; }
 
-  /// Small-batch routing threshold for the BulkLoad* entry points: a batch
-  /// with `entries.size() * factor <= existing tree size` falls back to
-  /// per-entry inserts (with rollback on failure) instead of draining and
-  /// rebuilding the whole tree — appending 3 entries to a 50k-entry tree
-  /// should not pay a 50k rebuild. 0 disables the fallback (every batch
-  /// rebuilds). Default 16: per-entry insertion is O(k log n) against the
-  /// rebuild's O((n + k) log(n + k)), so the cliff sits well past the
-  /// point where rebuild amortizes.
-  void set_small_batch_factor(size_t factor) { small_batch_factor_ = factor; }
-  size_t small_batch_factor() const { return small_batch_factor_; }
-
   // --- 1D (interval) domains ---
 
   /// Adds an interval substructure (e.g. a marked gene region) to the shared
@@ -55,15 +44,17 @@ class IndexManager {
   util::Status AddInterval(std::string_view domain, const Interval& interval, uint64_t id);
   util::Status RemoveInterval(std::string_view domain, const Interval& interval, uint64_t id);
 
-  /// Bulk entry point for batched ingest and persistence reload: adds all
-  /// `entries` to `domain`'s shared tree in one build instead of one Insert
-  /// per entry. When the domain has no tree yet (the persistence-reload /
-  /// first-batch case) the entries are packed into a fresh perfectly
-  /// balanced tree via IntervalTree::BulkLoad; otherwise the existing
-  /// entries are drained and rebuilt together with the new ones in a single
-  /// merge-rebuild. Rejects invalid intervals and duplicate (interval, id)
-  /// pairs (against each other or the existing tree) without touching the
-  /// stored tree.
+  /// Bulk entry point for every annotation commit and persistence reload:
+  /// adds all `entries` to `domain`'s shared tree. When the domain has no
+  /// tree yet (the persistence-reload / first-batch case) the entries are
+  /// packed into a fresh perfectly balanced tree via IntervalTree::BulkLoad.
+  /// A batch of at most 1/16 of the existing tree goes in by per-entry
+  /// inserts (with rollback on failure): appending 3 entries to a
+  /// 50k-entry tree should not pay a 50k rebuild. Otherwise the existing
+  /// entries are drained and rebuilt together with the new ones in a
+  /// single merge-rebuild. Rejects invalid intervals and duplicate
+  /// (interval, id) pairs (against each other or the existing tree)
+  /// without touching the stored tree.
   util::Status BulkLoadIntervals(std::string_view domain,
                                  std::vector<IntervalEntry> entries);
 
@@ -91,11 +82,12 @@ class IndexManager {
   util::Status AddRegion(std::string_view system, const Rect& local_rect, uint64_t id);
   util::Status RemoveRegion(std::string_view system, const Rect& local_rect, uint64_t id);
 
-  /// Bulk entry point for batched ingest: adds all `entries` (rects in
-  /// `system` coordinates) to the canonical R-tree in one build. Fresh
-  /// domains are packed via the STR bulk load (RTree::BulkLoad); a
-  /// non-empty canonical tree is drained and merge-rebuilt together with
-  /// the new entries. Callers batching across derived systems should
+  /// Bulk entry point for every annotation commit: adds all `entries`
+  /// (rects in `system` coordinates) to the canonical R-tree. Fresh
+  /// domains are packed via the STR bulk load (RTree::BulkLoad); a batch
+  /// of at most 1/16 of the canonical tree goes in by per-entry inserts;
+  /// otherwise the tree is drained and merge-rebuilt together with the new
+  /// entries. Callers batching across derived systems should
   /// canonicalize while accumulating and pass the canonical system name, so
   /// systems sharing one canonical frame flush as a single build (the
   /// canonical transform is the identity, so pre-canonicalized rects pass
@@ -133,7 +125,6 @@ class IndexManager {
   std::map<std::string, std::unique_ptr<IntervalTree>, std::less<>> interval_trees_;
   // lint: allow-map(per-domain registry: few domains, lookup is cold path)
   std::map<std::string, std::unique_ptr<RTree>, std::less<>> rtrees_;
-  size_t small_batch_factor_ = 16;
 };
 
 }  // namespace spatial

@@ -60,7 +60,7 @@ XmlNode* XmlNode::AddText(std::string text) { return AddChild(Text(std::move(tex
 
 XmlNode* XmlNode::AddElementWithText(std::string tag, std::string text) {
   XmlNode* elem = AddElement(std::move(tag));
-  elem->AddText(std::move(text));
+  if (!text.empty()) elem->AddText(std::move(text));
   return elem;
 }
 

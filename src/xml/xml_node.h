@@ -53,7 +53,9 @@ class XmlNode {
   XmlNode* AddElement(std::string tag);
   /// Convenience: append a text node and return it.
   XmlNode* AddText(std::string text);
-  /// Convenience: append <tag>text</tag> and return the element.
+  /// Convenience: append <tag>text</tag> and return the element. Empty
+  /// text adds no text node, as the parser never produces one, so the
+  /// element serializes as <tag/> and survives a parse round trip.
   XmlNode* AddElementWithText(std::string tag, std::string text);
 
   /// First child element with the given tag, or nullptr.

@@ -1,10 +1,11 @@
 // ISSUE-5 bulk-commit pipeline tests: CommitBatch must be observably
 // identical to a loop of Commit (ids, spatial query answers, keyword
 // search, a-graph shape, integrity), all-or-nothing on a bad builder, and
-// the per-commit path must roll back cleanly when a mark fails mid-loop.
-// Also the corpus-scale persistence round trip: bulk-reloaded trees must
-// answer window/next/nearest queries identically to the incrementally
-// built originals.
+// a single commit must leave no trace when a later mark fails validation.
+// Window answers are also checked against a brute-force scan of the
+// corpus marks. Also the corpus-scale persistence round trip: bulk-reloaded
+// trees must answer window/next/nearest queries identically to the
+// one-commit-at-a-time originals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,21 +114,92 @@ std::vector<uint64_t> RegionIds(const std::vector<RTreeEntry>& entries) {
   return ids;
 }
 
+// The labels of the referents behind index hits, sorted. The corpus marks
+// integer coordinates, which every label prints exactly, so equal label
+// lists mean equal substructures.
+std::vector<std::string> HitLabels(const Graphitti& g, const std::vector<uint64_t>& ids) {
+  std::vector<std::string> labels;
+  labels.reserve(ids.size());
+  for (uint64_t id : ids) {
+    const annotation::Referent* ref = g.annotations().GetReferent(id);
+    labels.push_back(ref == nullptr ? "missing referent " + std::to_string(id)
+                                    : ref->substructure.ToString());
+  }
+  std::sort(labels.begin(), labels.end());
+  return labels;
+}
+
+// Brute-force answer to a window: the distinct marks in `corpus` for which
+// `hit` holds, scanned without any index, as sorted labels.
+std::vector<std::string> ScanMarks(
+    const std::vector<AnnotationBuilder>& corpus,
+    const std::function<bool(const substructure::Substructure&)>& hit) {
+  std::vector<std::string> labels;
+  for (const AnnotationBuilder& b : corpus) {
+    for (const auto& [sub, object_id] : b.marks()) {
+      (void)object_id;
+      if (hit(sub)) labels.push_back(sub.ToString());
+    }
+  }
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  return labels;
+}
+
+// Brute-force interval window: marks in `domain` overlapping `w`.
+std::vector<std::string> ScanIntervals(const std::vector<AnnotationBuilder>& corpus,
+                                       const std::string& domain, const Interval& w) {
+  return ScanMarks(corpus, [&](const substructure::Substructure& sub) {
+    return sub.type() == substructure::SubType::kInterval && sub.domain() == domain &&
+           sub.interval().Overlaps(w);
+  });
+}
+
+// Brute-force region window in `system` coordinates: region marks, from
+// any system, whose canonical rect overlaps the canonicalized window.
+std::vector<std::string> ScanRegions(const Graphitti& g,
+                                     const std::vector<AnnotationBuilder>& corpus,
+                                     const std::string& system, const Rect& w) {
+  const spatial::CoordinateSystemRegistry& systems = g.indexes().coordinate_systems();
+  auto window = systems.ToCanonical(system, w);
+  EXPECT_TRUE(window.ok());
+  if (!window.ok()) return {};
+  return ScanMarks(corpus, [&](const substructure::Substructure& sub) {
+    if (sub.type() != substructure::SubType::kRegion) return false;
+    auto canonical = systems.ToCanonical(sub.domain(), sub.rect());
+    return canonical.ok() && canonical->first == window->first &&
+           canonical->second.Overlaps(window->second);
+  });
+}
+
 // Asserts that `a` and `b` answer the same spatial window/next/nearest and
-// keyword probes identically. Tree *shapes* may differ (incremental vs
-// bulk-packed), so id sets — not traversal order — are compared where order
-// is shape-dependent.
-void ExpectSameAnswers(const Graphitti& a, const Graphitti& b) {
+// keyword probes identically, and that every window's hits are exactly the
+// corpus marks a brute-force scan finds. Tree *shapes* may differ
+// (incremental vs bulk-packed), so id sets — not traversal order — are
+// compared where order is shape-dependent.
+void ExpectSameAnswers(const Graphitti& a, const Graphitti& b,
+                       const std::vector<AnnotationBuilder>& corpus) {
   EXPECT_EQ(a.Stats().ToString(), b.Stats().ToString());
+  // Both engines' hits agree on ids, and the substructures behind them
+  // match the scan.
+  auto expect_window = [&](const std::vector<uint64_t>& ids_a,
+                           const std::vector<uint64_t>& ids_b,
+                           const std::vector<std::string>& scanned, const std::string& what) {
+    EXPECT_EQ(ids_a, ids_b) << what;
+    EXPECT_EQ(HitLabels(a, ids_a), scanned) << what;
+    EXPECT_EQ(HitLabels(b, ids_b), scanned) << what;
+  };
   Rng rng(77);
   for (int s = 0; s < kNumSegments; ++s) {
     std::string domain = "flu:seg" + std::to_string(s);
     for (int probe = 0; probe < 8; ++probe) {
       int64_t lo = static_cast<int64_t>(rng.Next64() % 100000);
       Interval w{lo, lo + 500};
-      EXPECT_EQ(IntervalIds(a.indexes().QueryIntervals(domain, w)),
-                IntervalIds(b.indexes().QueryIntervals(domain, w)))
-          << domain << " window [" << w.lo << "," << w.hi << "]";
+      expect_window(IntervalIds(a.indexes().QueryIntervals(domain, w)),
+                    IntervalIds(b.indexes().QueryIntervals(domain, w)),
+                    ScanIntervals(corpus, domain, w),
+                    domain + " window [" + std::to_string(w.lo) + "," + std::to_string(w.hi) +
+                        "]");
       auto na = a.indexes().NextInterval(domain, lo);
       auto nb = b.indexes().NextInterval(domain, lo);
       ASSERT_EQ(na.has_value(), nb.has_value()) << domain << " next@" << lo;
@@ -140,23 +212,23 @@ void ExpectSameAnswers(const Graphitti& a, const Graphitti& b) {
   for (int c = 0; c < kNumChromosomes; ++c) {
     std::string domain = "mouse:chr" + std::to_string(c);
     Interval w{0, 50000};
-    EXPECT_EQ(IntervalIds(a.indexes().QueryIntervals(domain, w)),
-              IntervalIds(b.indexes().QueryIntervals(domain, w)));
+    expect_window(IntervalIds(a.indexes().QueryIntervals(domain, w)),
+                  IntervalIds(b.indexes().QueryIntervals(domain, w)),
+                  ScanIntervals(corpus, domain, w), domain);
   }
   for (int probe = 0; probe < 8; ++probe) {
     double x = static_cast<double>(rng.Next64() % 2048);
     double y = static_cast<double>(rng.Next64() % 2048);
     Rect w = Rect::Make2D(x, y, x + 300, y + 300);
-    auto ra = a.indexes().QueryRegions("atlas", w);
-    auto rb = b.indexes().QueryRegions("atlas", w);
-    ASSERT_TRUE(ra.ok() && rb.ok());
-    EXPECT_EQ(RegionIds(*ra), RegionIds(*rb));
     // Derived-system windows canonicalize before the tree walk; both
-    // engines must agree through that transform too.
-    auto da = a.indexes().QueryRegions("stack50um", w);
-    auto db = b.indexes().QueryRegions("stack50um", w);
-    ASSERT_TRUE(da.ok() && db.ok());
-    EXPECT_EQ(RegionIds(*da), RegionIds(*db));
+    // engines and the scan must agree through that transform too.
+    for (const char* system : {"atlas", "stack50um"}) {
+      auto ra = a.indexes().QueryRegions(system, w);
+      auto rb = b.indexes().QueryRegions(system, w);
+      ASSERT_TRUE(ra.ok() && rb.ok());
+      expect_window(RegionIds(*ra), RegionIds(*rb), ScanRegions(a, corpus, system, w),
+                    std::string(system) + " window " + w.ToString());
+    }
     const spatial::RTree* ta = a.indexes().GetRTree("atlas");
     const spatial::RTree* tb = b.indexes().GetRTree("atlas");
     ASSERT_EQ(ta != nullptr, tb != nullptr);
@@ -192,7 +264,7 @@ TEST(CommitBatch, MatchesLoopOfCommitOnRandomizedBuilders) {
   // The a-graph dump is insertion-ordered, so batched == per-commit must
   // hold line-for-line, not just as a set.
   EXPECT_EQ(loop->ExportAGraph(), batched->ExportAGraph());
-  ExpectSameAnswers(*loop, *batched);
+  ExpectSameAnswers(*loop, *batched, corpus);
   EXPECT_TRUE(loop->ValidateIntegrity().ok());
   EXPECT_TRUE(batched->ValidateIntegrity().ok());
 }
@@ -212,7 +284,9 @@ TEST(CommitBatch, SecondBatchMergeRebuildsNonEmptyTrees) {
   ASSERT_TRUE(batched->CommitBatch(second).ok());
 
   EXPECT_EQ(loop->ExportAGraph(), batched->ExportAGraph());
-  ExpectSameAnswers(*loop, *batched);
+  std::vector<AnnotationBuilder> both = first;
+  both.insert(both.end(), second.begin(), second.end());
+  ExpectSameAnswers(*loop, *batched, both);
   EXPECT_TRUE(batched->ValidateIntegrity().ok());
 }
 
@@ -274,17 +348,22 @@ TEST(CommitBatch, ForcedIdCollisionsRejected) {
   batch.push_back(b);
 
   // Collision with an existing annotation.
-  EXPECT_FALSE(OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {1, 0}); }).ok());
+  EXPECT_FALSE(
+      OnStore(*g, [&](auto& store) { return store.CommitBatch(batch.data(), 2, {1, 0}); })
+          .ok());
   // Collision within the batch itself.
-  EXPECT_FALSE(OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {7, 7}); }).ok());
+  EXPECT_FALSE(
+      OnStore(*g, [&](auto& store) { return store.CommitBatch(batch.data(), 2, {7, 7}); })
+          .ok());
   // Size mismatch.
-  EXPECT_FALSE(OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {7}); }).ok());
+  EXPECT_FALSE(
+      OnStore(*g, [&](auto& store) { return store.CommitBatch(batch.data(), 2, {7}); }).ok());
   EXPECT_EQ(g->Stats().num_annotations, 1u);
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 
   // Valid forced ids interleave with fresh assignment: forced 7 jumps the
   // counter, the fresh one continues past it.
-  auto ids = OnStore(*g, [&](auto& store) { return store.CommitBatch(batch, {7, 0}); });
+  auto ids = OnStore(*g, [&](auto& store) { return store.CommitBatch(batch.data(), 2, {7, 0}); });
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(*ids, (std::vector<AnnotationId>{7, 8}));
   EXPECT_TRUE(g->ValidateIntegrity().ok());
@@ -327,7 +406,9 @@ TEST(CommitBatch, OutOfOrderForcedIdsKeepPostingsSorted) {
   const std::vector<AnnotationBuilder> rest(corpus.begin() + kPre, corpus.end());
   const std::vector<AnnotationId> rest_forced(forced.begin() + kPre, forced.end());
   auto batch_ids =
-      OnStore(*batched, [&](auto& store) { return store.CommitBatch(rest, rest_forced); });
+      OnStore(*batched, [&](auto& store) {
+        return store.CommitBatch(rest.data(), rest.size(), rest_forced);
+      });
   ASSERT_TRUE(batch_ids.ok()) << batch_ids.status().ToString();
   EXPECT_EQ(std::vector<AnnotationId>(loop_ids.begin() + kPre, loop_ids.end()), *batch_ids);
 
@@ -349,22 +430,21 @@ TEST(CommitBatch, OutOfOrderForcedIdsKeepPostingsSorted) {
   }
   EXPECT_GT(repaired, 0u) << "no list had batch ids land below its pre-batch ids";
   EXPECT_EQ(loop->ExportAGraph(), batched->ExportAGraph());
-  ExpectSameAnswers(*loop, *batched);
+  ExpectSameAnswers(*loop, *batched, corpus);
   EXPECT_TRUE(loop->ValidateIntegrity().ok());
   EXPECT_TRUE(batched->ValidateIntegrity().ok());
 }
 
-// Regression for the ISSUE-5 bugfix: a mark that fails partway through
-// Commit's marks loop (valid substructure, registered system, but the rect
-// dims mismatch its coordinate system — caught only at index insertion)
-// used to leave earlier marks half-committed: referents interned, index
-// entries and a-graph nodes live.
+// A commit whose last mark is bad (valid substructure, registered system,
+// but the rect dims mismatch its coordinate system) after marks that
+// share, adopt and create referents: the failure is caught up front, in
+// the pipeline's validation before any state changes, so no referent,
+// index entry, a-graph node, adoption or id is left behind.
 TEST(CommitRollback, MidLoopMarkFailureLeavesStoreUntouched) {
   auto g = FreshEngine();
 
   // A pre-existing annotation whose referent the failing commit re-marks:
-  // rollback must only drop the refcount it added, not destroy the shared
-  // referent.
+  // the shared referent must survive with its refcount unchanged.
   AnnotationBuilder existing;
   existing.Title("existing").Body("keeper").MarkInterval("flu:seg1", 10, 50);
   ASSERT_TRUE(g->Commit(existing).ok());
@@ -376,13 +456,13 @@ TEST(CommitRollback, MidLoopMarkFailureLeavesStoreUntouched) {
     AnnotationBuilder failing;
     failing.Title("failing").Body("doomed words");
     // Shared with `existing`, and adopting an object id the shared
-    // referent did not have — rollback must restore it to unowned.
+    // referent did not have — it must stay unowned.
     failing.MarkInterval("flu:seg1", 10, 50, /*object_id=*/7);
     // Fresh referent, fresh domain, and an object id with no pre-existing
-    // a-graph node: rollback must also drop the object node it created
-    // (the ExportAGraph comparison below catches a leak).
+    // a-graph node: no object node may be left behind (the ExportAGraph
+    // comparison below catches a leak).
     failing.MarkInterval("flu:seg2", 5, 9, /*object_id=*/99);
-    failing.MarkRegion("atlas", bad_rect);      // fails at index insertion
+    failing.MarkRegion("atlas", bad_rect);  // dims mismatch: refused up front
     auto id = g->Commit(failing);
     ASSERT_FALSE(id.ok());
   }
@@ -392,10 +472,10 @@ TEST(CommitRollback, MidLoopMarkFailureLeavesStoreUntouched) {
     ASSERT_TRUE(shared.ok());
     ASSERT_NE(g->annotations().GetReferent(*shared), nullptr);
     EXPECT_EQ(g->annotations().GetReferent(*shared)->object_id, 0u)
-        << "failed commit must roll back object-id adoption on shared referents";
+        << "failed commit must not adopt an object id on shared referents";
   }
   // Unknown coordinate system fails the same way (third mark, after two
-  // referents were interned).
+  // valid ones).
   {
     AnnotationBuilder failing;
     failing.Title("failing2").Body("doomed words");
@@ -525,8 +605,9 @@ TEST(BulkReload, TenThousandAnnotationRoundTrip) {
   // must answer window/next/nearest probes identically to the
   // insert-at-a-time originals.
   constexpr size_t kN = 10000;
+  const std::vector<AnnotationBuilder> corpus = MakeCorpus(41, kN);
   auto original = FreshEngine();
-  for (const AnnotationBuilder& b : MakeCorpus(41, kN)) {
+  for (const AnnotationBuilder& b : corpus) {
     ASSERT_TRUE(original->Commit(b).ok());
   }
 
@@ -539,7 +620,7 @@ TEST(BulkReload, TenThousandAnnotationRoundTrip) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 
   EXPECT_EQ((*reloaded)->Stats().num_annotations, kN);
-  ExpectSameAnswers(*original, **reloaded);
+  ExpectSameAnswers(*original, **reloaded, corpus);
   EXPECT_TRUE((*reloaded)->ValidateIntegrity().ok());
 
   fs::remove_all(dir, ec);

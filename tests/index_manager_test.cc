@@ -121,13 +121,17 @@ TEST(IndexManagerTest, SmallBatchBulkLoadMatchesRebuildPath) {
   auto hits = mgr.QueryIntervals("chr1", Interval(503, 504));
   ASSERT_EQ(hits.size(), 2u);  // base entry 50 and new entry 1001
 
-  // With the fallback disabled the same call takes the rebuild path and
-  // must be query-equivalent.
-  mgr.set_small_batch_factor(0);
+  // 13 * 16 = 208 > 203: a batch above 1/16 of the tree takes the
+  // drain-and-rebuild path and must be query-equivalent.
   std::vector<IntervalEntry> more = {{Interval(7, 8), 2000}};
+  for (uint64_t i = 1; i < 13; ++i) {
+    int64_t lo = 5000 + static_cast<int64_t>(i) * 10;
+    more.push_back({Interval(lo, lo + 5), 2000 + i});
+  }
   ASSERT_TRUE(mgr.BulkLoadIntervals("chr1", more).ok());
-  EXPECT_EQ(mgr.total_interval_entries(), 204u);
+  EXPECT_EQ(mgr.total_interval_entries(), 216u);
   EXPECT_EQ(mgr.QueryIntervals("chr1", Interval(0, 9)).size(), 3u);
+  EXPECT_EQ(mgr.QueryIntervals("chr1", Interval(5000, 6000)).size(), 12u);
 }
 
 TEST(IndexManagerTest, SmallBatchBulkLoadRollsBackOnFailure) {

@@ -6,6 +6,7 @@
 
 #include "core/graphitti.h"
 #include "core/workload.h"
+#include "xml/xml_parser.h"
 #include "xml/xpath.h"
 
 namespace graphitti {
@@ -214,6 +215,7 @@ TEST(BuilderFromXmlTest, RoundTripsAllMarkKinds) {
   AnnotationBuilder b;
   b.Title("full").Creator("x").Subject("s").Body("body text");
   b.UserTag("grade", "A");
+  b.UserTag("blank", "");
   b.OntologyReference("nif", "NIF:1");
   b.MarkInterval("chr1", 5, 9, 7);
   b.MarkRegion("atlas", spatial::Rect::Make2D(0.5, 1.5, 2.25, 3.75), 8);
@@ -229,6 +231,12 @@ TEST(BuilderFromXmlTest, RoundTripsAllMarkKinds) {
   EXPECT_EQ(rebuilt->dc().title, "full");
   EXPECT_EQ(rebuilt->body(), "body text");
   EXPECT_EQ(rebuilt->user_tags(), b.user_tags());
+  // The serialized form keeps every tag too, the empty-valued one included.
+  auto reparsed = xml::ParseXml(doc->ToString(false));
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  auto from_text = AnnotationBuilder::FromContentXml(reparsed->root());
+  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+  EXPECT_EQ(from_text->user_tags(), b.user_tags());
   EXPECT_EQ(rebuilt->ontology_refs().size(), 1u);
   ASSERT_EQ(rebuilt->marks().size(), 5u);
   for (size_t i = 0; i < 5; ++i) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "xml/xml_node.h"
+#include "xml/xml_parser.h"
 
 namespace graphitti {
 namespace xml {
@@ -68,6 +69,21 @@ TEST(XmlNodeTest, CloneIsDeepAndIndependent) {
   EXPECT_EQ(copy->ToString(), root->ToString());
   copy->SetAttribute("id", "99");
   EXPECT_EQ(*root->FindAttribute("id"), "7");
+}
+
+TEST(XmlNodeTest, EmptyTextElementSurvivesParseRoundTrip) {
+  // The parser yields a childless element for <x></x>, so empty text must
+  // not add a text node either: the serialized form stays fixed under
+  // parse-then-serialize.
+  auto root = XmlNode::Element("r");
+  XmlNode* x = root->AddElementWithText("x", "");
+  EXPECT_TRUE(x->children().empty());
+  EXPECT_EQ(x->ToString(false), "<x/>");
+  const std::string serialized = root->ToString(false);
+  EXPECT_EQ(serialized, "<r><x/></r>");
+  auto parsed = ParseXml(serialized);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->ToString(false), serialized);
 }
 
 TEST(XmlNodeTest, SerializationEscapesSpecials) {
