@@ -15,13 +15,16 @@
 // (p99_us, averaged across reader threads) against the read-only p99 is
 // the churn tail-latency picture — under epoch pinning the two should be
 // within a small constant of each other, where a reader-writer gate would
-// let each commit stall every in-flight reader.
+// let each commit stall every in-flight reader. The writer-only series
+// time the writer alone: recycling the standby version, and (ClonePath)
+// cloning and destroying a whole version per mutation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <string>
@@ -108,7 +111,8 @@ void BM_ConcurrentQuery_ReadOnly(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(items);
   state.SetItemsProcessed(state.iterations() * 2);  // two queries per iter
-  state.counters["reader_threads"] = static_cast<double>(state.threads());
+  state.counters["reader_threads"] =
+      benchmark::Counter(static_cast<double>(state.threads()), benchmark::Counter::kAvgThreads);
   state.counters["p99_us"] =
       benchmark::Counter(P99Micros(lat_us), benchmark::Counter::kAvgThreads);
 }
@@ -168,7 +172,8 @@ void BM_ConcurrentQuery_WithWriter(benchmark::State& state) {
     writer.reset();
   }
   state.SetItemsProcessed(state.iterations() * 2);  // two queries per iter
-  state.counters["reader_threads"] = static_cast<double>(state.threads());
+  state.counters["reader_threads"] =
+      benchmark::Counter(static_cast<double>(state.threads()), benchmark::Counter::kAvgThreads);
   state.counters["p99_us"] =
       benchmark::Counter(P99Micros(lat_us), benchmark::Counter::kAvgThreads);
 }
@@ -192,5 +197,37 @@ void BM_ConcurrentQuery_WriterOnly(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConcurrentQuery_WriterOnly)->Unit(benchmark::kMicrosecond);
+
+// The clone path: the writer-only cycle, but after the commit and after the
+// remove the writer reads the change back and keeps its last two results,
+// as e2ebench's churn writer does. The version each mutation would recycle
+// is then still pinned, so every commit and remove clones the current
+// version, and each result the writer drops destroys a version.
+void BM_ConcurrentQuery_WriterClonePath(benchmark::State& state) {
+  Graphitti& g = SharedInstance();
+  uint64_t cycle = uint64_t{3} << 48;
+  std::deque<graphitti::query::QueryResult> views;
+  auto read_back = [&] {
+    auto r = g.Query("FIND CONTENTS WHERE { ?a CONTAINS \"transient\" }");
+    if (!r.ok()) std::abort();
+    views.push_back(std::move(r).ValueUnsafe());
+    if (views.size() > 2) views.pop_front();
+  };
+  read_back();
+  for (auto _ : state) {
+    const int64_t base = static_cast<int64_t>((cycle++ % 100000) * 16);
+    AnnotationBuilder b;
+    b.Title("clone-path churn").Body("transient churn annotation").MarkInterval(
+        "bench:clone", base, base + 5);
+    auto id = g.Commit(b);
+    if (!id.ok()) std::abort();
+    read_back();
+    if (!g.RemoveAnnotation(*id).ok()) std::abort();
+    read_back();
+  }
+  views.clear();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ConcurrentQuery_WriterClonePath)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

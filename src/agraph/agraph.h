@@ -297,7 +297,6 @@ class AGraph {
   // --- serialization ---
   /// Line-oriented text dump (stable across loads).
   std::string ToText() const;
-  static util::Result<AGraph> FromText(std::string_view text);
 
  private:
   struct Edge {

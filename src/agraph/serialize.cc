@@ -1,10 +1,9 @@
-// Line-oriented a-graph serialization:
+// Line-oriented a-graph text dump (ToText, behind ExportAGraph):
 //   N <kind> <id> <label...>
 //   E <kind> <id> <kind> <id> <label...>
 #include <string>
 
 #include "agraph/agraph.h"
-#include "util/string_util.h"
 
 namespace graphitti {
 namespace agraph {
@@ -25,15 +24,7 @@ const char* KindCode(NodeKind kind) {
   return "?";
 }
 
-util::Result<NodeKind> ParseKind(std::string_view code) {
-  if (code == "C") return NodeKind::kContent;
-  if (code == "R") return NodeKind::kReferent;
-  if (code == "T") return NodeKind::kOntologyTerm;
-  if (code == "O") return NodeKind::kDataObject;
-  return util::Status::ParseError("unknown node kind code '" + std::string(code) + "'");
-}
-
-// Escapes newlines in labels (labels are free text).
+// Escapes newlines and backslashes in labels (labels are free text).
 std::string EscapeLabel(std::string_view label) {
   std::string out;
   for (char c : label) {
@@ -43,19 +34,6 @@ std::string EscapeLabel(std::string_view label) {
       out += "\\\\";
     } else {
       out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string UnescapeLabel(std::string_view label) {
-  std::string out;
-  for (size_t i = 0; i < label.size(); ++i) {
-    if (label[i] == '\\' && i + 1 < label.size()) {
-      ++i;
-      out.push_back(label[i] == 'n' ? '\n' : label[i]);
-    } else {
-      out.push_back(label[i]);
     }
   }
   return out;
@@ -93,52 +71,6 @@ std::string AGraph::ToText() const {
     out += '\n';
   });
   return out;
-}
-
-util::Result<AGraph> AGraph::FromText(std::string_view text) {
-  AGraph graph;
-  size_t line_no = 0;
-  for (const std::string& raw : util::Split(text, '\n')) {
-    ++line_no;
-    std::string_view line = util::Trim(raw);
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> parts = util::SplitWhitespace(line);
-    auto err = [&](const std::string& msg) {
-      return util::Status::ParseError("a-graph line " + std::to_string(line_no) + ": " + msg);
-    };
-    if (parts[0] == "N") {
-      if (parts.size() < 3) return err("node line needs kind and id");
-      GRAPHITTI_ASSIGN_OR_RETURN(NodeKind kind, ParseKind(parts[1]));
-      int64_t id = 0;
-      if (!util::ParseInt64(parts[2], &id) || id < 0) return err("bad node id");
-      std::string label;
-      for (size_t i = 3; i < parts.size(); ++i) {
-        if (i > 3) label += ' ';
-        label += parts[i];
-      }
-      GRAPHITTI_RETURN_NOT_OK(
-          graph.AddNode({kind, static_cast<uint64_t>(id)}, UnescapeLabel(label)));
-    } else if (parts[0] == "E") {
-      if (parts.size() < 5) return err("edge line needs two endpoints");
-      GRAPHITTI_ASSIGN_OR_RETURN(NodeKind from_kind, ParseKind(parts[1]));
-      GRAPHITTI_ASSIGN_OR_RETURN(NodeKind to_kind, ParseKind(parts[3]));
-      int64_t from_id = 0, to_id = 0;
-      if (!util::ParseInt64(parts[2], &from_id) || !util::ParseInt64(parts[4], &to_id)) {
-        return err("bad edge endpoint id");
-      }
-      std::string label;
-      for (size_t i = 5; i < parts.size(); ++i) {
-        if (i > 5) label += ' ';
-        label += parts[i];
-      }
-      GRAPHITTI_RETURN_NOT_OK(graph.AddEdge({from_kind, static_cast<uint64_t>(from_id)},
-                                            {to_kind, static_cast<uint64_t>(to_id)},
-                                            UnescapeLabel(label)));
-    } else {
-      return err("unknown record type '" + parts[0] + "'");
-    }
-  }
-  return graph;
 }
 
 }  // namespace agraph

@@ -3,9 +3,18 @@
 #include <cstdio>
 
 #include "util/string_util.h"
+#include "xml/xml_parser.h"
 
 namespace graphitti {
 namespace annotation {
+
+const xml::XmlDocument& Content::dom() const {
+  std::call_once(parsed_, [this] {
+    util::Result<xml::XmlDocument> doc = xml::ParseXml(xml_);
+    if (doc.ok()) dom_ = std::move(*doc);
+  });
+  return dom_;
+}
 
 AnnotationBuilder& AnnotationBuilder::Title(std::string v) {
   dc_.title = std::move(v);

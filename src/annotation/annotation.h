@@ -5,6 +5,8 @@
 #define GRAPHITTI_ANNOTATION_ANNOTATION_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,33 @@ struct OntologyRef {
   }
 };
 
+/// An annotation's stored content: the serialized XML (the
+/// BuildContentXml(id).ToString(false) bytes) and a DOM parsed from them at
+/// most once, on the first dom() call. Immutable once built, so every
+/// engine version that holds the annotation shares one object: a version
+/// clone copies the pointer, and a DOM one version parses serves them all.
+class Content {
+ public:
+  explicit Content(std::string xml) : xml_(std::move(xml)) {}
+  Content(const Content&) = delete;
+  Content& operator=(const Content&) = delete;
+
+  /// The serialized bytes, byte-exact across snapshot and WAL round trips.
+  const std::string& xml() const { return xml_; }
+
+  /// The DOM, parsed on the first call. Safe from any number of threads;
+  /// lock-free once parsed. Bytes that fail to parse (unreachable for
+  /// bytes the engine serialized and checksummed) give an empty document.
+  const xml::XmlDocument& dom() const;
+
+ private:
+  const std::string xml_;
+  mutable std::once_flag parsed_;
+  mutable xml::XmlDocument dom_;  // written once, under parsed_
+};
+
+using ContentPtr = std::shared_ptr<const Content>;
+
 /// A committed annotation.
 struct Annotation {
   AnnotationId id = 0;
@@ -51,12 +80,9 @@ struct Annotation {
   std::vector<std::pair<std::string, std::string>> user_tags;
   std::vector<ReferentId> referents;
   std::vector<OntologyRef> ontology_refs;
-  /// Materialized XML (the stored form). May be cold after a binary-snapshot
-  /// restore (empty document, serialized bytes parked in the store) until
-  /// first access hydrates it — access through AnnotationStore::ContentOf /
-  /// ContentXml / HasContent instead of reading this field directly.
-  /// `mutable` because hydration is a logically-const cache fill.
-  mutable xml::XmlDocument content;
+  /// The stored XML, shared with every version that holds this annotation.
+  /// Set by every store path that adds an annotation.
+  ContentPtr content;
 };
 
 /// Fluent builder reproducing the annotation-tab flow (Fig. 2): fill Dublin

@@ -5,7 +5,6 @@
 
 #include "util/dense_set.h"
 #include "util/string_util.h"
-#include "xml/xml_parser.h"
 #include "xml/xquery.h"
 
 namespace graphitti {
@@ -119,50 +118,37 @@ util::Result<AnnotationId> AnnotationStore::Commit(const AnnotationBuilder& buil
   const std::vector<AnnotationId> forced =
       forced_id == 0 ? std::vector<AnnotationId>() : std::vector<AnnotationId>{forced_id};
   GRAPHITTI_ASSIGN_OR_RETURN(std::vector<AnnotationId> ids,
-                             CommitBatchImpl(&builder, 1, forced, nullptr, /*consume=*/false));
+                             CommitBatchImpl(&builder, 1, forced, {}, /*consume=*/false));
   return ids.front();
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatch(
     const AnnotationBuilder* builders, size_t count,
-    const std::vector<AnnotationId>& forced_ids) {
-  return CommitBatchImpl(builders, count, forced_ids, nullptr, /*consume=*/false);
+    const std::vector<AnnotationId>& forced_ids, const std::vector<ContentPtr>& contents) {
+  return CommitBatchImpl(builders, count, forced_ids, contents, /*consume=*/false);
 }
 
 util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatch(
     std::vector<AnnotationBuilder>&& builders,
-    const std::vector<AnnotationId>& forced_ids,
-    std::vector<std::string>* cold_contents) {
-  return CommitBatchImpl(builders.data(), builders.size(), forced_ids, cold_contents,
+    const std::vector<AnnotationId>& forced_ids, const std::vector<ContentPtr>& contents) {
+  return CommitBatchImpl(builders.data(), builders.size(), forced_ids, contents,
                          /*consume=*/true);
 }
 
-util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
+util::Result<std::vector<AnnotationId>> AnnotationStore::ValidateBatch(
     const AnnotationBuilder* builders, size_t count,
-    const std::vector<AnnotationId>& forced_ids,
-    std::vector<std::string>* cold_contents, bool consume) {
-  std::vector<AnnotationId> ids;
-  if (count == 0) return ids;
+    const std::vector<AnnotationId>& forced_ids) const {
   if (!forced_ids.empty() && forced_ids.size() != count) {
     return util::Status::InvalidArgument(
         "forced_ids must be empty or have one entry per builder");
   }
-  if (cold_contents != nullptr && cold_contents->size() != count) {
-    return util::Status::InvalidArgument(
-        "cold_contents must be null or have one entry per builder");
-  }
-
-  // --- Validate. Nothing in this block touches shared state, so any error
-  // rejects the whole batch with the store untouched. Forced ids jump the
-  // id counter forward; fresh ids continue from it.
+  // Forced ids jump the id counter forward; fresh ids continue from it, so
+  // they can only collide with a forced id of this batch.
+  std::vector<AnnotationId> ids;
   ids.reserve(count);
-  std::vector<xml::XmlDocument> contents;
-  if (cold_contents == nullptr) contents.reserve(count);
   std::unordered_set<AnnotationId> assigned;
-  assigned.reserve(count);
+  if (!forced_ids.empty()) assigned.reserve(count);
   uint64_t next_id = next_annotation_id_;
-  size_t node_estimate = 0;
-  size_t total_marks = 0;
   for (size_t i = 0; i < count; ++i) {
     const AnnotationBuilder& b = builders[i];
     if (b.marks().empty()) {
@@ -170,39 +156,34 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
           "builder " + std::to_string(i) +
           ": an annotation must mark at least one referent (it is a linker object)");
     }
-    total_marks += b.marks().size();
     AnnotationId forced = forced_ids.empty() ? 0 : forced_ids[i];
     if (forced != 0 && (annotations_.count(forced) > 0 || assigned.count(forced) > 0)) {
       return util::Status::AlreadyExists("annotation id " + std::to_string(forced) +
                                          " already in use");
     }
     AnnotationId id = forced != 0 ? forced : next_id;
-    assigned.insert(id);
+    if (!forced_ids.empty()) assigned.insert(id);
     next_id = std::max(next_id, id + 1);
-    if (cold_contents == nullptr) {
-      GRAPHITTI_ASSIGN_OR_RETURN(xml::XmlDocument content, b.BuildContentXml(id));
-      contents.push_back(std::move(content));
-    } else {
-      // Cold content skips BuildContentXml, whose own validation still has
-      // to happen: it rejects empty user-tag names (substructure validity
-      // is checked in the marks loop below).
-      for (const auto& [name, value] : b.user_tags()) {
-        (void)value;
-        if (name.empty()) {
-          return util::Status::InvalidArgument("user tag with empty name");
-        }
+    ids.push_back(id);
+    // BuildContentXml's own checks, in its order: once they pass, it
+    // cannot fail.
+    for (const auto& [name, value] : b.user_tags()) {
+      (void)value;
+      if (name.empty()) {
+        return util::Status::InvalidArgument("user tag with empty name");
       }
     }
-    ids.push_back(id);
-    node_estimate += 1 + b.marks().size() + b.ontology_refs().size();
     for (const auto& [sub, object_id] : b.marks()) {
       (void)object_id;
       if (!sub.valid()) {
         return util::Status::InvalidArgument("invalid marked substructure: " +
                                              sub.ToString());
       }
+    }
+    for (const auto& [sub, object_id] : b.marks()) {
+      (void)object_id;
       if (sub.type() == substructure::SubType::kRegion) {
-        // The staged flush below must not be able to fail. ToCanonical's
+        // CommitBatch's staged flush must not be able to fail. ToCanonical's
         // only failure modes are an unknown system and a rect/system dims
         // mismatch, so checking those here (without transforming — the
         // staging pass does the one real canonicalization per mark)
@@ -216,6 +197,38 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
         }
       }
     }
+  }
+  return ids;
+}
+
+util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
+    const AnnotationBuilder* builders, size_t count,
+    const std::vector<AnnotationId>& forced_ids, const std::vector<ContentPtr>& contents,
+    bool consume) {
+  if (count == 0) return std::vector<AnnotationId>();
+  if (!contents.empty() && contents.size() != count) {
+    return util::Status::InvalidArgument(
+        "contents must be empty or have one entry per builder");
+  }
+  // --- Validate, then serialize each content once (unless adopted). Nothing
+  // here touches shared state, so any error rejects the whole batch with
+  // the store untouched.
+  GRAPHITTI_ASSIGN_OR_RETURN(std::vector<AnnotationId> ids,
+                             ValidateBatch(builders, count, forced_ids));
+  std::vector<ContentPtr> built;
+  if (contents.empty()) {
+    built.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      GRAPHITTI_ASSIGN_OR_RETURN(xml::XmlDocument doc, builders[i].BuildContentXml(ids[i]));
+      built.push_back(std::make_shared<const Content>(doc.ToString(false)));
+    }
+  }
+  const std::vector<ContentPtr>& content = contents.empty() ? built : contents;
+  size_t node_estimate = 0;
+  size_t total_marks = 0;
+  for (size_t i = 0; i < count; ++i) {
+    node_estimate += 1 + builders[i].marks().size() + builders[i].ontology_refs().size();
+    total_marks += builders[i].marks().size();
   }
 
   // --- Stage: annotation records, referent interning with spatial
@@ -261,7 +274,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
       ann.user_tags = b.user_tags();
       ann.ontology_refs = b.ontology_refs();
     }
-    if (cold_contents == nullptr) ann.content = std::move(contents[i]);
+    ann.content = content[i];
 
     agraph::NodeRef content_node = ContentNode(id);
     const uint32_t content_idx = graph_->EnsureNodeIndex(
@@ -306,17 +319,8 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
       annotations_.emplace(id, std::move(ann));
     }
   }
-  next_annotation_id_ = std::max(next_annotation_id_, next_id);
-  if (cold_contents != nullptr) {
-    // Logged content parks cold, as a restored snapshot's does: ContentOf
-    // parses it on first access, ContentXml passes it through verbatim.
-    util::MutexLock lock(hydrate_mu_);
-    ReserveAmortized(&cold_content_, ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      cold_content_.emplace(ids[i], std::move((*cold_contents)[i]));
-    }
-    has_cold_.store(true, std::memory_order_release);
-  }
+  next_annotation_id_ =
+      std::max(next_annotation_id_, *std::max_element(ids.begin(), ids.end()) + 1);
 
   // --- Flush: one bulk tree build per touched domain, one sort + merge
   // per posting list an out-of-order forced id left unsorted.
@@ -346,11 +350,6 @@ util::Status AnnotationStore::Remove(AnnotationId id) {
   // stays consistent.
   for (ReferentId rid : it->second.referents) ReleaseReferent(rid);
   annotations_.erase(it);
-  if (has_cold_.load(std::memory_order_acquire)) {
-    util::MutexLock lock(hydrate_mu_);
-    cold_content_.erase(id);
-    if (cold_content_.empty()) has_cold_.store(false, std::memory_order_release);
-  }
   return util::Status::OK();
 }
 
@@ -423,7 +422,7 @@ size_t AnnotationStore::TokenizeForIndex(const Annotation& ann, std::string* tex
   text.clear();
   // The content document's text is the annotation's field values in build
   // order — dc fields, body, user-tag values (content is always
-  // BuildContentXml's output; see CommitBatch's cold-content contract) — so
+  // BuildContentXml's output; see CommitBatch's contents contract) — so
   // the search text is assembled from the contiguous struct fields instead
   // of a pointer-chasing DOM walk. An empty user-tag value still adds its
   // separator.
@@ -557,47 +556,6 @@ std::vector<const xml::XmlDocument*> AnnotationStore::Collection() const {
   return out;
 }
 
-const xml::XmlDocument& AnnotationStore::ContentOf(const Annotation& ann) const {
-  // Fast path: no cold entries anywhere, so every DOM is hot and immutable
-  // — safe to read without the lock. While has_cold_ is set, ann.content
-  // may be written by a concurrent hydration, so ALL access goes through
-  // the mutex (even for annotations that were never cold: the flag is
-  // store-wide, and distinguishing per-annotation would need the map
-  // lookup the lock protects anyway).
-  if (!has_cold_.load(std::memory_order_acquire)) return ann.content;
-  util::MutexLock lock(hydrate_mu_);
-  auto it = cold_content_.find(ann.id);
-  if (it == cold_content_.end()) return ann.content;  // hydrated by a racer
-  util::Result<xml::XmlDocument> doc = xml::ParseXml(it->second);
-  // The bytes were serialized by our own snapshot writer and CRC-verified;
-  // a parse failure is unreachable short of a logic bug, in which case the
-  // annotation degrades to content-less rather than crashing a recovery.
-  if (doc.ok()) ann.content = std::move(*doc);
-  cold_content_.erase(it);
-  if (cold_content_.empty()) has_cold_.store(false, std::memory_order_release);
-  return ann.content;
-}
-
-std::string AnnotationStore::ContentXml(const Annotation& ann) const {
-  if (has_cold_.load(std::memory_order_acquire)) {
-    util::MutexLock lock(hydrate_mu_);
-    auto it = cold_content_.find(ann.id);
-    // Still cold: the stored bytes verbatim, no parse + re-serialize
-    // round-trip (this is what makes snapshot-of-a-restored-engine
-    // byte-stable).
-    if (it != cold_content_.end()) return it->second;
-    // Hydrated under this mutex by some earlier holder; the DOM is
-    // immutable from then on, so serializing after unlock is safe.
-  }
-  return ann.content.ToString(false);
-}
-
-bool AnnotationStore::HasContent(const Annotation& ann) const {
-  if (!has_cold_.load(std::memory_order_acquire)) return !ann.content.empty();
-  util::MutexLock lock(hydrate_mu_);
-  return !ann.content.empty() || cold_content_.count(ann.id) > 0;
-}
-
 std::string_view AnnotationStore::LowerTextOf(AnnotationId id) const {
   auto it = lower_text_.find(id);
   return it == lower_text_.end() ? std::string_view() : std::string_view(it->second);
@@ -709,19 +667,15 @@ util::Status AnnotationStore::RestoreSnapshotState(
     postings_[tid] = std::move(keyword_index.postings[i]);
   }
 
-  // Annotations: metadata hot, content cold, a-graph wired in commit
-  // order (content node; per first-use referent: referent node, then its
-  // of-object edge, then the annotates edge; then term edges). The
+  // Annotations: adopted as decoded (content stays unparsed), a-graph wired
+  // in commit order (content node; per first-use referent: referent node,
+  // then its of-object edge, then the annotates edge; then term edges). The
   // structures the WAL tail's batches grow next are sized for them too.
   const uint32_t annotates_label = graph_->InternEdgeLabel(kEdgeAnnotates);
   const uint32_t refers_to_label = graph_->InternEdgeLabel(kEdgeRefersTo);
   graph_->Reserve(annotations.size() + referents_.size() + term_names_.size() +
                   headroom.nodes);
   lower_text_.reserve(annotations.size() + headroom.annotations);
-  // Uncontended (the store is not published yet); cold_content_ is
-  // hydrate-side state.
-  util::MutexLock lock(hydrate_mu_);
-  cold_content_.reserve(annotations.size() + headroom.annotations);
   uint64_t prev_aid = 0;
   for (RestoredAnnotation& ra : annotations) {
     Annotation& ann = ra.ann;
@@ -766,7 +720,6 @@ util::Status AnnotationStore::RestoreSnapshotState(
       graph_->AddEdgeIndexed(content_idx, graph_->EnsureNodeIndex(tnode), refers_to_label);
     }
     lower_text_.emplace(id, std::move(ra.lower_text));
-    cold_content_.emplace(id, std::move(ra.content_xml));
     annotations_.emplace_hint(annotations_.end(), id, std::move(ann));
   }
 
@@ -780,7 +733,6 @@ util::Status AnnotationStore::RestoreSnapshotState(
 
   next_annotation_id_ = next_annotation_id;
   next_referent_id_ = next_referent_id;
-  has_cold_.store(!cold_content_.empty(), std::memory_order_release);
   return util::Status::OK();
 }
 
@@ -816,36 +768,9 @@ std::string AnnotationStore::TermName(agraph::NodeRef ref) const {
 
 std::unique_ptr<AnnotationStore> AnnotationStore::Clone(
     spatial::IndexManager* indexes, agraph::AGraph* graph) const {
-  auto copy = std::make_unique<AnnotationStore>(indexes, graph);
-  // Serialize against concurrent reader-side cold-content hydration (the
-  // only mutation a published store can see: ContentOf moving an entry
-  // from cold_content_ into Annotation::content under hydrate_mu_).
-  util::MutexLock lock(hydrate_mu_);
-  for (const auto& [id, ann] : annotations_) {
-    Annotation& a = copy->annotations_[id];
-    a.id = ann.id;
-    a.dc = ann.dc;
-    a.body = ann.body;
-    a.user_tags = ann.user_tags;
-    a.referents = ann.referents;
-    a.ontology_refs = ann.ontology_refs;
-    if (ann.content.root() != nullptr) {
-      a.content.set_root(ann.content.root()->Clone());
-    }
-  }
-  copy->referents_ = referents_;
-  copy->referent_by_key_ = referent_by_key_;
-  copy->referents_by_domain_ = referents_by_domain_;
-  copy->token_ids_ = token_ids_;
-  copy->postings_ = postings_;
-  copy->lower_text_ = lower_text_;
-  copy->term_node_ids_ = term_node_ids_;
-  copy->term_names_ = term_names_;
-  copy->next_annotation_id_ = next_annotation_id_;
-  copy->next_referent_id_ = next_referent_id_;
-  copy->cold_content_ = cold_content_;
-  copy->has_cold_.store(has_cold_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
+  std::unique_ptr<AnnotationStore> copy(new AnnotationStore(*this));
+  copy->indexes_ = indexes;
+  copy->graph_ = graph;
   return copy;
 }
 

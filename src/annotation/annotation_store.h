@@ -8,20 +8,20 @@
 //   3. content/referent/term/object nodes and labeled edges are added to
 //      the a-graph.
 //
-// Thread-safety: the store performs no synchronization of its own beyond
-// cold-content hydration (hydrate_mu_). The owning core::Graphitti runs
-// every commit and removal on an unpublished scratch version under its
-// commit mutex, and serves reads from published versions that no writer
-// mutates again (util/epoch.h). The store keeps that split clean by
-// building ALL read-acceleration state eagerly at commit time — keyword
-// postings, the per-annotation lowercase text that phrase search scans
-// (lower_text_), the per-domain referent index — so no const search
-// method ever writes. The one non-const lookup, TermNode (creates the
-// term node on first use), is only called from the commit path.
+// Thread-safety: the store performs no synchronization of its own. The
+// owning core::Graphitti runs every commit and removal on an unpublished
+// scratch version under its commit mutex, and serves reads from published
+// versions that no writer mutates again (util/epoch.h). The store keeps
+// that split clean by building ALL read-acceleration state eagerly at
+// commit time — keyword postings, the per-annotation lowercase text that
+// phrase search scans (lower_text_), the per-domain referent index — so
+// no const search method ever writes. Content is immutable and shared
+// across versions (annotation::Content); its one lazy step, the first DOM
+// parse, synchronizes itself. The one non-const lookup, TermNode (creates
+// the term node on first use), is only called from the commit path.
 #ifndef GRAPHITTI_ANNOTATION_ANNOTATION_STORE_H_
 #define GRAPHITTI_ANNOTATION_ANNOTATION_STORE_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -34,7 +34,6 @@
 #include "annotation/annotation.h"
 #include "spatial/index_manager.h"
 #include "util/string_interner.h"
-#include "util/thread_annotations.h"
 #include "util/result.h"
 
 namespace graphitti {
@@ -51,14 +50,12 @@ class AnnotationStore {
   /// instance; both must outlive it.
   AnnotationStore(spatial::IndexManager* indexes, agraph::AGraph* graph);
 
-  AnnotationStore(const AnnotationStore&) = delete;
   AnnotationStore& operator=(const AnnotationStore&) = delete;
 
-  /// Deep copy for copy-on-write version publication (util/epoch.h): the
-  /// clone borrows `indexes`/`graph` (the *clone's* counterparts, not this
-  /// store's). Safe to call while reader threads hydrate cold content on
-  /// this store concurrently — the copy runs under hydrate_mu_, the only
-  /// lock those logically-const fills take.
+  /// Copy for copy-on-write version publication (util/epoch.h): the clone
+  /// borrows `indexes`/`graph` (the *clone's* counterparts, not this
+  /// store's). Annotations share their immutable content with this store,
+  /// so the copy is safe while readers parse content on this store.
   std::unique_ptr<AnnotationStore> Clone(spatial::IndexManager* indexes,
                                          agraph::AGraph* graph) const;
 
@@ -71,12 +68,11 @@ class AnnotationStore {
                                     AnnotationId forced_id = 0);
 
   /// Commits `count` annotations starting at `builders`: assigns ids,
-  /// materializes the XML, indexes substructures (deduplicating identical
-  /// marks into shared referents), and extends the a-graph. Every builder
-  /// is validated up front — marks, coordinate systems (including
-  /// rect-dims canonicalization), forced-id collisions against the store
-  /// and within the batch — before any state changes, so a bad builder
-  /// rejects the whole batch with the store untouched (all-or-nothing).
+  /// serializes the content XML, indexes substructures (deduplicating
+  /// identical marks into shared referents), and extends the a-graph. Every
+  /// builder is validated up front (ValidateBatch) before any state
+  /// changes, so a bad builder rejects the whole batch with the store
+  /// untouched (all-or-nothing).
   /// Referent interning then stages spatial insertion into per-domain
   /// interval and per-canonical-system region accumulators that flush
   /// through IndexManager::BulkLoadIntervals / BulkLoadRegions (a fresh
@@ -87,27 +83,36 @@ class AnnotationStore {
   /// grows geometrically (AGraph::Reserve) and edges wire by dense index.
   /// Per-batch costs are proportional to the batch, not to the store.
   /// `forced_ids`, when non-empty, must have one entry per builder
-  /// (0 = assign fresh) — the WAL-replay path.
+  /// (0 = assign fresh) — the replay paths.
+  ///
+  /// `contents`, when non-empty, must have one entry per builder: that
+  /// builder's content under its id, adopted as is instead of serialized
+  /// again. The two replays pass it: WAL replay wraps the logged bytes,
+  /// and the engine's op replay hands the standby version the objects the
+  /// commit it repeats already built. Content that does not match the
+  /// builder makes stored content and search text disagree.
   util::Result<std::vector<AnnotationId>> CommitBatch(
       const AnnotationBuilder* builders, size_t count,
-      const std::vector<AnnotationId>& forced_ids = {});
+      const std::vector<AnnotationId>& forced_ids = {},
+      const std::vector<ContentPtr>& contents = {});
 
   /// Consuming overload: identical observable semantics, but each
   /// annotation's metadata (Dublin Core fields, body, user tags, ontology
   /// refs) is moved out of its builder instead of copied — for callers
   /// that discard the builders afterwards, like WAL replay.
-  ///
-  /// `cold_contents`, when non-null, must have one entry per builder: the
-  /// serialized content (BuildContentXml(id).ToString(false)) of that
-  /// builder under its forced id. Each entry is moved into the cold
-  /// content store instead of building a DOM, exactly as a snapshot
-  /// restore parks content (see ContentOf) — the WAL-replay path, whose
-  /// log carries the bytes. Bytes that do not match the builder make
-  /// stored content and search text disagree.
   util::Result<std::vector<AnnotationId>> CommitBatch(
       std::vector<AnnotationBuilder>&& builders,
       const std::vector<AnnotationId>& forced_ids = {},
-      std::vector<std::string>* cold_contents = nullptr);
+      const std::vector<ContentPtr>& contents = {});
+
+  /// The ids CommitBatch would assign to `count` builders, or the error it
+  /// would refuse them with: marks, user-tag names, coordinate systems
+  /// (including rect-dims canonicalization), forced-id collisions against
+  /// the store and within the batch. Changes nothing, so the engine checks
+  /// a commit against the published version before it takes a scratch one.
+  util::Result<std::vector<AnnotationId>> ValidateBatch(
+      const AnnotationBuilder* builders, size_t count,
+      const std::vector<AnnotationId>& forced_ids = {}) const;
 
   /// Removes an annotation; referents drop a refcount and disappear from
   /// spatial indexes and the a-graph when orphaned.
@@ -165,33 +170,31 @@ class AnnotationStore {
   /// index when the phrase tokenizes to at least one word.
   std::vector<AnnotationId> SearchPhrase(std::string_view phrase) const;
 
-  /// The XML collection view for XQuery ("collection()"). Hydrates any
-  /// still-cold documents (see ContentOf).
+  /// The XML collection view for XQuery ("collection()"). Parses every
+  /// document no version has parsed yet (see ContentOf).
   std::vector<const xml::XmlDocument*> Collection() const;
 
-  // --- Content access (lazy hydration) ---
+  // --- Content access ---
   //
-  // After a binary-snapshot restore or WAL replay, annotation content
-  // arrives as serialized XML bytes parked in cold_content_; the DOM is
-  // parsed on first access instead of at load time (parsing 50k documents
-  // dominates restart cost). These accessors are the only sanctioned way
-  // to read Annotation::content — they are safe under the engine's shared
-  // gate (internal mutex + atomic fast path), and on a store with no cold
-  // entries (every store that never recovered from disk) the fast path is
-  // a single relaxed-ish atomic load.
+  // Every path that adds an annotation stores its content as serialized
+  // bytes (annotation::Content); the DOM is parsed on first access rather
+  // than at commit or load time (parsing 50k documents would dominate
+  // restart cost), once for every version that shares the content.
 
-  /// The annotation's content DOM, hydrating it from the cold bytes first
-  /// if needed. The returned reference lives as long as the annotation.
-  const xml::XmlDocument& ContentOf(const Annotation& ann) const;
+  /// The annotation's content DOM, parsed on the first call. The returned
+  /// reference lives as long as any version holding the annotation.
+  const xml::XmlDocument& ContentOf(const Annotation& ann) const {
+    return ann.content->dom();
+  }
 
-  /// The serialized content (ToString(false) form) WITHOUT hydrating:
-  /// returns the cold bytes verbatim when present, else serializes the hot
-  /// DOM. Byte-exact across snapshot round-trips.
-  std::string ContentXml(const Annotation& ann) const;
+  /// The serialized content (ToString(false) form), never parsed:
+  /// byte-exact across snapshot and WAL round trips.
+  const std::string& ContentXml(const Annotation& ann) const { return ann.content->xml(); }
 
-  /// Whether the annotation has any content (hot or cold) — the integrity
-  /// check's replacement for `!ann.content.empty()`.
-  bool HasContent(const Annotation& ann) const;
+  /// Whether the annotation has content — the integrity check.
+  bool HasContent(const Annotation& ann) const {
+    return ann.content != nullptr && !ann.content->xml().empty();
+  }
 
   // --- Snapshot restore ---
 
@@ -203,11 +206,10 @@ class AnnotationStore {
     bool object_edge = false;
   };
 
-  /// One annotation as decoded from a snapshot: metadata hot, content cold.
+  /// One annotation as decoded from a snapshot.
   struct RestoredAnnotation {
-    Annotation ann;           // content left empty
-    std::string content_xml;  // serialized content, hydrated on demand
-    std::string lower_text;   // pre-lowered content text for phrase search
+    Annotation ann;          // content wraps the logged bytes, parsed on demand
+    std::string lower_text;  // pre-lowered content text for phrase search
   };
 
   /// Capacity a restore reserves beyond the snapshot's own contents for a
@@ -233,9 +235,8 @@ class AnnotationStore {
   /// a-graph (core::Graphitti restores objects first). Spatial entries are
   /// bulk-loaded per domain; a-graph nodes/edges are wired in the same
   /// order the original commits produced, so ExportAGraph of a restored
-  /// engine matches the saved one line for line. The a-graph, dedup map,
-  /// phrase text and cold content are sized for the snapshot plus
-  /// `headroom`.
+  /// engine matches the saved one line for line. The a-graph, dedup map
+  /// and phrase text are sized for the snapshot plus `headroom`.
   util::Status RestoreSnapshotState(std::vector<RestoredReferent> referents,
                                     std::vector<RestoredAnnotation> annotations,
                                     RestoredKeywordIndex keyword_index,
@@ -290,13 +291,18 @@ class AnnotationStore {
     std::unordered_map<std::string, std::vector<spatial::RTreeEntry>> regions;
   };
 
+  /// Clone's member-wise copy, still borrowing this store's `indexes_` and
+  /// `graph_` until Clone re-points them. Private: a public copy would
+  /// silently share another version's substrates.
+  AnnotationStore(const AnnotationStore&) = default;
+
   /// The one commit pipeline behind Commit and both CommitBatch overloads.
   /// `consume` is true only for the rvalue overload, which owns the
   /// builders and may steal their metadata.
   util::Result<std::vector<AnnotationId>> CommitBatchImpl(
       const AnnotationBuilder* builders, size_t count,
       const std::vector<AnnotationId>& forced_ids,
-      std::vector<std::string>* cold_contents, bool consume);
+      const std::vector<ContentPtr>& contents, bool consume);
 
   /// Tokenizes `ann`'s search text (content text, user-tag keys, ontology
   /// terms) into `words` — sorted, deduplicated views into `text_buf` —
@@ -360,16 +366,6 @@ class AnnotationStore {
 
   uint64_t next_annotation_id_ = 1;
   uint64_t next_referent_id_ = 1;
-
-  // Cold content store for snapshot-restored and WAL-replayed annotations:
-  // id -> serialized XML not yet parsed into Annotation::content. ContentOf
-  // moves entries out as they hydrate; has_cold_ flips false when the map
-  // drains, which re-arms the lock-free fast path. All mutable: hydration is a
-  // logically-const cache fill performed under hydrate_mu_.
-  mutable util::Mutex hydrate_mu_;
-  mutable std::unordered_map<AnnotationId, std::string> cold_content_
-      GUARDED_BY(hydrate_mu_);
-  mutable std::atomic<bool> has_cold_{false};
 };
 
 }  // namespace annotation

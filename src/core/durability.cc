@@ -337,11 +337,11 @@ Status DecodeMetadata(Decoder* dec, annotation::Annotation* ann) {
 constexpr size_t kMinCommitEntry = 8 + 4 + kMinString + 3 * 4 + kMinString;
 
 // One kCommitBatch record decoded for replay: a builder per annotation,
-// its logged id, and its post-commit content XML, which parks cold.
+// its logged id, and its post-commit content XML, wrapped unparsed.
 struct CommitRecord {
   std::vector<AnnotationId> ids;
   std::vector<annotation::AnnotationBuilder> builders;
-  std::vector<std::string> contents;
+  std::vector<annotation::ContentPtr> contents;
 };
 
 Result<CommitRecord> DecodeCommitRecord(std::string_view payload) {
@@ -370,7 +370,7 @@ Result<CommitRecord> DecodeCommitRecord(std::string_view payload) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string content, dec.GetString());
     rec.ids.push_back(id);
     rec.builders.push_back(std::move(b));
-    rec.contents.push_back(std::move(content));
+    rec.contents.push_back(std::make_shared<const annotation::Content>(std::move(content)));
   }
   if (!dec.Done()) {
     return Status::Internal("WAL commit record has " + std::to_string(dec.remaining()) +
@@ -379,14 +379,14 @@ Result<CommitRecord> DecodeCommitRecord(std::string_view payload) {
   return rec;
 }
 
-// Commits a decoded record under its logged ids; the content parks cold.
+// Commits a decoded record under its logged ids, adopting the logged content.
 Status ReplayCommitRecord(CommitRecord rec, AnnotationStore* store) {
   // Duplicate delivery of an already-applied record (e.g. replay after a
   // crash mid-checkpoint-cleanup): skip the whole batch.
   for (AnnotationId id : rec.ids) {
     if (store->Get(id) != nullptr) return Status::OK();
   }
-  return store->CommitBatch(std::move(rec.builders), rec.ids, &rec.contents).status();
+  return store->CommitBatch(std::move(rec.builders), rec.ids, rec.contents).status();
 }
 
 }  // namespace
@@ -410,9 +410,9 @@ std::string EncodeCommitBatch(const AnnotationStore& store,
       enc.PutU64(object_id);
     }
     // The post-commit content XML (id attribute stamped) as opaque bytes:
-    // replay parks it cold instead of parsing it.
+    // replay adopts them instead of parsing or rebuilding them.
     const annotation::Annotation* ann = store.Get(ids[i]);
-    enc.PutString(ann == nullptr ? std::string() : store.ContentXml(*ann));
+    enc.PutString(ann == nullptr ? std::string_view() : store.ContentXml(*ann));
   }
   return enc.Take();
 }
@@ -702,7 +702,7 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
     EncodeMetadata(&enc, ann.dc, ann.body, ann.user_tags, ann.ontology_refs);
     enc.PutU32(static_cast<uint32_t>(ann.referents.size()));
     for (ReferentId rid : ann.referents) enc.PutU64(rid);
-    // Byte-exact serialized content (cold entries pass through verbatim),
+    // Byte-exact serialized content, copied as stored (never re-serialized),
     // plus the pre-lowered phrase-search text so restore derives nothing.
     enc.PutString(store.ContentXml(ann));
     enc.PutString(store.LowerTextOf(id));
@@ -886,7 +886,8 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body,
       GRAPHITTI_ASSIGN_OR_RETURN(ReferentId rid, dec.GetU64());
       ra.ann.referents.push_back(rid);
     }
-    GRAPHITTI_ASSIGN_OR_RETURN(ra.content_xml, dec.GetString());
+    GRAPHITTI_ASSIGN_OR_RETURN(std::string content, dec.GetString());
+    ra.ann.content = std::make_shared<const annotation::Content>(std::move(content));
     GRAPHITTI_ASSIGN_OR_RETURN(ra.lower_text, dec.GetString());
     annotations.push_back(std::move(ra));
   }

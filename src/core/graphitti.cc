@@ -543,6 +543,9 @@ util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitAnnotations
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
+  // A refused batch is refused by the published version alike, so it
+  // costs only this check and leaves the recyclable standby alone.
+  GRAPHITTI_RETURN_NOT_OK(CurrentState()->store->ValidateBatch(builders, count).status());
   std::unique_ptr<EngineState> scratch = AcquireScratch();
   GRAPHITTI_ASSIGN_OR_RETURN(std::vector<annotation::AnnotationId> ids,
                              scratch->store->CommitBatch(builders, count));
@@ -556,9 +559,15 @@ util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitAnnotations
     // publish unreplayable and let the next commit pay one clone.
     PublishOp(std::move(scratch), nullptr);
   } else {
+    // The replay repeats this commit under its ids and adopts the content
+    // objects it built, so catching the standby up serializes nothing.
     std::vector<annotation::AnnotationBuilder> batch(builders, builders + count);
-    PublishOp(std::move(scratch), [batch = std::move(batch)](EngineState& s) {
-      return s.store->CommitBatch(batch.data(), batch.size()).status();
+    std::vector<annotation::ContentPtr> contents;
+    contents.reserve(ids.size());
+    for (annotation::AnnotationId id : ids) contents.push_back(scratch->store->Get(id)->content);
+    PublishOp(std::move(scratch), [batch = std::move(batch), ids,
+                                   contents = std::move(contents)](EngineState& s) {
+      return s.store->CommitBatch(batch.data(), batch.size(), ids, contents).status();
     });
   }
   return ids;
@@ -570,6 +579,10 @@ util::Status Graphitti::RemoveAnnotation(annotation::AnnotationId id) {
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
+  // As in CommitAnnotations: refuse an unknown id before taking scratch.
+  if (CurrentState()->store->Get(id) == nullptr) {
+    return Status::NotFound("annotation " + std::to_string(id) + " not found");
+  }
   std::unique_ptr<EngineState> scratch = AcquireScratch();
   EngineOp op = [id](EngineState& s) { return s.store->Remove(id); };
   GRAPHITTI_RETURN_NOT_OK(op(*scratch));

@@ -197,7 +197,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     /// Registers the built-in type tables with their hash indexes (fresh
     /// engines only; restored states decode their tables instead).
     void InstallBuiltins();
-    /// Deep copy; the copy's store borrows the copy's indexes/graph.
+    /// Copy; the copy's store borrows the copy's indexes/graph and shares
+    /// the immutable annotation content.
     std::unique_ptr<EngineState> Clone() const;
   };
 
@@ -537,10 +538,12 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
       REQUIRES(commit_mu_);
 
   /// The one annotation commit routine behind Commit and CommitBatch:
-  /// admission and hydration, then under commit_mu_ the WAL guard, the
-  /// scratch version, the store's batch pipeline over `count` builders at
-  /// `builders`, one kCommitBatch WAL record, and publication — with a
-  /// replay op holding a copy of the builders when the batch has at most
+  /// admission and hydration, then under commit_mu_ the WAL guard,
+  /// validation against the published version (a refused batch never
+  /// touches the standby), the scratch version, the store's batch pipeline
+  /// over `count` builders at `builders`, one kCommitBatch WAL record, and
+  /// publication — with a replay op holding a copy of the builders, their
+  /// ids and their content objects when the batch has at most
   /// kMaxReplayBatch of them.
   util::Result<std::vector<annotation::AnnotationId>> CommitAnnotations(
       const annotation::AnnotationBuilder* builders, size_t count);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 
 #include "agraph/agraph.h"
 #include "annotation/annotation_store.h"
@@ -37,7 +38,7 @@ TEST_F(AnnotationStoreTest, CommitAssignsIdsAndStoresContent) {
   ASSERT_NE(ann, nullptr);
   EXPECT_EQ(ann->dc.title, "first");
   EXPECT_EQ(ann->referents.size(), 1u);
-  EXPECT_FALSE(ann->content.empty());
+  EXPECT_TRUE(store_.HasContent(*ann));
   EXPECT_EQ(store_.size(), 1u);
 }
 
@@ -341,6 +342,58 @@ TEST_F(AnnotationStoreTest, SetTypedReferentsNotSpatiallyIndexed) {
   EXPECT_EQ(indexes_.num_rtrees(), 0u);
   // But they are first-class a-graph citizens.
   EXPECT_EQ(graph_.NodesOfKind(agraph::NodeKind::kReferent).size(), 3u);
+}
+
+// A clone shares each annotation's one content object: the same bytes and
+// the same DOM, not a copy of either.
+TEST_F(AnnotationStoreTest, CloneSharesContent) {
+  AnnotationBuilder b = Simple("shared", "one content object");
+  auto id = store_.Commit(b);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  spatial::IndexManager indexes = indexes_.Clone();
+  agraph::AGraph graph = graph_.Clone();
+  std::unique_ptr<AnnotationStore> copy = store_.Clone(&indexes, &graph);
+  const Annotation* mine = store_.Get(*id);
+  const Annotation* theirs = copy->Get(*id);
+  ASSERT_NE(mine, nullptr);
+  ASSERT_NE(theirs, nullptr);
+  EXPECT_EQ(store_.ContentXml(*mine), b.BuildContentXml(*id)->ToString(false));
+  EXPECT_EQ(copy->ContentXml(*theirs), store_.ContentXml(*mine));
+  EXPECT_EQ(&copy->ContentOf(*theirs), &store_.ContentOf(*mine));
+  ASSERT_NE(store_.ContentOf(*mine).root(), nullptr);
+  EXPECT_EQ(store_.ContentOf(*mine).ToString(false), store_.ContentXml(*mine));
+}
+
+// Restored content stays unparsed until first read; a parse through either
+// of two stores that share it serves both.
+TEST_F(AnnotationStoreTest, RestoredContentParsedThroughACloneIsParsedForBoth) {
+  AnnotationBuilder b = Simple("restored", "parsed at most once");
+  const std::string xml = b.BuildContentXml(5)->ToString(false);
+  std::vector<AnnotationStore::RestoredReferent> referents(1);
+  referents[0].ref.id = 1;
+  referents[0].ref.substructure = b.marks()[0].first;
+  referents[0].ref.refcount = 1;
+  std::vector<AnnotationStore::RestoredAnnotation> annotations(1);
+  Annotation& ann = annotations[0].ann;
+  ann.id = 5;
+  ann.dc = b.dc();
+  ann.body = b.body();
+  ann.referents = {1};
+  ann.content = std::make_shared<const Content>(xml);
+  ASSERT_TRUE(store_
+                  .RestoreSnapshotState(std::move(referents), std::move(annotations), {}, {},
+                                        /*next_annotation_id=*/6, /*next_referent_id=*/2, {})
+                  .ok());
+  spatial::IndexManager indexes = indexes_.Clone();
+  agraph::AGraph graph = graph_.Clone();
+  std::unique_ptr<AnnotationStore> copy = store_.Clone(&indexes, &graph);
+
+  const xml::XmlDocument& parsed = copy->ContentOf(*copy->Get(5));
+  ASSERT_NE(parsed.root(), nullptr);
+  EXPECT_EQ(&store_.ContentOf(*store_.Get(5)), &parsed);
+  EXPECT_EQ(parsed.ToString(false), xml);
+  EXPECT_EQ(store_.ContentXml(*store_.Get(5)), xml);
+  EXPECT_TRUE(store_.HasContent(*store_.Get(5)));
 }
 
 }  // namespace

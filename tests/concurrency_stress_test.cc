@@ -680,11 +680,11 @@ TEST(ConcurrencyStressTest, SaveToRacingAWriterLoadsConsistentState) {
   EXPECT_TRUE(g.ValidateIntegrity().ok());
 }
 
-// Content a restart replays from the WAL tail parks cold, like a restored
-// snapshot's, and hydrates on first access under the store's hydrate
-// mutex. Readers race each other through that first access while a writer
-// commits (cloning the store, cold entries included); every reader must
-// see every document whole.
+// Content a restart replays from the WAL tail stays unparsed, like a
+// restored snapshot's, until its first access parses it once for every
+// version that shares it. Readers race each other through that first access
+// while a writer commits (cloning the store, which shares the content);
+// every reader must see every document whole.
 TEST(ConcurrencyStressTest, ReplayedColdContentHydratesUnderConcurrentReaders) {
   constexpr size_t kSnapshot = 40;
   constexpr size_t kTail = 60;
@@ -756,6 +756,66 @@ TEST(ConcurrencyStressTest, ReplayedColdContentHydratesUnderConcurrentReaders) {
   EXPECT_TRUE(g.ValidateIntegrity().ok());
   opened->reset();
   fs::remove_all(dir, ec);
+}
+
+// Two engine versions share each annotation's content object. Threads on
+// both versions ask for the same not-yet-parsed DOMs at once: the content
+// is parsed once, and every thread gets that one DOM.
+TEST(ConcurrencyStressTest, VersionsShareOneParseOfEachContent) {
+  constexpr size_t kDocs = 64;
+  constexpr int kThreadsPerVersion = 3;
+  Graphitti g;
+  std::vector<AnnotationId> ids;
+  for (size_t i = 0; i < kDocs; ++i) {
+    AnnotationBuilder b;
+    b.Title("shared " + std::to_string(i)).Body("unparsed until read");
+    b.MarkInterval("chrS", static_cast<int64_t>(i) * 10, static_cast<int64_t>(i) * 10 + 5);
+    auto id = g.Commit(b);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  // Keyword answers come from the postings, so neither pin parses content.
+  const char* kQuery = "FIND CONTENTS WHERE { ?a CONTAINS \"unparsed\" }";
+  auto older = g.Query(kQuery);
+  ASSERT_TRUE(older.ok());
+  AnnotationBuilder extra;
+  extra.Title("next version").MarkInterval("chrS", 0, 1);
+  ASSERT_TRUE(g.Commit(extra).ok());
+  auto newer = g.Query(kQuery);
+  ASSERT_TRUE(newer.ok());
+  auto store_of = [](const query::QueryResult& r) {
+    return static_cast<const Graphitti::EngineState*>(r.snapshot.get())->store.get();
+  };
+  const annotation::AnnotationStore* stores[2] = {store_of(*older), store_of(*newer)};
+  ASSERT_NE(stores[0], stores[1]);
+
+  struct Seen {
+    const xml::XmlDocument* dom = nullptr;
+    std::string text;
+  };
+  std::vector<std::vector<Seen>> seen(2 * kThreadsPerVersion, std::vector<Seen>(kDocs));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2 * kThreadsPerVersion; ++t) {
+    threads.emplace_back([&, t] {
+      const annotation::AnnotationStore& store = *stores[t % 2];
+      while (!go.load()) std::this_thread::yield();
+      for (size_t i = 0; i < kDocs; ++i) {
+        const xml::XmlDocument& dom = store.ContentOf(*store.Get(ids[i]));
+        seen[static_cast<size_t>(t)][i] = {&dom, dom.ToString(false)};
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < kDocs; ++i) {
+    const std::string& logged = stores[0]->ContentXml(*stores[0]->Get(ids[i]));
+    EXPECT_EQ(stores[1]->ContentXml(*stores[1]->Get(ids[i])), logged);
+    for (const std::vector<Seen>& per_thread : seen) {
+      EXPECT_EQ(per_thread[i].dom, seen[0][i].dom) << "annotation " << ids[i];
+      EXPECT_EQ(per_thread[i].text, logged) << "annotation " << ids[i];
+    }
+  }
 }
 
 }  // namespace

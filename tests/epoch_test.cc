@@ -10,6 +10,7 @@
 //   - reclamation on last-pin-drop: a drained superseded version is
 //     destroyed exactly when its last pin drops (or on the next publish
 //     if it was parked as the recycle candidate), never earlier.
+//   - a refused commit or remove leaves the parked standby alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -246,6 +247,44 @@ TEST(EpochTest, EngineReplayAndClonePathsConverge) {
   EXPECT_EQ(count_b->items[0].count, 13u);
   EXPECT_TRUE(pinned_engine.ValidateIntegrity().ok());
   EXPECT_TRUE(recycled_engine.ValidateIntegrity().ok());
+}
+
+// A commit or remove the store refuses is refused before the writer takes
+// a scratch version, so the parked standby survives it (two live versions:
+// current + standby) and the refusal keeps its status code.
+TEST(EpochTest, RefusedMutationsKeepTheStandby) {
+  core::Graphitti g;
+  for (int i = 0; i < 3; ++i) {
+    annotation::AnnotationBuilder b;
+    b.Title("kept " + std::to_string(i)).MarkInterval("chrK", i * 10, i * 10 + 5);
+    ASSERT_TRUE(g.Commit(b).ok());
+  }
+  ASSERT_EQ(g.live_engine_versions(), 2u);
+
+  annotation::AnnotationBuilder unknown_system;
+  unknown_system.Title("refused").MarkRegion("nope", spatial::Rect::Make2D(0, 0, 1, 1));
+  EXPECT_TRUE(g.Commit(unknown_system).status().IsNotFound());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  annotation::AnnotationBuilder no_marks;
+  no_marks.Title("refused");
+  EXPECT_TRUE(g.Commit(no_marks).status().IsInvalidArgument());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  annotation::AnnotationBuilder empty_tag;
+  empty_tag.Title("refused").UserTag("", "v").MarkInterval("chrK", 0, 1);
+  EXPECT_TRUE(g.Commit(empty_tag).status().IsInvalidArgument());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  EXPECT_TRUE(g.RemoveAnnotation(999).IsNotFound());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  annotation::AnnotationBuilder after;
+  after.Title("after").MarkInterval("chrK", 100, 105);
+  ASSERT_TRUE(g.Commit(after).ok());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+  EXPECT_EQ(g.Stats().num_annotations, 4u);
+  EXPECT_TRUE(g.ValidateIntegrity().ok());
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ TEST_P(MetamorphicTest, BuilderXmlRoundTripOnGeneratedAnnotations) {
   for (size_t i = 0; i < 20; ++i) {
     const annotation::Annotation* ann = g_.annotations().Get(corpus_.annotations[i]);
     ASSERT_NE(ann, nullptr);
-    auto rebuilt = AnnotationBuilder::FromContentXml(ann->content.root());
+    auto rebuilt = AnnotationBuilder::FromContentXml(g_.annotations().ContentOf(*ann).root());
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
     EXPECT_EQ(rebuilt->dc().title, ann->dc.title);
     EXPECT_EQ(rebuilt->body(), ann->body);

@@ -75,7 +75,7 @@ TEST(RecoveryTest, FreshOpenCommitsSurviveReopen) {
   ASSERT_NE(g->annotations().Get(a2), nullptr);
   EXPECT_TRUE(g->ValidateIntegrity().ok());
   // Replayed commits index their fields at once (keyword search finds
-  // them); their content XML parks cold until first access.
+  // them); their content XML stays unparsed until first access.
   EXPECT_EQ(g->annotations().SearchKeyword("first").size(), 1u);
 }
 
@@ -122,7 +122,7 @@ TEST(RecoveryTest, CheckpointRoundTripsDeepState) {
   EXPECT_EQ(g->annotations().SearchKeyword("protease"), protease_before);
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 
-  // Cold content hydrates on demand: an XPath-filtered query touches it.
+  // Restored content is parsed on demand: an XPath-filtered query touches it.
   auto q = g->Query("FIND CONTENTS WHERE { ?a CONTAINS \"protease\" }");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ(q->items.size(), protease_before.size());
@@ -836,8 +836,8 @@ TEST_F(RecoveryFsTest, CommitRecordFieldsSurviveReplay) {
     ASSERT_TRUE(g.SaveTo(save.string()).ok());
     EXPECT_TRUE(ReadBytes(save / persist::SnapshotFileName(1)) == live_save);
 
-    // The tail's content is cold until an XQuery reads the collection,
-    // which hydrates it: each document is the logged XML parsed.
+    // The tail's content stays unparsed until an XQuery reads the
+    // collection, which parses it: each document is the logged XML parsed.
     auto hits = g.annotations().XQuerySearch(
         "for $a in collection()/annotation where contains($a/body, 'quotes') return $a");
     ASSERT_TRUE(hits.ok()) << hits.status().ToString();
