@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- vacuum ---
+  // --- removals ---
   for (size_t i = 0; i < 20; ++i) {
     (void)g.RemoveAnnotation(corpus->annotations[i]);
   }

@@ -262,30 +262,6 @@ util::Status AGraph::AddEdge(NodeRef from, NodeRef to, std::string_view label) {
   return util::Status::OK();
 }
 
-util::Status AGraph::RemoveEdge(NodeRef from, NodeRef to, std::string_view label) {
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t fi, DenseIndex(from));
-  GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ti, DenseIndex(to));
-  auto lit = label_index_.find(label);
-  if (lit == label_index_.end()) {
-    return util::Status::NotFound("edge label '" + std::string(label) + "' unknown");
-  }
-  uint32_t li = lit->second;
-  auto& outs = out_[fi];
-  auto oit = std::find_if(outs.begin(), outs.end(),
-                          [&](const Edge& e) { return e.other == ti && e.label == li; });
-  if (oit == outs.end()) {
-    return util::Status::NotFound("edge " + from.ToString() + " -[" + std::string(label) +
-                                  "]-> " + to.ToString() + " not found");
-  }
-  outs.erase(oit);
-  auto& ins = in_[ti];
-  auto iit = std::find_if(ins.begin(), ins.end(),
-                          [&](const Edge& e) { return e.other == fi && e.label == li; });
-  if (iit != ins.end()) ins.erase(iit);
-  --num_edges_;
-  return util::Status::OK();
-}
-
 bool AGraph::HasEdge(NodeRef from, NodeRef to, std::string_view label) const {
   auto fi = DenseIndex(from);
   auto ti = DenseIndex(to);

@@ -184,9 +184,6 @@ class AGraph {
   /// Adds a directed labeled edge; both endpoints must exist.
   util::Status AddEdge(NodeRef from, NodeRef to, std::string_view label);
 
-  /// Removes one edge matching (from, to, label); NotFound when absent.
-  util::Status RemoveEdge(NodeRef from, NodeRef to, std::string_view label);
-
   bool HasEdge(NodeRef from, NodeRef to, std::string_view label) const;
 
   /// Node display label ("" when absent).

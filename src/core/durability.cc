@@ -10,9 +10,10 @@
 //
 // Snapshot body layout (framed + checksummed by persist/snapshot.cc):
 //   coordinate systems (canonical-first), tables (schema, index
-//   descriptors, rows in scan order), objects (referencing rows by scan
-//   ORDINAL — re-inserting into fresh tables makes ordinal == RowId),
-//   next object id, ontologies (OBO text), then the annotation store:
+//   descriptors, rows in RowId order), objects (referencing their row by
+//   RowId, the row's insertion ordinal, which re-inserting the rows into
+//   fresh tables reproduces), next object id, ontologies (OBO text), then
+//   the annotation store:
 //   term names (dense id order), the keyword index verbatim (token
 //   strings + posting lists, so restore never re-tokenizes a document),
 //   referents (with their a-graph of-object edge bit), annotations
@@ -24,7 +25,6 @@
 #include <chrono>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 #include "persist/format.h"
 #include "persist/recovery.h"
@@ -582,9 +582,9 @@ Status Graphitti::ApplyWalRecord(const persist::WalRecord& record, EngineState& 
       return s.IsAlreadyExists() ? Status::OK() : s;
     }
     case persist::WalRecordType::kVacuum:
-      for (const std::string& name : state.catalog.TableNames()) {
-        state.catalog.GetTable(name)->Vacuum();
-      }
+      // Retired: it compacted deleted rows, and no durable engine could
+      // ever delete one, so it always replayed as a no-op. Kept so WALs
+      // that hold one still open.
       return Status::OK();
   }
   return Status::Internal("unknown WAL record type " +
@@ -607,12 +607,10 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
     for (double o : cs.offset) enc.PutDouble(o);
   }
 
-  // Tables: schema + index descriptors + rows in scan order. Objects below
-  // reference rows by scan ordinal (restore re-inserts contiguously, so
-  // ordinal == RowId there).
+  // Tables: schema + index descriptors + rows in RowId order. Restore
+  // re-inserts them in that order, so every row gets its RowId back.
   std::vector<std::string> table_names = state.catalog.TableNames();
   enc.PutU32(static_cast<uint32_t>(table_names.size()));
-  std::map<std::string, std::unordered_map<RowId, uint64_t>> ordinals;
   for (const std::string& name : table_names) {
     const Table* table = state.catalog.GetTable(name);
     enc.PutString(name);
@@ -624,10 +622,7 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
       enc.PutU8(kind == IndexKind::kHash ? 0 : 1);
     }
     enc.PutU64(table->size());
-    std::unordered_map<RowId, uint64_t>& table_ordinals = ordinals[name];
-    uint64_t ordinal = 0;
-    table->Scan([&](RowId id, const Row& row) {
-      table_ordinals[id] = ordinal++;
+    table->Scan([&](RowId, const Row& row) {
       for (const Value& v : row) EncodeValue(&enc, v);
     });
   }
@@ -635,25 +630,23 @@ std::string Graphitti::EncodeSnapshotBody(const EngineState& state) const {
   // Objects and ontologies live in engine metadata, not the versioned
   // state; meta_mu_ covers the reads. Checkpoint encodes under commit_mu_,
   // but SaveTo encodes a pinned version while writers keep committing: an
-  // object registered after the pin references a row the pinned `state`
-  // lacks, and the ordinal skip below drops it, matching the version cut.
+  // object registered after the pin references a row at or past its
+  // table's size in the pinned `state` (or a table it lacks), and the skip
+  // below drops it, matching the version cut.
   {
     util::MutexLock meta(meta_mu_);
-    std::vector<std::pair<const ObjectInfo*, uint64_t>> live;
+    std::vector<const ObjectInfo*> live;
     live.reserve(objects_.size());
     for (const auto& [id, info] : objects_) {
       (void)id;
-      auto tit = ordinals.find(info.table);
-      if (tit == ordinals.end()) continue;
-      auto rit = tit->second.find(info.row);
-      if (rit == tit->second.end()) continue;
-      live.emplace_back(&info, rit->second);
+      const Table* table = state.catalog.GetTable(info.table);
+      if (table != nullptr && info.row < table->size()) live.push_back(&info);
     }
     enc.PutU32(static_cast<uint32_t>(live.size()));
-    for (const auto& [info, ordinal] : live) {
+    for (const ObjectInfo* info : live) {
       enc.PutU64(info->id);
       enc.PutString(info->table);
-      enc.PutU64(ordinal);
+      enc.PutU64(info->row);
       enc.PutString(info->label);
     }
     enc.PutU64(next_object_id_);
@@ -763,9 +756,8 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body,
   }
 
   // Tables. Built-ins already exist (same construction path), user tables
-  // are created; rows re-insert contiguously so ordinal == RowId.
+  // are created; rows re-insert in RowId order, so each gets its RowId.
   GRAPHITTI_ASSIGN_OR_RETURN(uint32_t ntables, dec.GetCount<uint32_t>(kMinTable));
-  std::map<std::string, std::vector<RowId>> rows_by_ordinal;
   for (uint32_t i = 0; i < ntables; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(std::string name, dec.GetString());
     GRAPHITTI_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(&dec));
@@ -780,13 +772,13 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body,
       Status s = table->CreateIndex(col, kind == 0 ? IndexKind::kHash : IndexKind::kOrdered);
       if (!s.ok() && !s.IsAlreadyExists()) return s;
     }
-    // A row encodes one value, at least a tag byte, per column. Rows of a
-    // zero-column table encode to nothing, so their count bounds nothing
-    // and reserves nothing.
+    // A row encodes one value, at least a tag byte, per column. A row of
+    // a zero-column table encodes to nothing, but every row belongs to an
+    // object that the body encodes later in kMinObject bytes, so one byte
+    // per row bounds the count at any width.
     const size_t ncols = table->schema().num_columns();
-    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrows, dec.GetCount<uint64_t>(ncols * kMinValue));
-    std::vector<RowId>& rids = rows_by_ordinal[name];
-    if (ncols > 0) rids.reserve(nrows);
+    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t nrows,
+                               dec.GetCount<uint64_t>(std::max<size_t>(ncols, 1) * kMinValue));
     for (uint64_t r = 0; r < nrows; ++r) {
       GRAPHITTI_RETURN_NOT_OK(hydrate_check(r));
       Row row;
@@ -795,8 +787,7 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body,
         GRAPHITTI_ASSIGN_OR_RETURN(Value v, DecodeValue(&dec));
         row.push_back(std::move(v));
       }
-      GRAPHITTI_ASSIGN_OR_RETURN(RowId rid, table->Insert(std::move(row)));
-      rids.push_back(rid);
+      GRAPHITTI_RETURN_NOT_OK(table->Insert(std::move(row)).status());
     }
   }
 
@@ -805,16 +796,9 @@ Status Graphitti::RestoreFromSnapshotBody(std::string_view body,
   for (uint32_t i = 0; i < nobjects; ++i) {
     GRAPHITTI_ASSIGN_OR_RETURN(uint64_t object_id, dec.GetU64());
     GRAPHITTI_ASSIGN_OR_RETURN(std::string table, dec.GetString());
-    GRAPHITTI_ASSIGN_OR_RETURN(uint64_t ordinal, dec.GetU64());
+    GRAPHITTI_ASSIGN_OR_RETURN(RowId row, dec.GetU64());
     GRAPHITTI_ASSIGN_OR_RETURN(std::string label, dec.GetString());
-    auto it = rows_by_ordinal.find(table);
-    if (it == rows_by_ordinal.end() || ordinal >= it->second.size()) {
-      return Status::Internal("snapshot object " + std::to_string(object_id) +
-                              " references row ordinal " + std::to_string(ordinal) +
-                              " beyond table '" + table + "'");
-    }
-    GRAPHITTI_RETURN_NOT_OK(
-        RestoreObjectInto(state, object_id, table, it->second[ordinal], std::move(label)));
+    GRAPHITTI_RETURN_NOT_OK(RestoreObjectInto(state, object_id, table, row, std::move(label)));
   }
   GRAPHITTI_ASSIGN_OR_RETURN(uint64_t next_object, dec.GetU64());
   {

@@ -139,6 +139,10 @@ util::Status Graphitti::RegisterCoordinateSystem(std::string_view name, int dims
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
+  // As in CommitAnnotations: a call the published version refuses takes no
+  // scratch, so it leaves the recyclable standby alone.
+  GRAPHITTI_RETURN_NOT_OK(
+      CurrentState()->indexes.coordinate_systems().ValidateCanonical(name, dims));
   std::unique_ptr<EngineState> scratch = AcquireScratch();
   EngineOp op = [name = std::string(name), dims](EngineState& s) {
     return s.indexes.coordinate_systems().RegisterCanonical(name, dims);
@@ -159,6 +163,8 @@ util::Status Graphitti::RegisterDerivedCoordinateSystem(
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
+  GRAPHITTI_RETURN_NOT_OK(CurrentState()->indexes.coordinate_systems().ValidateDerived(
+      name, canonical, scale));
   std::unique_ptr<EngineState> scratch = AcquireScratch();
   EngineOp op = [name = std::string(name), canonical = std::string(canonical), scale,
                  offset](EngineState& s) {
@@ -234,46 +240,47 @@ std::vector<std::string> Graphitti::OntologyNames() const {
 
 // --- Ingestion ---
 
-util::Result<uint64_t> Graphitti::CommitRowInsert(std::unique_ptr<EngineState> scratch,
-                                                  std::string table, relational::Row row,
+util::Result<uint64_t> Graphitti::CommitRowInsert(std::string table, relational::Row row,
                                                   std::string label) {
+  // As in CommitAnnotations, the published version refuses a bad ingest
+  // before it takes scratch or draws an object id. Table::Insert runs the
+  // same schema check on scratch.
+  const relational::Table* published = CurrentState()->catalog.GetTable(table);
+  if (published == nullptr) {
+    return Status::NotFound("table '" + table + "' not found");
+  }
+  GRAPHITTI_RETURN_NOT_OK(published->schema().ValidateRow(row));
+  // Rows append, and scratch is a copy of the published version, so the
+  // row lands at the published table's size.
+  const RowId rid = published->size();
+  if (label.empty()) label = table + "/row" + std::to_string(rid);
   uint64_t id = 0;
   {
     util::MutexLock meta(meta_mu_);
     id = next_object_id_++;
   }
-  // The op re-derives the row id deterministically on replay; the first
-  // application reports it through the shared slot.
-  auto out_rid = std::make_shared<RowId>(0);
-  EngineOp op = [table, row = std::move(row), label, id, out_rid](EngineState& s) -> Status {
+  ObjectInfo info{id, table, rid, label};
+  // The kObject record carries the row's values so replay can re-insert it
+  // (the row and the registration are one logical mutation; see
+  // ApplyWalRecord).
+  std::string record;
+  if (env_ != nullptr) record = walrec::EncodeObject(info, row);
+  std::unique_ptr<EngineState> scratch = AcquireScratch();
+  EngineOp op = [table = std::move(table), row = std::move(row), label = std::move(label),
+                 id](EngineState& s) -> Status {
     relational::Table* t = s.catalog.GetTable(table);
     if (t == nullptr) {
       return Status::Internal("table '" + table + "' missing during op replay");
     }
-    GRAPHITTI_ASSIGN_OR_RETURN(*out_rid, t->Insert(row));
+    GRAPHITTI_RETURN_NOT_OK(t->Insert(row).status());
     s.graph.EnsureNode(agraph::NodeRef::Object(id), label);
     return Status::OK();
   };
   GRAPHITTI_RETURN_NOT_OK(op(*scratch));
-  const RowId rid = *out_rid;
-
-  ObjectInfo info;
-  info.id = id;
-  info.table = table;
-  info.row = rid;
-  info.label = std::move(label);
   if (env_ != nullptr) {
-    // The kObject record carries the freshly inserted row's values so
-    // replay can re-insert it (the row and the registration are one
-    // logical mutation; see ApplyWalRecord). A failed append discards the
-    // unpublished scratch: the mutation never becomes visible.
-    const Row* values = scratch->catalog.GetTable(table)->Get(rid);
-    if (values == nullptr) {
-      return Status::Internal("object " + std::to_string(id) + " registered over row " +
-                              std::to_string(rid) + " that is not in table '" + table + "'");
-    }
-    GRAPHITTI_RETURN_NOT_OK(
-        WalAppend(persist::WalRecordType::kObject, walrec::EncodeObject(info, *values)));
+    // A failed append discards the unpublished scratch: the mutation never
+    // becomes visible.
+    GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kObject, std::move(record)));
   }
   {
     util::MutexLock meta(meta_mu_);
@@ -295,7 +302,7 @@ util::Result<uint64_t> Graphitti::IngestDnaSequence(std::string accession,
   Row row{Value::Str(accession), Value::Str(std::move(organism)),
           Value::Str(std::move(segment)), Value::Int(length),
           Value::Str(std::move(residues))};
-  return CommitRowInsert(AcquireScratch(), std::string(kTableDna), std::move(row),
+  return CommitRowInsert(std::string(kTableDna), std::move(row),
                          std::string(kTableDna) + "/" + accession);
 }
 
@@ -310,7 +317,7 @@ util::Result<uint64_t> Graphitti::IngestRnaSequence(std::string accession,
   Row row{Value::Str(accession), Value::Str(std::move(organism)),
           Value::Str(std::move(segment)), Value::Int(length),
           Value::Str(std::move(residues))};
-  return CommitRowInsert(AcquireScratch(), std::string(kTableRna), std::move(row),
+  return CommitRowInsert(std::string(kTableRna), std::move(row),
                          std::string(kTableRna) + "/" + accession);
 }
 
@@ -325,7 +332,7 @@ util::Result<uint64_t> Graphitti::IngestProteinSequence(std::string accession,
   Row row{Value::Str(accession), Value::Str(std::move(organism)),
           Value::Str(std::move(protein_name)), Value::Int(length),
           Value::Str(std::move(residues))};
-  return CommitRowInsert(AcquireScratch(), std::string(kTableProtein), std::move(row),
+  return CommitRowInsert(std::string(kTableProtein), std::move(row),
                          std::string(kTableProtein) + "/" + accession);
 }
 
@@ -337,15 +344,14 @@ util::Result<uint64_t> Graphitti::IngestImage(std::string name,
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
-  std::unique_ptr<EngineState> scratch = AcquireScratch();
-  if (!scratch->indexes.coordinate_systems().Contains(coordinate_system)) {
+  if (!CurrentState()->indexes.coordinate_systems().Contains(coordinate_system)) {
     return Status::NotFound("coordinate system '" + coordinate_system +
                             "' not registered; call RegisterCoordinateSystem first");
   }
   Row row{Value::Str(name), Value::Str(std::move(coordinate_system)),
           Value::Str(std::move(modality)), Value::Int(width), Value::Int(height),
           Value::Int(depth), Value::Blob(std::move(pixels))};
-  return CommitRowInsert(std::move(scratch), std::string(kTableImage), std::move(row),
+  return CommitRowInsert(std::string(kTableImage), std::move(row),
                          std::string(kTableImage) + "/" + name);
 }
 
@@ -356,7 +362,7 @@ util::Result<uint64_t> Graphitti::IngestPhyloTree(std::string name, std::string_
   GRAPHITTI_ASSIGN_OR_RETURN(PhyloTree tree, PhyloTree::FromNewick(newick));
   Row row{Value::Str(name), Value::Int(static_cast<int64_t>(tree.num_leaves())),
           Value::Str(std::string(newick))};
-  return CommitRowInsert(AcquireScratch(), std::string(kTablePhyloTree), std::move(row),
+  return CommitRowInsert(std::string(kTablePhyloTree), std::move(row),
                          std::string(kTablePhyloTree) + "/" + name);
 }
 
@@ -369,8 +375,7 @@ util::Result<uint64_t> Graphitti::IngestInteractionGraph(const InteractionGraph&
   }
   Row row{Value::Str(graph.name()), Value::Int(static_cast<int64_t>(graph.num_nodes())),
           Value::Int(static_cast<int64_t>(graph.num_edges())), Value::Str(graph.ToText())};
-  return CommitRowInsert(AcquireScratch(), std::string(kTableInteractionGraph),
-                         std::move(row),
+  return CommitRowInsert(std::string(kTableInteractionGraph), std::move(row),
                          std::string(kTableInteractionGraph) + "/" + graph.name());
 }
 
@@ -387,7 +392,7 @@ util::Result<uint64_t> Graphitti::IngestMsa(const Msa& msa) {
   }
   Row row{Value::Str(msa.name), Value::Int(static_cast<int64_t>(msa.rows.size())),
           Value::Int(static_cast<int64_t>(msa.num_columns())), Value::Str(payload)};
-  return CommitRowInsert(AcquireScratch(), std::string(kTableMsa), std::move(row),
+  return CommitRowInsert(std::string(kTableMsa), std::move(row),
                          std::string(kTableMsa) + "/" + msa.name);
 }
 
@@ -395,18 +400,15 @@ util::Status Graphitti::CreateTable(std::string name, relational::Schema schema)
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
-  // Encode before the op consumes name/schema; discarded if the catalog
-  // rejects them (the non-durable common case pays nothing: env_ check).
-  std::string record;
-  if (env_ != nullptr) record = walrec::EncodeCreateTable(name, schema);
+  GRAPHITTI_RETURN_NOT_OK(CurrentState()->catalog.ValidateCreateTable(name));
   std::unique_ptr<EngineState> scratch = AcquireScratch();
   EngineOp op = [name, schema](EngineState& s) {
     return s.catalog.CreateTable(name, schema).status();
   };
   GRAPHITTI_RETURN_NOT_OK(op(*scratch));
   if (env_ != nullptr) {
-    GRAPHITTI_RETURN_NOT_OK(
-        WalAppend(persist::WalRecordType::kCreateTable, std::move(record)));
+    GRAPHITTI_RETURN_NOT_OK(WalAppend(persist::WalRecordType::kCreateTable,
+                                      walrec::EncodeCreateTable(name, schema)));
   }
   PublishOp(std::move(scratch), std::move(op));
   return Status::OK();
@@ -417,16 +419,7 @@ util::Result<uint64_t> Graphitti::IngestRecord(std::string_view table, relationa
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
-  std::unique_ptr<EngineState> scratch = AcquireScratch();
-  relational::Table* t = scratch->catalog.GetTable(table);
-  if (t == nullptr) {
-    return Status::NotFound("table '" + std::string(table) + "' not found");
-  }
-  if (label.empty()) {
-    label = std::string(table) + "/row" + std::to_string(t->NextRowId());
-  }
-  return CommitRowInsert(std::move(scratch), std::string(table), std::move(row),
-                         std::move(label));
+  return CommitRowInsert(std::string(table), std::move(row), std::move(label));
 }
 
 // --- Objects ---
@@ -493,8 +486,11 @@ util::Status Graphitti::RestoreObjectInto(EngineState& state, uint64_t object_id
                                           std::string_view table, relational::RowId row,
                                           std::string label) {
   if (object_id == 0) return Status::InvalidArgument("object id 0 is reserved");
-  if (state.catalog.GetTable(table) == nullptr) {
-    return Status::NotFound("table '" + std::string(table) + "' not found");
+  const relational::Table* t = state.catalog.GetTable(table);
+  if (t == nullptr || row >= t->size()) {
+    return Status::Internal("object " + std::to_string(object_id) + " references row " +
+                            std::to_string(row) + " beyond table '" + std::string(table) +
+                            "'");
   }
   util::MutexLock meta(meta_mu_);
   if (objects_.count(object_id) > 0) {
@@ -851,8 +847,11 @@ util::Status Graphitti::ValidateIntegrity() const {
   });
   GRAPHITTI_RETURN_NOT_OK(status);
 
-  // 4. Objects point at live rows.
+  // 4. Objects point at rows. An object whose ingest publishes after the
+  //    pin is registered but has no a-graph node in `state` (its row and
+  //    node publish together), so it is skipped.
   for (const auto& [id, info] : objects_copy) {
+    if (!state.graph.HasNode(agraph::NodeRef::Object(id))) continue;
     const relational::Table* table = state.catalog.GetTable(info.table);
     if (table == nullptr || table->Get(info.row) == nullptr) {
       return Status::Internal("object " + std::to_string(id) + " points at a dead row in '" +
@@ -860,28 +859,6 @@ util::Status Graphitti::ValidateIntegrity() const {
     }
   }
   return Status::OK();
-}
-
-void Graphitti::VacuumTables() {
-  (void)EnsureHydrated();
-  util::MutexLock commit(commit_mu_);
-  if (!WalGuard().ok()) return;  // poisoned: refuse rather than diverge
-  std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [](EngineState& s) {
-    for (const std::string& name : s.catalog.TableNames()) {
-      s.catalog.GetTable(name)->Vacuum();
-    }
-    return Status::OK();
-  };
-  if (!op(*scratch).ok()) return;
-  if (env_ != nullptr) {
-    // Vacuum renumbers row ids, so replay must reproduce it at the same
-    // point in the record sequence. A failed append poisons and discards
-    // the scratch (the void signature has no error channel); subsequent
-    // mutators refuse.
-    if (!WalAppend(persist::WalRecordType::kVacuum, std::string()).ok()) return;
-  }
-  PublishOp(std::move(scratch), std::move(op));
 }
 
 // --- Resolver entry points ---

@@ -3,7 +3,7 @@
 // the three demo-tab workflows as an API:
 //   - annotate: search objects, mark substructures, commit annotations,
 //   - query: text queries over data + annotations,
-//   - admin: statistics, export, vacuum.
+//   - admin: statistics, export, integrity check.
 //
 // Thread-safety contract: epoch-pinned copy-on-write state publication.
 // A Graphitti instance may be shared across threads. The engine's
@@ -58,7 +58,8 @@
 // Direct substrate edits that no [commit] API expresses (tests, admin
 // repair) go through Mutate, which builds and publishes a version like
 // any other commit but is refused on a durable engine, where it could not
-// be logged.
+// be logged. Tables are append-only: nothing updates, deletes or moves a
+// row, so a registered object's row stays where it was inserted.
 #ifndef GRAPHITTI_CORE_GRAPHITTI_H_
 #define GRAPHITTI_CORE_GRAPHITTI_H_
 
@@ -240,8 +241,10 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// [commit] Applies `fn` to a private copy of the current version and
   /// publishes the result, for direct substrate edits no other [commit]
   /// API expresses (forced annotation ids, secondary table indexes, test
-  /// fixtures that corrupt state on purpose). Readers see all of `fn`'s
-  /// effects or none; an error from `fn` discards the copy unpublished.
+  /// fixtures that corrupt state on purpose). Tables have no row update or
+  /// delete, so a fixture orphans an object only by replacing the whole
+  /// catalog. Readers see all of `fn`'s effects or none; an error from
+  /// `fn` discards the copy unpublished.
   /// Nothing is logged, so a durable engine refuses the call with
   /// kUnsupported before running `fn`: every mutation a durable engine
   /// accepts is in its WAL.
@@ -307,8 +310,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// [read] Number of registered objects.
   size_t num_objects() const;
   /// [read] A copy of an object's metadata row, taken from the pinned
-  /// current version (nullopt when the object, its table or its row is
-  /// gone). The copy stays valid across later commits.
+  /// current version (nullopt for an unknown object, or one whose ingest
+  /// has not published yet). The copy stays valid across later commits.
   std::optional<relational::Row> GetObjectRow(uint64_t object_id) const;
 
   /// [read] The annotation tab's search window: find objects by metadata
@@ -476,9 +479,6 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// backing record, and edge labels are well-formed. Returns the first
   /// violation found.
   util::Status ValidateIntegrity() const;
-  /// [commit] Compacts tombstoned rows in every table. Unsafe while
-  /// objects hold row ids; provided for bulk-delete admin workflows.
-  void VacuumTables();
 
   // --- Version-lifecycle observability (tests / diagnostics) ---
 
@@ -548,16 +548,19 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   util::Result<std::vector<annotation::AnnotationId>> CommitAnnotations(
       const annotation::AnnotationBuilder* builders, size_t count);
 
-  /// Shared tail of the seven Ingest* methods and IngestRecord: applies
-  /// "insert row + register object `label`" to scratch, WAL-logs the
-  /// kObject record, inserts the registration metadata, publishes.
-  util::Result<uint64_t> CommitRowInsert(std::unique_ptr<EngineState> scratch,
-                                         std::string table, relational::Row row,
+  /// Shared tail of the seven Ingest* methods and IngestRecord: validates
+  /// the row against the published table (a refused ingest takes no
+  /// scratch and draws no object id), then applies "insert row + register
+  /// object `label`" to scratch, WAL-logs the kObject record, inserts the
+  /// registration metadata and publishes. An empty `label` becomes
+  /// "<table>/row<RowId>".
+  util::Result<uint64_t> CommitRowInsert(std::string table, relational::Row row,
                                          std::string label) REQUIRES(commit_mu_);
 
   /// Registers object metadata + a-graph node into `state` directly (boot
-  /// and recovery; no versioning). Shared by snapshot restore and WAL
-  /// object replay.
+  /// and recovery; no versioning), over a row `state` already holds
+  /// (kInternal otherwise). Shared by snapshot restore and WAL object
+  /// replay.
   util::Status RestoreObjectInto(EngineState& state, uint64_t object_id,
                                  std::string_view table, relational::RowId row,
                                  std::string label);

@@ -44,6 +44,9 @@ inline constexpr uint32_t kWalMaxRecordLen = 1u << 30;
 
 /// Every durable mutation of the Graphitti facade maps to one record type.
 /// Payload encodings live next to their writers in core/durability.cc.
+/// Values are unique and leave no gap: a retired type keeps its
+/// enumerator and number, so an old WAL never replays its records as a
+/// newer type (tools/lint/check_contracts.py checks this).
 enum class WalRecordType : uint8_t {
   kCommitBatch = 1,          // one committed CommitBatch (the common case)
   kRemove = 2,               // RemoveAnnotation
@@ -52,7 +55,7 @@ enum class WalRecordType : uint8_t {
   kOntology = 5,             // LoadOntology
   kCoordSystem = 6,          // RegisterCoordinateSystem
   kDerivedCoordSystem = 7,   // RegisterDerivedCoordinateSystem
-  kVacuum = 8,               // VacuumTables
+  kVacuum = 8,               // retired (table compaction); replays as a no-op
 };
 
 struct WalOptions {

@@ -3,10 +3,15 @@
 namespace graphitti {
 namespace relational {
 
-util::Result<Table*> Catalog::CreateTable(std::string name, Schema schema) {
-  if (tables_.count(name) > 0) {
-    return util::Status::AlreadyExists("table '" + name + "' already exists");
+util::Status Catalog::ValidateCreateTable(std::string_view name) const {
+  if (tables_.find(name) != tables_.end()) {
+    return util::Status::AlreadyExists("table '" + std::string(name) + "' already exists");
   }
+  return util::Status::OK();
+}
+
+util::Result<Table*> Catalog::CreateTable(std::string name, Schema schema) {
+  GRAPHITTI_RETURN_NOT_OK(ValidateCreateTable(name));
   auto table = std::make_unique<Table>(name, std::move(schema));
   Table* ptr = table.get();
   tables_.emplace(std::move(name), std::move(table));
@@ -21,15 +26,6 @@ Table* Catalog::GetTable(std::string_view name) {
 const Table* Catalog::GetTable(std::string_view name) const {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
-}
-
-util::Status Catalog::DropTable(std::string_view name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return util::Status::NotFound("table '" + std::string(name) + "' not found");
-  }
-  tables_.erase(it);
-  return util::Status::OK();
 }
 
 std::vector<std::string> Catalog::TableNames() const {

@@ -25,17 +25,18 @@ class Catalog {
 
   /// Creates a table; AlreadyExists when the name is taken.
   util::Result<Table*> CreateTable(std::string name, Schema schema);
+  /// CreateTable's check without the creation, so a writer can refuse the
+  /// call against a published catalog before it copies one.
+  util::Status ValidateCreateTable(std::string_view name) const;
 
   /// Borrowed pointer, or nullptr.
   Table* GetTable(std::string_view name);
   const Table* GetTable(std::string_view name) const;
 
-  util::Status DropTable(std::string_view name);
-
   std::vector<std::string> TableNames() const;
   size_t num_tables() const { return tables_.size(); }
 
-  /// Sum of live rows across all tables (admin statistics).
+  /// Sum of rows across all tables (admin statistics).
   size_t TotalRows() const;
 
   /// Deep copy of every table for copy-on-write version publication.

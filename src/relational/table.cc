@@ -9,36 +9,8 @@ util::Result<RowId> Table::Insert(Row row) {
   GRAPHITTI_RETURN_NOT_OK(schema_.ValidateRow(row));
   RowId id = rows_.size();
   rows_.push_back(std::move(row));
-  live_.push_back(true);
-  ++live_count_;
   IndexInsert(id, rows_.back());
   return id;
-}
-
-util::Status Table::Update(RowId id, Row row) {
-  if (id >= rows_.size() || !live_[id]) {
-    return util::Status::NotFound("row " + std::to_string(id) + " not found in '" + name_ + "'");
-  }
-  GRAPHITTI_RETURN_NOT_OK(schema_.ValidateRow(row));
-  IndexRemove(id, rows_[id]);
-  rows_[id] = std::move(row);
-  IndexInsert(id, rows_[id]);
-  return util::Status::OK();
-}
-
-util::Status Table::Delete(RowId id) {
-  if (id >= rows_.size() || !live_[id]) {
-    return util::Status::NotFound("row " + std::to_string(id) + " not found in '" + name_ + "'");
-  }
-  IndexRemove(id, rows_[id]);
-  live_[id] = false;
-  --live_count_;
-  return util::Status::OK();
-}
-
-const Row* Table::Get(RowId id) const {
-  if (id >= rows_.size() || !live_[id]) return nullptr;
-  return &rows_[id];
 }
 
 Value Table::GetCell(RowId id, std::string_view column) const {
@@ -64,7 +36,6 @@ util::Status Table::CreateIndex(std::string_view column, IndexKind kind) {
   index->column = idx;
   // Backfill from existing rows.
   for (RowId id = 0; id < rows_.size(); ++id) {
-    if (!live_[id]) continue;
     const Value& key = rows_[id][static_cast<size_t>(idx)];
     if (key.is_null()) continue;
     if (kind == IndexKind::kHash) {
@@ -101,29 +72,6 @@ void Table::IndexInsert(RowId id, const Row& row) {
       index->hash[key].push_back(id);
     } else {
       index->ordered.emplace(key, id);
-    }
-  }
-}
-
-void Table::IndexRemove(RowId id, const Row& row) {
-  for (auto& index : indexes_) {
-    const Value& key = row[static_cast<size_t>(index->column)];
-    if (key.is_null()) continue;
-    if (index->kind == IndexKind::kHash) {
-      auto it = index->hash.find(key);
-      if (it != index->hash.end()) {
-        auto& ids = it->second;
-        ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-        if (ids.empty()) index->hash.erase(it);
-      }
-    } else {
-      auto range = index->ordered.equal_range(key);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == id) {
-          index->ordered.erase(it);
-          break;
-        }
-      }
     }
   }
 }
@@ -213,7 +161,7 @@ util::Result<std::vector<RowId>> Table::Select(const Predicate& pred) const {
   std::vector<RowId> out;
   if (best != nullptr) {
     for (RowId id : ProbeIndex(*best_index, *best)) {
-      if (live_[id] && pred.Eval(schema_, rows_[id])) out.push_back(id);
+      if (pred.Eval(schema_, rows_[id])) out.push_back(id);
     }
     return out;
   }
@@ -224,14 +172,14 @@ util::Result<std::vector<RowId>> Table::SelectScan(const Predicate& pred) const 
   GRAPHITTI_RETURN_NOT_OK(pred.Bind(schema_));
   std::vector<RowId> out;
   for (RowId id = 0; id < rows_.size(); ++id) {
-    if (live_[id] && pred.Eval(schema_, rows_[id])) out.push_back(id);
+    if (pred.Eval(schema_, rows_[id])) out.push_back(id);
   }
   return out;
 }
 
 double Table::EstimateSelectivity(const Predicate& pred) const {
-  if (live_count_ == 0) return 0.0;
-  double n = static_cast<double>(live_count_);
+  if (rows_.empty()) return 0.0;
+  double n = static_cast<double>(rows_.size());
   switch (pred.kind()) {
     case Predicate::Kind::kTrue:
       return 1.0;
@@ -278,27 +226,9 @@ double Table::EstimateSelectivity(const Predicate& pred) const {
   return 0.5;
 }
 
-void Table::Vacuum() {
-  std::vector<Row> compacted;
-  compacted.reserve(live_count_);
-  for (RowId id = 0; id < rows_.size(); ++id) {
-    if (live_[id]) compacted.push_back(std::move(rows_[id]));
-  }
-  rows_ = std::move(compacted);
-  live_.assign(rows_.size(), true);
-  // Rebuild indexes with the new RowIds.
-  for (auto& index : indexes_) {
-    index->hash.clear();
-    index->ordered.clear();
-  }
-  for (RowId id = 0; id < rows_.size(); ++id) IndexInsert(id, rows_[id]);
-}
-
 std::unique_ptr<Table> Table::Clone() const {
   auto copy = std::make_unique<Table>(name_, schema_);
   copy->rows_ = rows_;
-  copy->live_ = live_;
-  copy->live_count_ = live_count_;
   copy->indexes_.reserve(indexes_.size());
   for (const auto& index : indexes_) {
     copy->indexes_.push_back(std::make_unique<Index>(*index));
@@ -307,7 +237,7 @@ std::unique_ptr<Table> Table::Clone() const {
 }
 
 std::string Table::ToString() const {
-  return name_ + " " + schema_.ToString() + " [" + std::to_string(live_count_) + " rows]";
+  return name_ + " " + schema_.ToString() + " [" + std::to_string(rows_.size()) + " rows]";
 }
 
 }  // namespace relational

@@ -1,4 +1,4 @@
-// Heap table with secondary indexes and index-aware selection.
+// Append-only heap table with secondary indexes and index-aware selection.
 #ifndef GRAPHITTI_RELATIONAL_TABLE_H_
 #define GRAPHITTI_RELATIONAL_TABLE_H_
 
@@ -20,9 +20,10 @@ using RowId = uint64_t;
 
 enum class IndexKind { kHash, kOrdered };
 
-/// A single-table storage unit: slotted row heap + optional secondary
-/// indexes. Rows are addressed by stable RowIds (slot numbers); deleted
-/// slots are tombstoned and recycled by Vacuum().
+/// A single-table storage unit: append-only row heap + optional secondary
+/// indexes. A RowId is the row's insertion ordinal: rows are never updated,
+/// deleted or moved, so a RowId names the same row for the table's
+/// lifetime, and every id below size() is a row.
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -34,35 +35,23 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  /// Live row count.
-  size_t size() const { return live_count_; }
-  bool empty() const { return live_count_ == 0; }
+  /// Row count; also the RowId the next Insert assigns.
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
 
   /// Validates against the schema and appends; returns the new RowId.
   util::Result<RowId> Insert(Row row);
 
-  /// The RowId the next successful Insert will assign (inserts append;
-  /// tombstoned slots are only reclaimed by Vacuum).
-  RowId NextRowId() const { return static_cast<RowId>(rows_.size()); }
-
-  /// Replaces the row at `id`. NotFound for dead/unknown ids.
-  util::Status Update(RowId id, Row row);
-
-  /// Tombstones the row at `id`.
-  util::Status Delete(RowId id);
-
-  /// Borrowed pointer to the row, or nullptr when dead/unknown.
-  const Row* Get(RowId id) const;
+  /// Borrowed pointer to the row, or nullptr when `id` >= size().
+  const Row* Get(RowId id) const { return id < rows_.size() ? &rows_[id] : nullptr; }
 
   /// Cell access by column name; Null when row or column missing.
   Value GetCell(RowId id, std::string_view column) const;
 
-  /// Calls fn(RowId, const Row&) for every live row.
+  /// Calls fn(RowId, const Row&) for every row, in RowId order.
   template <typename F>
   void Scan(F&& fn) const {
-    for (RowId id = 0; id < rows_.size(); ++id) {
-      if (live_[id]) fn(id, rows_[id]);
-    }
+    for (RowId id = 0; id < rows_.size(); ++id) fn(id, rows_[id]);
   }
 
   /// Creates a secondary index on `column`. AlreadyExists if present.
@@ -85,12 +74,8 @@ class Table {
   /// heuristic defaults otherwise. Always in [0, 1].
   double EstimateSelectivity(const Predicate& pred) const;
 
-  /// Compacts tombstones. Invalidates all previously-returned RowIds; only
-  /// safe when no external component holds row references.
-  void Vacuum();
-
-  /// Deep copy (rows, liveness, secondary indexes) for copy-on-write
-  /// version publication (util/epoch.h).
+  /// Deep copy (rows, secondary indexes) for copy-on-write version
+  /// publication (util/epoch.h).
   std::unique_ptr<Table> Clone() const;
 
   std::string ToString() const;
@@ -105,7 +90,6 @@ class Table {
   };
 
   void IndexInsert(RowId id, const Row& row);
-  void IndexRemove(RowId id, const Row& row);
 
   /// Finds an index usable for `cmp` (a kCompare predicate); nullptr if none.
   const Index* FindUsableIndex(const Predicate& cmp) const;
@@ -114,8 +98,6 @@ class Table {
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
-  std::vector<bool> live_;
-  size_t live_count_ = 0;
   std::vector<std::unique_ptr<Index>> indexes_;
 };
 

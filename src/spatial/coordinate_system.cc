@@ -15,7 +15,8 @@ Rect CoordinateSystem::ToCanonical(const Rect& local) const {
   return out;
 }
 
-util::Status CoordinateSystemRegistry::RegisterCanonical(std::string_view name, int dims) {
+util::Status CoordinateSystemRegistry::ValidateCanonical(std::string_view name,
+                                                        int dims) const {
   if (dims < 1 || dims > Rect::kMaxDims) {
     return util::Status::InvalidArgument("dims must be in [1," +
                                          std::to_string(Rect::kMaxDims) + "]");
@@ -24,6 +25,11 @@ util::Status CoordinateSystemRegistry::RegisterCanonical(std::string_view name, 
     return util::Status::AlreadyExists("coordinate system '" + std::string(name) +
                                        "' already registered");
   }
+  return util::Status::OK();
+}
+
+util::Status CoordinateSystemRegistry::RegisterCanonical(std::string_view name, int dims) {
+  GRAPHITTI_RETURN_NOT_OK(ValidateCanonical(name, dims));
   CoordinateSystem cs;
   cs.name = std::string(name);
   cs.canonical = cs.name;
@@ -32,10 +38,9 @@ util::Status CoordinateSystemRegistry::RegisterCanonical(std::string_view name, 
   return util::Status::OK();
 }
 
-util::Status CoordinateSystemRegistry::RegisterDerived(
+util::Status CoordinateSystemRegistry::ValidateDerived(
     std::string_view name, std::string_view canonical,
-    const std::array<double, Rect::kMaxDims>& scale,
-    const std::array<double, Rect::kMaxDims>& offset) {
+    const std::array<double, Rect::kMaxDims>& scale) const {
   if (Contains(name)) {
     return util::Status::AlreadyExists("coordinate system '" + std::string(name) +
                                        "' already registered");
@@ -54,10 +59,18 @@ util::Status CoordinateSystemRegistry::RegisterDerived(
       return util::Status::InvalidArgument("zero scale on axis " + std::to_string(d));
     }
   }
+  return util::Status::OK();
+}
+
+util::Status CoordinateSystemRegistry::RegisterDerived(
+    std::string_view name, std::string_view canonical,
+    const std::array<double, Rect::kMaxDims>& scale,
+    const std::array<double, Rect::kMaxDims>& offset) {
+  GRAPHITTI_RETURN_NOT_OK(ValidateDerived(name, canonical, scale));
   CoordinateSystem cs;
   cs.name = std::string(name);
   cs.canonical = std::string(canonical);
-  cs.dims = it->second.dims;
+  cs.dims = systems_.find(canonical)->second.dims;
   cs.scale = scale;
   cs.offset = offset;
   systems_.emplace(cs.name, std::move(cs));

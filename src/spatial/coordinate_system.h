@@ -46,6 +46,13 @@ class CoordinateSystemRegistry {
                                const std::array<double, Rect::kMaxDims>& scale,
                                const std::array<double, Rect::kMaxDims>& offset);
 
+  /// The checks of RegisterCanonical / RegisterDerived without the
+  /// registration, so a writer can refuse a call against a published
+  /// registry before it copies one.
+  util::Status ValidateCanonical(std::string_view name, int dims) const;
+  util::Status ValidateDerived(std::string_view name, std::string_view canonical,
+                               const std::array<double, Rect::kMaxDims>& scale) const;
+
   /// Lookup; NotFound if unregistered.
   util::Result<CoordinateSystem> Get(std::string_view name) const;
 

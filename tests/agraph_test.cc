@@ -64,19 +64,6 @@ TEST(AGraphTest, MultigraphAllowsParallelEdges) {
   ASSERT_TRUE(g.AddEdge(NodeRef::Content(1), NodeRef::Referent(2), "annotates").ok());
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_EQ(g.OutEdges(NodeRef::Content(1)).size(), 3u);
-  // Removing one of the parallel "annotates" edges leaves the other.
-  ASSERT_TRUE(g.RemoveEdge(NodeRef::Content(1), NodeRef::Referent(2), "annotates").ok());
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_TRUE(g.HasEdge(NodeRef::Content(1), NodeRef::Referent(2), "annotates"));
-}
-
-TEST(AGraphTest, RemoveEdgeErrors) {
-  AGraph g;
-  ASSERT_TRUE(g.AddNode(NodeRef::Content(1)).ok());
-  ASSERT_TRUE(g.AddNode(NodeRef::Referent(2)).ok());
-  EXPECT_TRUE(g.RemoveEdge(NodeRef::Content(1), NodeRef::Referent(2), "x").IsNotFound());
-  ASSERT_TRUE(g.AddEdge(NodeRef::Content(1), NodeRef::Referent(2), "x").ok());
-  EXPECT_TRUE(g.RemoveEdge(NodeRef::Referent(2), NodeRef::Content(1), "x").IsNotFound());
 }
 
 TEST(AGraphTest, RemoveNodeDropsIncidentEdges) {

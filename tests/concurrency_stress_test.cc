@@ -680,6 +680,35 @@ TEST(ConcurrencyStressTest, SaveToRacingAWriterLoadsConsistentState) {
   EXPECT_TRUE(g.ValidateIntegrity().ok());
 }
 
+// An ingest registers its object before it publishes the version holding
+// the row. ValidateIntegrity running between the two must not report the
+// registered object as pointing at a dead row of the version it pinned.
+TEST(ConcurrencyStressTest, IntegrityCheckRacingIngestsReportsNoDeadRow) {
+  Graphitti g;
+  constexpr size_t kIngests = 1000;
+  std::atomic<bool> done{false};
+  Failures failures;
+  std::thread writer([&] {
+    for (size_t i = 0; i < kIngests; ++i) {
+      auto obj = g.IngestDnaSequence("ROW" + std::to_string(i), "H5N1", "chrR", "ACGT");
+      if (!obj.ok()) failures.Add("ingest failed: " + obj.status().ToString());
+    }
+    done.store(true, std::memory_order_release);
+  });
+  size_t checks = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    util::Status integrity = g.ValidateIntegrity();
+    ++checks;
+    if (!integrity.ok()) {
+      failures.Add("check " + std::to_string(checks) + ": " + integrity.ToString());
+    }
+  }
+  writer.join();
+  for (const std::string& message : failures.Take()) ADD_FAILURE() << message;
+  EXPECT_EQ(g.num_objects(), kIngests);
+  EXPECT_TRUE(g.ValidateIntegrity().ok());
+}
+
 // Content a restart replays from the WAL tail stays unparsed, like a
 // restored snapshot's, until its first access parses it once for every
 // version that shares it. Readers race each other through that first access

@@ -10,7 +10,8 @@
 //   - reclamation on last-pin-drop: a drained superseded version is
 //     destroyed exactly when its last pin drops (or on the next publish
 //     if it was parked as the recycle candidate), never earlier.
-//   - a refused commit or remove leaves the parked standby alone.
+//   - a refused commit, remove, registration or ingest leaves the parked
+//     standby alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -249,11 +250,17 @@ TEST(EpochTest, EngineReplayAndClonePathsConverge) {
   EXPECT_TRUE(recycled_engine.ValidateIntegrity().ok());
 }
 
-// A commit or remove the store refuses is refused before the writer takes
-// a scratch version, so the parked standby survives it (two live versions:
-// current + standby) and the refusal keeps its status code.
+// A commit, remove, registration or ingest that the published version
+// refuses is refused before the writer takes a scratch version, so the
+// parked standby survives it (two live versions: current + standby) and
+// the refusal keeps its status code. A refused ingest draws no object id.
 TEST(EpochTest, RefusedMutationsKeepTheStandby) {
   core::Graphitti g;
+  ASSERT_TRUE(g.RegisterCoordinateSystem("atlas", 2).ok());
+  ASSERT_TRUE(g.CreateTable("notes", relational::SchemaBuilder().Str("text", false).Build())
+                  .ok());
+  auto first_object = g.IngestRecord("notes", {relational::Value::Str("first")});
+  ASSERT_TRUE(first_object.ok()) << first_object.status().ToString();
   for (int i = 0; i < 3; ++i) {
     annotation::AnnotationBuilder b;
     b.Title("kept " + std::to_string(i)).MarkInterval("chrK", i * 10, i * 10 + 5);
@@ -277,6 +284,33 @@ TEST(EpochTest, RefusedMutationsKeepTheStandby) {
   EXPECT_EQ(g.live_engine_versions(), 2u);
 
   EXPECT_TRUE(g.RemoveAnnotation(999).IsNotFound());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  EXPECT_TRUE(g.RegisterCoordinateSystem("atlas", 2).IsAlreadyExists());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  EXPECT_TRUE(
+      g.RegisterDerivedCoordinateSystem("atlas50", "nope", {2, 2, 2}, {0, 0, 0}).IsNotFound());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  EXPECT_TRUE(g.CreateTable("notes", relational::SchemaBuilder().Int("n").Build())
+                  .IsAlreadyExists());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  EXPECT_TRUE(g.IngestRecord("missing", {relational::Value::Str("x")}).status().IsNotFound());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  EXPECT_TRUE(g.IngestRecord("notes", {relational::Value::Str("x"), relational::Value::Int(1)})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  EXPECT_TRUE(g.IngestImage("slice", "nope", "MRI", 4, 4, 1).status().IsNotFound());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
+  auto next_object = g.IngestRecord("notes", {relational::Value::Str("next")});
+  ASSERT_TRUE(next_object.ok()) << next_object.status().ToString();
+  EXPECT_EQ(*next_object, *first_object + 1);
   EXPECT_EQ(g.live_engine_versions(), 2u);
 
   annotation::AnnotationBuilder after;

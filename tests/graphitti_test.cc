@@ -217,14 +217,7 @@ TEST(GraphittiTest, DerivedCoordinateSystems) {
   EXPECT_NE(g.indexes().GetRTree("atlas25"), nullptr);
 }
 
-TEST(GraphittiTest, VacuumTables) {
-  Graphitti g;
-  ASSERT_TRUE(g.IngestDnaSequence("A1", "x", "s", "ACGT").ok());
-  g.VacuumTables();  // no tombstones: must be a no-op
-  EXPECT_EQ(g.catalog().GetTable(kTableDna)->size(), 1u);
-}
-
-TEST(GraphittiTest, ObjectRowCopySurvivesVacuumAndCommits) {
+TEST(GraphittiTest, ObjectRowCopySurvivesCommits) {
   Graphitti g;
   auto obj = g.IngestDnaSequence("AF001", "H5N1", "flu:seg4", "ACGTACGT");
   ASSERT_TRUE(obj.ok());
@@ -232,7 +225,6 @@ TEST(GraphittiTest, ObjectRowCopySurvivesVacuumAndCommits) {
   ASSERT_TRUE(row.has_value());
   // Each of these retires the version the row was read from, and the
   // ingests reuse it as commit scratch and grow its table storage.
-  g.VacuumTables();
   ASSERT_TRUE(g.IngestDnaSequence("AF002", "H1N1", "flu:seg1", "ACG").ok());
   ASSERT_TRUE(g.IngestDnaSequence("AF003", "H3N2", "flu:seg2", "AC").ok());
   ASSERT_EQ(row->size(), 5u);

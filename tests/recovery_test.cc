@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "core/graphitti.h"
@@ -457,6 +458,38 @@ TEST(RecoveryTest, DurableEngineRefusesMutate) {
   EXPECT_TRUE(g->ValidateIntegrity().ok());
 }
 
+// kVacuum is a retired record type: a WAL tail that holds one still
+// recovers, and the record changes nothing.
+TEST(RecoveryTest, RetiredVacuumRecordInTheTailReplaysAsNoOp) {
+  FaultInjectionEnv env;
+  uint64_t seq = 0;
+  annotation::AnnotationId first = 0, second = 0;
+  {
+    auto g = MustOpen(&env);
+    seq = *g->IngestDnaSequence("AF1", "H5N1", "flu:seg4", "ACGTACGT");
+    first = CommitOne(g.get(), "before vacuum", seq);
+  }
+  {
+    auto wal = persist::ReadWal(env, WalPath(0));
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    auto w = persist::WalWriter::Reopen(&env, WalPath(0), 0, *wal, persist::WalOptions{});
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    ASSERT_TRUE((*w)->AppendRecord(persist::WalRecordType::kVacuum, "").ok());
+  }
+  {
+    auto g = MustOpen(&env);
+    second = CommitOne(g.get(), "after vacuum", seq);
+  }
+  auto g = MustOpen(&env);
+  EXPECT_EQ(g->Stats().num_annotations, 2u);
+  EXPECT_NE(g->annotations().Get(first), nullptr);
+  EXPECT_NE(g->annotations().Get(second), nullptr);
+  std::optional<relational::Row> row = g->GetObjectRow(seq);
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[0].as_string(), "AF1");
+  EXPECT_TRUE(g->ValidateIntegrity().ok());
+}
+
 // --- Corrupt but CRC-valid input: hydration fails, nothing aborts ---
 
 // Opens `env`'s directory (deferred hydration must not look at the bytes)
@@ -501,6 +534,32 @@ TEST(RecoveryTest, SnapshotReferentCountBeyondBodyFailsHydration) {
   ASSERT_TRUE(env.CreateDirs(kDir).ok());
   ASSERT_TRUE(persist::WriteSnapshotFile(&env, SnapshotPath(1), 1, enc.buffer()).ok());
   ExpectHydrationFailsInternal(&env, "referent count 2^56");
+}
+
+TEST(RecoveryTest, SnapshotZeroColumnRowCountBeyondBodyFailsHydration) {
+  // A whole body for a new zero-column table that claims 2^20 rows. Its
+  // rows encode to nothing, but each would belong to an object encoded
+  // later in the body, so the count cannot exceed the bytes left.
+  persist::Encoder enc;
+  enc.PutU32(0);  // coordinate systems
+  enc.PutU32(1);  // tables
+  enc.PutString("empty");
+  enc.PutU32(0);                  // columns
+  enc.PutU32(0);                  // indexes
+  enc.PutU64(uint64_t{1} << 20);  // rows
+  enc.PutU32(0);  // objects
+  enc.PutU64(1);  // next object id
+  enc.PutU32(0);  // ontologies
+  enc.PutU32(0);  // term names
+  enc.PutU32(0);  // keyword tokens
+  enc.PutU64(0);  // referents
+  enc.PutU64(0);  // annotations
+  enc.PutU64(1);  // next annotation id
+  enc.PutU64(1);  // next referent id
+  FaultInjectionEnv env;
+  ASSERT_TRUE(env.CreateDirs(kDir).ok());
+  ASSERT_TRUE(persist::WriteSnapshotFile(&env, SnapshotPath(1), 1, enc.buffer()).ok());
+  ExpectHydrationFailsInternal(&env, "zero-column row count 2^20");
 }
 
 TEST(RecoveryTest, CommitRecordCountBeyondPayloadFailsHydration) {

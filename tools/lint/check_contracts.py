@@ -24,6 +24,11 @@ Checks:
   5. bench result pairs   — every BENCH_<name>.json at the repo root has
      its BENCH_<name>_pre.json companion, so a perf claim always ships
      with its baseline.
+  6. WAL record numbers   — the WalRecordType enumerators in
+     src/persist/wal.h carry explicit values that are unique and leave no
+     gap in 1..WAL_RECORD_HIGH_WATER. A retired record type keeps its
+     enumerator, so its number never passes to a new type that old WALs
+     would replay as the wrong mutation.
 """
 import os
 import re
@@ -34,6 +39,12 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 PRIMARY_TAGS = ("[read]", "[commit]", "[any-thread]", "[unversioned]", "[boot]")
 
 HOT_DIRS = ("src/agraph", "src/query", "src/spatial")
+WAL_HEADER = "src/persist/wal.h"
+# The largest number ever given to a WalRecordType. It only rises: raise it
+# when adding a record type, so deleting the newest enumerator (retired or
+# not) is a gap like any other.
+WAL_RECORD_HIGH_WATER = 8
+WAL_ENUMERATOR_RE = re.compile(r"\s*(k\w+)\s*(?:=\s*(\d+))?\s*,?\s*(?://.*)?")
 MAP_RE = re.compile(r"\bstd::(?:unordered_)?(?:map|set)\b")
 WAIVER_RE = re.compile(r"//\s*lint:\s*allow-map\([^)]+\)")
 
@@ -221,6 +232,43 @@ def check_bench_pairs(errors):
                          f"taken on the same machine)")
 
 
+def check_wal_record_numbers(errors):
+    with open(os.path.join(ROOT, WAL_HEADER), encoding="utf-8") as f:
+        lines = f.readlines()
+    start = next((i for i, line in enumerate(lines)
+                  if line.strip().startswith("enum class WalRecordType")), None)
+    if start is None:
+        fail(errors, f"{WAL_HEADER}: enum class WalRecordType not found")
+        return
+    owner = {}  # value -> enumerator
+    for i in range(start + 1, len(lines)):
+        stripped = lines[i].strip()
+        if stripped.startswith("};"):
+            break
+        m = WAL_ENUMERATOR_RE.fullmatch(stripped)
+        if not m:
+            continue  # blank or comment line
+        name, value = m.group(1), m.group(2)
+        if value is None:
+            fail(errors, f"{WAL_HEADER}:{i + 1}: WalRecordType::{name} has no "
+                         f"explicit value")
+        elif int(value) in owner:
+            fail(errors, f"{WAL_HEADER}:{i + 1}: WalRecordType::{name} reuses "
+                         f"value {value} of {owner[int(value)]}")
+        else:
+            owner[int(value)] = name
+    top = max(owner, default=0)
+    if top > WAL_RECORD_HIGH_WATER:
+        fail(errors, f"{WAL_HEADER}: WalRecordType value {top} is above "
+                     f"WAL_RECORD_HIGH_WATER; raise it to {top} in "
+                     f"tools/lint/check_contracts.py")
+    gaps = sorted(set(range(1, max(top, WAL_RECORD_HIGH_WATER) + 1)) - set(owner))
+    if gaps:
+        fail(errors, f"{WAL_HEADER}: WalRecordType has no enumerator for "
+                     f"value(s) {', '.join(map(str, gaps))}; a retired record "
+                     f"type keeps its enumerator so its number is never reused")
+
+
 def main():
     errors = []
     check_thread_safety_tags(errors)
@@ -228,6 +276,7 @@ def main():
     check_test_registration(errors)
     check_hot_path_maps(errors)
     check_bench_pairs(errors)
+    check_wal_record_numbers(errors)
     if errors:
         for e in errors:
             print(f"contract violation: {e}", file=sys.stderr)
@@ -236,7 +285,8 @@ def main():
               file=sys.stderr)
         return 1
     print("check_contracts: all contracts hold "
-          "(tags, bench/test registration, hot-path maps/sets, bench pairs)")
+          "(tags, bench/test registration, hot-path maps/sets, bench pairs, "
+          "WAL record numbers)")
     return 0
 
 
