@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   // --- count queries for quick dashboards ---
   auto count = g.Query("FIND COUNT ?a WHERE { ?a CONTAINS \"protease\" }");
   if (count.ok() && !count->items.empty()) {
-    std::printf("dashboard: %s\n\n", count->items[0].label.c_str());
+    std::printf("dashboard: %s\n\n", count->LabelOf(count->items[0]).c_str());
   }
 
   // --- persistence round trip ---

@@ -100,7 +100,7 @@ int main() {
               keyword->items.size(), keyword->total_pages);
   for (const auto& item : keyword->Page()) {
     std::printf("  [%llu] %s\n", static_cast<unsigned long long>(item.content_id),
-                item.label.c_str());
+                keyword->LabelOf(item).c_str());
   }
 
   auto spatial = g.Query(
@@ -109,7 +109,7 @@ int main() {
   std::printf("marked substructures on seg0 overlapping [0,600]: %zu, e.g.:\n",
               spatial->items.size());
   for (const auto& item : spatial->Page()) {
-    std::printf("  %s\n", item.substructure.ToString().c_str());
+    std::printf("  %s\n", spatial->SubstructureOf(item)->ToString().c_str());
   }
 
   // XQuery over the annotation collection (the XML side of the store).

@@ -96,7 +96,7 @@ int main() {
   std::printf("regions in the [0,3000]^3 atlas corner: %zu total, first page:\n",
               window->items.size());
   for (const auto& item : window->Page()) {
-    std::printf("  %s\n", item.substructure.ToString().c_str());
+    std::printf("  %s\n", window->SubstructureOf(item)->ToString().c_str());
   }
 
   // --- TERM BELOW: subtree expansion over the NIF hierarchy.
@@ -114,11 +114,11 @@ int main() {
       "?a ANNOTATES ?s } LIMIT 1 PAGE 1");
   std::printf("connection-subgraph result pages: %zu (showing page 1: %s)\n",
               graphs->total_pages,
-              graphs->Page().empty() ? "-" : graphs->Page()[0].label.c_str());
+              graphs->Page().empty() ? "-" : graphs->LabelOf(graphs->Page()[0]).c_str());
   if (graphs->total_pages > 1) {
     if (g.MaterializePage(&*graphs, 2).ok()) {
       std::printf("  flipped to page 2: %s (%zu subgraph(s) built so far)\n",
-                  graphs->Page()[0].label.c_str(),
+                  graphs->LabelOf(graphs->Page()[0]).c_str(),
                   graphs->stats.subgraphs_materialized);
     }
   }

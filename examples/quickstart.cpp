@@ -56,8 +56,8 @@ int main() {
   }
   std::printf("\nquery matched %zu annotation(s):\n", result->items.size());
   for (const auto& item : result->Page()) {
-    std::printf("  annotation %llu: %s\n",
-                static_cast<unsigned long long>(item.content_id), item.label.c_str());
+    std::printf("  annotation %llu: %s\n", static_cast<unsigned long long>(item.content_id),
+                result->LabelOf(item).c_str());
   }
 
   // 4. Admin view.

@@ -1,6 +1,7 @@
 #include "core/graphitti.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/durability.h"
 
@@ -433,8 +434,22 @@ const ObjectInfo* Graphitti::GetObject(uint64_t object_id) const {
 
 size_t Graphitti::num_objects() const {
   (void)EnsureHydrated();
+  util::EpochPin pin = epochs_->PinCurrent();
   util::MutexLock meta(meta_mu_);
-  return objects_.size();
+  return NumObjectsIn(*static_cast<const EngineState*>(pin.get()));
+}
+
+size_t Graphitti::NumObjectsIn(const EngineState& state) const {
+  // Each object owns one row of its table, and rows are appended, so the
+  // rows a version lacks are the tail of each table's registrations.
+  size_t n = 0;
+  for (const auto& [table, rows] : object_by_row_) {
+    const relational::Table* t = state.catalog.GetTable(table);
+    if (t == nullptr) continue;
+    n += rows.size() - static_cast<size_t>(
+                           std::distance(rows.lower_bound(t->size()), rows.end()));
+  }
+  return n;
 }
 
 std::optional<relational::Row> Graphitti::GetObjectRow(uint64_t object_id) const {
@@ -738,7 +753,7 @@ SystemStats Graphitti::Stats() const {
   s.agraph_nodes = state.graph.num_nodes();
   s.agraph_edges = state.graph.num_edges();
   util::MutexLock meta(meta_mu_);
-  s.num_objects = objects_.size();
+  s.num_objects = NumObjectsIn(state);
   s.num_ontologies = ontologies_.size();
   for (const auto& [_, onto] : ontologies_) s.ontology_terms += onto.num_terms();
   return s;

@@ -307,7 +307,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// [read] Object registration info; the pointer is stable for the
   /// engine's lifetime (objects are never erased).
   const ObjectInfo* GetObject(uint64_t object_id) const;
-  /// [read] Number of registered objects.
+  /// [read] Number of registered objects whose row the pinned current
+  /// version holds (an ingest still in flight is not counted yet).
   size_t num_objects() const;
   /// [read] A copy of an object's metadata row, taken from the pinned
   /// current version (nullopt for an unknown object, or one whose ingest
@@ -564,6 +565,10 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   util::Status RestoreObjectInto(EngineState& state, uint64_t object_id,
                                  std::string_view table, relational::RowId row,
                                  std::string label);
+  /// Registered objects whose row `state` holds: the snapshot encoder's
+  /// version cut. An ingest registers its object before it publishes the
+  /// row, so the registry alone runs ahead of any pinned version.
+  size_t NumObjectsIn(const EngineState& state) const REQUIRES(meta_mu_);
   /// Parses and installs an ontology into engine metadata without
   /// logging (boot and recovery). AlreadyExists is returned, not
   /// tolerated — callers decide.

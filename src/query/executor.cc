@@ -191,12 +191,10 @@ Status StopStatus(StopReason reason, const ExecutorOptions& options) {
 /// Streams every candidate for `info` — its typed subquery with all
 /// single-variable filters applied — into `emit`, without materializing the
 /// intermediate id vectors the row-based executor built per filter stage.
-/// Referent enumeration prefills *referent_cache as a side effect.
 /// *emitted_ordered is set when the stream is ascending and duplicate-free
 /// (store-order feeds), letting the consumer skip its sort+dedup pass.
 /// A governance stop trips *stop and ends the stream early.
-Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
-                        ReferentCache* referent_cache, bool* emitted_ordered,
+Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info, bool* emitted_ordered,
                         util::GovernanceGate* gate, StopReason* stop,
                         const std::function<void(NodeRef)>& emit) {
   const annotation::AnnotationStore& store = *ctx.store;
@@ -252,10 +250,17 @@ Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
       };
       *emitted_ordered = true;  // posting lists and the store stream ascend
       if (have_ids) {
+        // SearchPhrase answers from the phrase-search text, which holds
+        // exactly the live annotations, so a hit needs a store lookup only
+        // when an XPATH or CREATOR filter must inspect its annotation.
+        const bool inspect = !xpaths.empty() || !creators.empty();
         for (AnnotationId id : ids) {
           if (tripped()) return Status::OK();
-          const annotation::Annotation* ann = store.Get(id);
-          if (ann != nullptr && passes(*ann)) emit(NodeRef::Content(id));
+          if (inspect) {
+            const annotation::Annotation* ann = store.Get(id);
+            if (ann == nullptr || !passes(*ann)) continue;
+          }
+          emit(NodeRef::Content(id));
         }
       } else {
         store.ForEachAnnotation([&](AnnotationId id, const annotation::Annotation& ann) {
@@ -277,34 +282,49 @@ Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
           windows.push_back(c);
         }
       }
-      // Canonicalized window geometry: region referents are stored in
-      // canonical coordinates, so CONTAINEDIN rect windows must be
-      // transformed before comparing.
-      auto rect_in_canonical = [&](const Clause* c) -> spatial::Rect {
-        auto mapped = ctx.indexes->coordinate_systems().ToCanonical(
-            domain.empty() ? c->text : domain, c->rect);
-        if (mapped.ok()) return mapped->second;
-        return c->rect;  // unregistered system: compare raw
+      // Window geometry in canonical coordinates, computed once per query:
+      // region referents are indexed in canonical coordinates, so a rect
+      // window is mapped through the DOMAIN's system (or, without a DOMAIN,
+      // the system the window names). An unregistered system compares raw.
+      const spatial::CoordinateSystemRegistry& systems = ctx.indexes->coordinate_systems();
+      std::vector<spatial::Rect> window_rects(windows.size());
+      for (size_t i = 0; i < windows.size(); ++i) {
+        const Clause* c = windows[i];
+        if (!c->rect_window) continue;
+        auto mapped = systems.ToCanonical(domain.empty() ? c->text : domain, c->rect);
+        window_rects[i] = mapped.ok() ? mapped->second : c->rect;
+      }
+      // A referent's rect holds its local coordinates, so it is mapped
+      // through its own domain's system. That system is resolved once per
+      // distinct domain in a row (with a DOMAIN filter, once per query),
+      // not once per candidate.
+      std::string cs_domain;  // the domain `cs` was resolved for
+      util::Result<spatial::CoordinateSystem> cs = Status::NotFound("not resolved yet");
+      bool cs_resolved = false;
+      auto stored_canonical = [&](const substructure::Substructure& sub) {
+        if (!cs_resolved || cs_domain != sub.domain()) {
+          cs = systems.Get(sub.domain());
+          cs_domain = sub.domain();
+          cs_resolved = true;
+        }
+        if (!cs.ok() || cs->dims != sub.rect().dims) return sub.rect();
+        return cs->ToCanonical(sub.rect());
       };
-      auto keep = [&](ReferentId id, const annotation::Referent& ref) {
+      auto keep = [&](const annotation::Referent& ref) {
         const substructure::Substructure& sub = ref.substructure;
         if (!domain.empty() && sub.domain() != domain) return false;
         if (!type_filter.empty() &&
             substructure::SubTypeToString(sub.type()) != type_filter) {
           return false;
         }
-        for (const Clause* w : windows) {
+        for (size_t i = 0; i < windows.size(); ++i) {
+          const Clause* w = windows[i];
           if (w->rect_window) {
             if (sub.type() != substructure::SubType::kRegion) return false;
-            spatial::Rect window_rect = rect_in_canonical(w);
-            // Stored rects are canonical when indexed; a referent's rect
-            // field holds the local coordinates, so canonicalize it too.
-            auto stored = ctx.indexes->coordinate_systems().ToCanonical(sub.domain(),
-                                                                        sub.rect());
-            spatial::Rect stored_rect = stored.ok() ? stored->second : sub.rect();
+            spatial::Rect stored_rect = stored_canonical(sub);
             bool ok_w = w->kind == Clause::Kind::kOverlaps
-                            ? stored_rect.Overlaps(window_rect)
-                            : window_rect.Contains(stored_rect);
+                            ? stored_rect.Overlaps(window_rects[i])
+                            : window_rects[i].Contains(stored_rect);
             if (!ok_w) return false;
           } else {
             if (sub.type() != substructure::SubType::kInterval) return false;
@@ -314,13 +334,11 @@ Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info,
             if (!ok_w) return false;
           }
         }
-        (void)id;
         return true;
       };
       auto visit = [&](ReferentId id, const annotation::Referent& ref) {
         if (tripped()) return;
-        referent_cache->emplace(id, &ref);
-        if (keep(id, ref)) emit(NodeRef::Referent(id));
+        if (keep(ref)) emit(NodeRef::Referent(id));
       };
       if (!windows.empty() && !domain.empty()) {
         // Index-accelerated spatial subquery. Probing with overlap semantics
@@ -432,6 +450,8 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   }
   QueryResult& result = *out;
   result.target = query.target;
+  result.store = ctx_.store;
+  result.graph = ctx_.graph;
   ExecutionStats& stats = result.stats;
   const annotation::AnnotationStore& store = *ctx_.store;
   const agraph::AGraph& graph = *ctx_.graph;
@@ -524,6 +544,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   } else if (vars.find(target_var) == vars.end()) {
     return Status::InvalidArgument("unknown target variable ?" + target_var);
   }
+  result.target_var = target_var;
   xml::XPathExpr fragment_xpath;
   if (query.target == Target::kFragments) {
     GRAPHITTI_ASSIGN_OR_RETURN(fragment_xpath, xml::XPathExpr::Compile(query.return_xpath));
@@ -535,7 +556,6 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   //    enumerate: their domain is "every node of the kind", answered by a
   //    kind check during joins and a store count for ordering.
   // ------------------------------------------------------------------
-  ReferentCache referent_cache;
   for (auto& [name, info] : vars) {
     if (info.filters.empty()) {
       info.unconstrained = true;
@@ -559,7 +579,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
     bool ordered = false;
     GRAPHITTI_RETURN_NOT_OK(ForEachCandidate(
-        ctx_, info, &referent_cache, &ordered, &gate, &stop,
+        ctx_, info, &ordered, &gate, &stop,
         [&info = info](NodeRef n) { info.streamed.push_back(n); }));
     if (stop != StopReason::kCompleted) {
       stats.stop_reason = stop;
@@ -666,6 +686,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
   }
 
+  ReferentCache referent_cache;
   auto referent_of = [&](NodeRef n) -> const annotation::Referent* {
     auto [it, inserted] = referent_cache.try_emplace(n.id, nullptr);
     if (inserted) it->second = store.GetReferent(n.id);
@@ -1007,14 +1028,14 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   }
 
   // ------------------------------------------------------------------
-  // 6. Collate results per target. One flat key set dedups every target:
-  //    a NodeRef target keys on NodeRefHash, a splitmix64 bijection of an
-  //    injective packing, so its dedup is exact; GRAPH keys on a row hash.
-  //    A governance trip keeps the items collated so far (a partial page
-  //    is still renderable).
+  // 6. Collate results per target into items that carry ids only; labels
+  //    and substructures are read on demand (QueryResult::LabelOf /
+  //    SubstructureOf). One flat key set dedups every target: a NodeRef
+  //    target keys on NodeRefHash, a splitmix64 bijection of an injective
+  //    packing, so its dedup is exact; GRAPH keys on a row hash. A
+  //    governance trip keeps the items collated so far (a partial page is
+  //    still renderable).
   // ------------------------------------------------------------------
-  auto label_for = [&](NodeRef n) { return std::string(graph.NodeLabel(n)); };
-
   // Rows of the final (closed) column; a join level that emptied out (or a
   // target variable the loop never reached) contributes no rows.
   size_t final_rows = table.num_columns() == 0 ? 1 : table.NumRows();
@@ -1033,10 +1054,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
         if (!seen.Insert(NodeRefHash{}(n))) continue;
-        ResultItem item;
-        item.content_id = n.id;
-        item.label = label_for(n);
-        result.items.push_back(std::move(item));
+        result.items.emplace_back().content_id = n.id;
       }
       break;
     }
@@ -1048,12 +1066,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
         table.ReadRow(row, &row_buf);
         NodeRef n = row_buf[col];
         if (!seen.Insert(NodeRefHash{}(n))) continue;
-        ResultItem item;
-        item.referent_id = n.id;
-        const annotation::Referent* ref = store.GetReferent(n.id);
-        if (ref != nullptr) item.substructure = ref->substructure;
-        item.label = label_for(n);
-        result.items.push_back(std::move(item));
+        result.items.emplace_back().referent_id = n.id;
       }
       break;
     }
@@ -1072,7 +1085,6 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
           ResultItem item;
           item.content_id = n.id;
           item.fragment = m.is_attribute ? m.value : m.node->ToString(/*pretty=*/false);
-          item.label = label_for(n);
           result.items.push_back(std::move(item));
         }
       }
@@ -1085,10 +1097,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
         table.ReadRow(row, &row_buf);
         seen.Insert(NodeRefHash{}(row_buf[col]));
       }
-      ResultItem item;
-      item.count = seen.size();
-      item.label = "count(?" + target_var + ") = " + std::to_string(seen.size());
-      result.items.push_back(std::move(item));
+      result.items.emplace_back().count = seen.size();
       break;
     }
     case Target::kGraph: {
@@ -1102,12 +1111,12 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       //
       // First sightings append their terminals to one flat buffer, and the
       // items are sized once and filled from it after the loop, so no
-      // item is built, moved or labelled per row. The subgraphs themselves
-      // are NOT built here: MaterializePage runs the (batched) Steiner
-      // heuristic, and sets the label, for just the rows of the requested
-      // page. Connectivity is therefore also decided lazily — a row whose
-      // terminals do not share a component keeps its handle and
-      // materializes to an empty, "(disconnected)"-labelled subgraph.
+      // item is built or moved per row. The subgraphs themselves are NOT
+      // built here: MaterializePage runs the (batched) Steiner heuristic
+      // for just the rows of the requested page. Connectivity is therefore
+      // also decided lazily — a row whose terminals do not share a
+      // component keeps its handle and materializes to an empty subgraph,
+      // which LabelOf reads as "subgraph(disconnected)".
       std::vector<NodeRef> flat;  // terminals of each distinct row, in order
       std::vector<size_t> ends;   // end offset of each distinct row in flat
       for (size_t row = 0; row < final_rows; ++row) {
@@ -1226,12 +1235,7 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
       return sg.status();
     }
     item.subgraph_ready = true;
-    if (sg.ok()) {
-      item.subgraph = std::move(sg).ValueUnsafe();
-      item.label = "subgraph(" + std::to_string(item.subgraph.nodes.size()) + " nodes)";
-    } else {
-      item.label = "subgraph(disconnected)";
-    }
+    if (sg.ok()) item.subgraph = std::move(sg).ValueUnsafe();
     ++result->stats.subgraphs_materialized;
   }
   result->stats.connect_trees_built += batch.trees_built() - trees_before;

@@ -1,14 +1,19 @@
 // Query results: heterogeneous substructure collections, XML fragments, or
 // connection subgraphs — organized in pages (§II/III).
 //
+// Collation stores ids only. An item names its annotation, referent or
+// terminal set; its display label and its referent's substructure are read
+// on demand, through QueryResult::LabelOf / SubstructureOf, from the
+// version the result was computed from — so a result costs one small item
+// per answer, and only the rows a caller actually views pay for a label.
+//
 // GRAPH targets are paged lazily: `items` holds one lightweight row handle
 // (the row's sorted distinct terminal nodes) per distinct binding row, and
-// the connection subgraphs themselves, with their labels, are only
-// materialized — via Executor::MaterializePage, batched through
-// agraph::ConnectBatch — for the rows of the requested page. The paper's
-// §III presents connection subgraphs as the paged presentation layer over
-// binding rows; building 100k Steiner subgraphs to show page 1 of 100k rows
-// violated exactly that.
+// the connection subgraphs themselves are only materialized — via
+// Executor::MaterializePage, batched through agraph::ConnectBatch — for the
+// rows of the requested page. The paper's §III presents connection
+// subgraphs as the paged presentation layer over binding rows; building
+// 100k Steiner subgraphs to show page 1 of 100k rows violated exactly that.
 #ifndef GRAPHITTI_QUERY_RESULT_H_
 #define GRAPHITTI_QUERY_RESULT_H_
 
@@ -23,18 +28,23 @@
 #include "util/epoch.h"
 
 namespace graphitti {
+namespace annotation {
+class AnnotationStore;
+}  // namespace annotation
+
 namespace query {
 
 /// One result item; the populated fields depend on the query target.
 /// Collation emits one item per distinct target value (per distinct
 /// terminal set for kGraph, per XPath match for kFragments), in the order
-/// of first occurrence among the binding rows.
+/// of first occurrence among the binding rows. An item carries ids, never a
+/// label or a substructure copy: read those through QueryResult::LabelOf
+/// and QueryResult::SubstructureOf.
 struct ResultItem {
   // kContents / kFragments: the annotation.
   annotation::AnnotationId content_id = 0;
-  // kReferents: the referent and a copy of its substructure.
+  // kReferents: the referent.
   annotation::ReferentId referent_id = 0;
-  substructure::Substructure substructure;
   // kFragments: one XPath match, serialized (an attribute match is its
   // value).
   std::string fragment;
@@ -43,17 +53,12 @@ struct ResultItem {
   std::vector<agraph::NodeRef> terminals;
   // kGraph: the row's type-extended connection subgraph. Empty until the
   // item's page is materialized (subgraph_ready distinguishes "not yet
-  // materialized" from "materialized but disconnected").
+  // materialized" from "materialized but disconnected", which is the only
+  // materialized subgraph without nodes).
   agraph::SubGraph subgraph;
   bool subgraph_ready = false;
   // kCount: the number of distinct values of the target variable.
   size_t count = 0;
-  /// Display label: for kContents, kReferents and kFragments the target
-  /// node's a-graph label (an annotation's title, a referent's substructure
-  /// key); "count(?v) = N" for kCount. A kGraph item's label is empty
-  /// until MaterializePage builds its subgraph and sets
-  /// "subgraph(N nodes)" or "subgraph(disconnected)".
-  std::string label;
 };
 
 /// Why an execution finished (governance observability: a row-budget,
@@ -117,6 +122,9 @@ struct ExecutionStats {
 
 struct QueryResult {
   Target target = Target::kContents;
+  /// The variable the target collates (empty for kGraph, whose rows span
+  /// every variable); kCount labels name it.
+  std::string target_var;
   /// All items, pre-paging. For kGraph these are row handles; see
   /// ResultItem::terminals / subgraph_ready.
   std::vector<ResultItem> items;
@@ -132,16 +140,37 @@ struct QueryResult {
   ExecutionStats stats;
   /// Pin on the engine version this result was computed from (set by
   /// core::Graphitti::Query; empty for hand-wired QueryContexts). Keeps
-  /// every pointer the result borrows — NodeRefs, substructure views, and
-  /// the graph behind `connect_batch` — alive and frozen for the result's
+  /// every pointer the result borrows — `store`, `graph`, NodeRefs, and the
+  /// graph behind `connect_batch` — alive and frozen for the result's
   /// lifetime, regardless of commits that land after the query returns.
   util::EpochPin snapshot;
+  /// The store and a-graph the result was computed from, borrowed (set by
+  /// Executor::ExecuteInto). LabelOf and SubstructureOf read them. Through
+  /// core::Graphitti, `snapshot` keeps them alive and frozen; a caller that
+  /// wires a QueryContext by hand keeps them alive and unchanged for as
+  /// long as it reads labels, as it already does for `connect_batch`.
+  const annotation::AnnotationStore* store = nullptr;
+  const agraph::AGraph* graph = nullptr;
   /// Batched-connect state reused across MaterializePage flips: the
   /// per-terminal BFS trees built for one page survive into the next, so
   /// revisiting a page (or sharing terminals across pages) never rebuilds
   /// them. Borrows the same graph `snapshot` pins; reset automatically if
   /// a flip sees a different graph.
   std::shared_ptr<agraph::ConnectBatch> connect_batch;
+
+  /// Display label of `item`, built from the result's version on each call:
+  ///   - kContents / kFragments: the annotation's a-graph label (its title,
+  ///     or "annotation-N" when it has none);
+  ///   - kReferents: the referent's a-graph label (its substructure key);
+  ///   - kCount: "count(?v) = N";
+  ///   - kGraph: "subgraph(N nodes)" or "subgraph(disconnected)" once the
+  ///     item's page is materialized, and empty before.
+  /// Empty when the result borrows no graph (a default-constructed one).
+  std::string LabelOf(const ResultItem& item) const;
+  /// The substructure a kReferents item's referent marks, borrowed from the
+  /// result's version; nullptr for any other target, or when the result
+  /// borrows no store.
+  const substructure::Substructure* SubstructureOf(const ResultItem& item) const;
 
   /// Borrowed, iterable view of the current page's slice of `items`.
   /// Invalidated by anything that mutates `items`.

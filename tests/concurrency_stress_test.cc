@@ -148,11 +148,12 @@ void ReaderLoop(const Graphitti& g, size_t iterations, Failures* failures,
         for (size_t k = graph->page_first; k < graph->page_first + graph->page_count;
              ++k) {
           const auto& item = graph->items[k];
-          if (!item.subgraph_ready || item.label.rfind("subgraph(", 0) != 0) {
-            failures->Add("page-2 item not materialized: " + item.label);
+          const std::string label = graph->LabelOf(item);
+          if (!item.subgraph_ready || label.rfind("subgraph(", 0) != 0) {
+            failures->Add("page-2 item not materialized: " + label);
           }
           // Stable rows join one content to one referent: never disconnected.
-          if (item.label == "subgraph(disconnected)") {
+          if (label == "subgraph(disconnected)") {
             failures->Add("stable row materialized disconnected");
           }
         }
@@ -338,8 +339,8 @@ TEST(ConcurrencyStressTest, ReentrantReadsSurviveWriterPressure) {
 // Epoch invariants (copy-on-write version publication, util/epoch.h).
 // ---------------------------------------------------------------------
 
-std::string DumpSubgraph(const query::ResultItem& item) {
-  std::string out = item.label + "|";
+std::string DumpSubgraph(const query::QueryResult& result, const query::ResultItem& item) {
+  std::string out = result.LabelOf(item) + "|";
   for (const auto& n : item.subgraph.nodes) out += n.ToString() + ",";
   out += "|";
   for (const auto& e : item.subgraph.edges) {
@@ -395,7 +396,7 @@ TEST(ConcurrencyStressTest, PinnedReaderSeesFrozenSnapshotAcrossCommits) {
       const auto& got = subject->items[subject->page_first + k];
       const auto& want = reference->items[reference->page_first + k];
       EXPECT_TRUE(got.subgraph_ready);
-      EXPECT_EQ(DumpSubgraph(got), DumpSubgraph(want))
+      EXPECT_EQ(DumpSubgraph(*subject, got), DumpSubgraph(*reference, want))
           << "page " << p << " item " << k
           << " diverged under writer churn (snapshot not frozen)";
     }
@@ -707,6 +708,51 @@ TEST(ConcurrencyStressTest, IntegrityCheckRacingIngestsReportsNoDeadRow) {
   for (const std::string& message : failures.Take()) ADD_FAILURE() << message;
   EXPECT_EQ(g.num_objects(), kIngests);
   EXPECT_TRUE(g.ValidateIntegrity().ok());
+}
+
+// Stats and num_objects count an object only once the version they pinned
+// holds its row, so an ingest in flight (registered, not yet published) is
+// never counted ahead of its row. The engine's only rows are the ingested
+// objects, so every Stats call must see as many objects as rows.
+TEST(ConcurrencyStressTest, StatsRacingIngestsCountObjectsAtTheVersionCut) {
+  Graphitti g;
+  constexpr size_t kIngests = 3000;
+  std::atomic<bool> done{false};
+  Failures failures;
+  std::thread writer([&] {
+    for (size_t i = 0; i < kIngests; ++i) {
+      auto obj = g.IngestDnaSequence("ROW" + std::to_string(i), "H5N1", "chrR", "ACGT");
+      if (!obj.ok()) failures.Add("ingest failed: " + obj.status().ToString());
+    }
+    done.store(true, std::memory_order_release);
+  });
+  size_t calls = 0;
+  size_t mismatches = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    SystemStats before = g.Stats();
+    const size_t objects = g.num_objects();
+    SystemStats after = g.Stats();
+    calls += 3;
+    for (const SystemStats& s : {before, after}) {
+      if (s.num_objects != s.total_rows) {
+        ++mismatches;
+        failures.Add("Stats: objects=" + std::to_string(s.num_objects) +
+                     " rows=" + std::to_string(s.total_rows));
+      }
+    }
+    // Versions only grow, so num_objects() falls between the two.
+    if (objects < before.total_rows || objects > after.total_rows) {
+      ++mismatches;
+      failures.Add("num_objects()=" + std::to_string(objects) + " outside rows [" +
+                   std::to_string(before.total_rows) + ", " +
+                   std::to_string(after.total_rows) + "]");
+    }
+  }
+  writer.join();
+  for (const std::string& message : failures.Take()) ADD_FAILURE() << message;
+  EXPECT_EQ(mismatches, 0u) << "in " << calls << " calls";
+  EXPECT_EQ(g.num_objects(), kIngests);
+  EXPECT_EQ(g.Stats().num_objects, g.Stats().total_rows);
 }
 
 // Content a restart replays from the WAL tail stays unparsed, like a

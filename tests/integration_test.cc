@@ -377,8 +377,8 @@ TEST(IntegrationTest, FullGeneratedStudyQueries) {
       "?s OVERLAPS [0, 1000] }");
   ASSERT_TRUE(window.ok()) << window.status().ToString();
   for (const auto& item : window->items) {
-    EXPECT_EQ(item.substructure.domain(), "flu:seg0");
-    EXPECT_TRUE(item.substructure.interval().Overlaps({0, 1000}));
+    EXPECT_EQ(window->SubstructureOf(item)->domain(), "flu:seg0");
+    EXPECT_TRUE(window->SubstructureOf(item)->interval().Overlaps({0, 1000}));
   }
 
   // XQuery over the whole annotation collection.

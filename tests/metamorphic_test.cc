@@ -52,7 +52,8 @@ TEST_P(MetamorphicTest, ContainedInIsSubsetOfOverlaps) {
     for (const auto& item : contained->items) {
       EXPECT_TRUE(overlap_ids.count(item.referent_id) > 0)
           << "containment hit not in overlap set, domain " << domain;
-      EXPECT_TRUE(spatial::Interval(200, 1200).Contains(item.substructure.interval()));
+      EXPECT_TRUE(
+          spatial::Interval(200, 1200).Contains(contained->SubstructureOf(item)->interval()));
     }
   }
 }

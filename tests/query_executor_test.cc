@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "annotation/annotation_store.h"
+#include "core/graphitti.h"
 #include "query/executor.h"
 #include "query/parser.h"
 
@@ -116,7 +117,7 @@ TEST_F(ExecutorTest, SpatialWindowNarrowsReferents) {
   // Intervals overlapping [350,550]: [300,400], [500,600], [150,350].
   EXPECT_EQ(r->items.size(), 3u);
   for (const auto& item : r->items) {
-    EXPECT_TRUE(item.substructure.interval().Overlaps({350, 550}));
+    EXPECT_TRUE(r->SubstructureOf(item)->interval().Overlaps({350, 550}));
   }
 }
 
@@ -192,7 +193,7 @@ TEST_F(ExecutorTest, ReferentsTargetReturnsSubstructures) {
       "FIND REFERENTS ?s WHERE { ?a CONTAINS \"alpha\" ; ?s IS REFERENT ; ?a ANNOTATES ?s }");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->items.size(), 1u);
-  EXPECT_EQ(r->items[0].substructure.interval(), spatial::Interval(100, 200));
+  EXPECT_EQ(r->SubstructureOf(r->items[0])->interval(), spatial::Interval(100, 200));
 }
 
 TEST_F(ExecutorTest, FragmentsTarget) {
@@ -481,9 +482,10 @@ TEST_F(ExecutorTest, GraphCollationIsLazyPerPage) {
       // Collation builds no label: an off-page item has none until its
       // page is materialized.
       EXPECT_TRUE(r->items[i].subgraph.nodes.empty()) << "item " << i;
-      EXPECT_TRUE(r->items[i].label.empty()) << "item " << i << ": " << r->items[i].label;
+      EXPECT_TRUE(r->LabelOf(r->items[i]).empty())
+          << "item " << i << ": " << r->LabelOf(r->items[i]);
     } else {
-      EXPECT_EQ(r->items[i].label.rfind("subgraph(", 0), 0u) << r->items[i].label;
+      EXPECT_EQ(r->LabelOf(r->items[i]).rfind("subgraph(", 0), 0u) << r->LabelOf(r->items[i]);
     }
   }
   // A flip labels exactly the rows it materializes.
@@ -491,11 +493,11 @@ TEST_F(ExecutorTest, GraphCollationIsLazyPerPage) {
   EXPECT_EQ(r->stats.subgraphs_materialized, 4u);
   for (const ResultItem& item : r->Page()) {
     EXPECT_TRUE(item.subgraph_ready);
-    EXPECT_EQ(item.label.rfind("subgraph(", 0), 0u) << item.label;
+    EXPECT_EQ(r->LabelOf(item).rfind("subgraph(", 0), 0u) << r->LabelOf(item);
   }
   for (size_t i = 0; i < r->items.size(); ++i) {
     bool built = i < 2 || (i >= 6 && i < 8);
-    EXPECT_EQ(r->items[i].label.empty(), !built) << "item " << i;
+    EXPECT_EQ(r->LabelOf(r->items[i]).empty(), !built) << "item " << i;
   }
 }
 
@@ -591,6 +593,142 @@ TEST_F(ExecutorTest, OrderingsAgreeOnMultiVariableJoins) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+// Every target's label, read through LabelOf: CONTENTS and FRAGMENTS name
+// the annotation (its title, or annotation-N without one), REFERENTS the
+// substructure, COUNT the variable and its count. A GRAPH row has no label
+// until its page is materialized, and a row whose terminals share no
+// component reads as disconnected.
+TEST_F(ExecutorTest, LabelOfEveryTarget) {
+  AnnotationBuilder untitled;
+  untitled.Body("isolated note").MarkInterval("flu:seg9", 10, 20, /*object_id=*/99);
+  auto lone = store_.Commit(untitled);
+  ASSERT_TRUE(lone.ok()) << lone.status().ToString();
+
+  auto contents = Run("FIND CONTENTS WHERE { ?a CONTAINS \"alpha\" }");
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  ASSERT_EQ(contents->items.size(), 1u);
+  EXPECT_EQ(contents->LabelOf(contents->items[0]), "ann0");
+  EXPECT_EQ(contents->SubstructureOf(contents->items[0]), nullptr);
+
+  auto fallback = Run("FIND CONTENTS WHERE { ?a CONTAINS \"isolated\" }");
+  ASSERT_TRUE(fallback.ok());
+  ASSERT_EQ(fallback->items.size(), 1u);
+  EXPECT_EQ(fallback->LabelOf(fallback->items[0]), "annotation-" + std::to_string(*lone));
+
+  auto fragments = Run(
+      "FIND FRAGMENTS ?a XPATH \"/annotation/body\" WHERE { ?a CONTAINS \"motif\" }");
+  ASSERT_TRUE(fragments.ok()) << fragments.status().ToString();
+  ASSERT_EQ(fragments->items.size(), 4u);
+  for (size_t i = 0; i < fragments->items.size(); ++i) {
+    EXPECT_EQ(fragments->LabelOf(fragments->items[i]), "ann" + std::to_string(i));
+  }
+
+  auto referents = Run("FIND REFERENTS WHERE { ?s DOMAIN \"flu:seg9\" }");
+  ASSERT_TRUE(referents.ok()) << referents.status().ToString();
+  ASSERT_EQ(referents->items.size(), 1u);
+  const substructure::Substructure* sub = referents->SubstructureOf(referents->items[0]);
+  ASSERT_NE(sub, nullptr);
+  EXPECT_EQ(sub->interval(), spatial::Interval(10, 20));
+  EXPECT_EQ(referents->LabelOf(referents->items[0]), sub->ToString());
+
+  auto count = Run("FIND COUNT ?a WHERE { ?a CONTAINS \"protease\" }");
+  ASSERT_TRUE(count.ok());
+  ASSERT_EQ(count->items.size(), 1u);
+  EXPECT_EQ(count->LabelOf(count->items[0]), "count(?a) = 4");
+
+  // ?b ascends over all seven contents: page 1 is ann0 alone, the last
+  // page pairs ann0 with the untitled annotation, which shares no
+  // component with it.
+  auto graph = Run(
+      "FIND GRAPH WHERE { ?a CONTAINS \"alpha\" ; ?b IS CONTENT } LIMIT 1 PAGE 1");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ASSERT_EQ(graph->items.size(), 7u);
+  EXPECT_EQ(graph->LabelOf(graph->items[0]), "subgraph(1 nodes)");
+  const ResultItem& last = graph->items.back();
+  EXPECT_EQ(last.terminals, (std::vector<agraph::NodeRef>{agraph::NodeRef::Content(ids_[0]),
+                                                          agraph::NodeRef::Content(*lone)}));
+  EXPECT_EQ(graph->LabelOf(last), "");
+  Executor ex(Context());
+  ASSERT_TRUE(ex.MaterializePage(&*graph, 7).ok());
+  EXPECT_TRUE(last.subgraph_ready);
+  EXPECT_EQ(graph->LabelOf(last), "subgraph(disconnected)");
+  ASSERT_TRUE(ex.MaterializePage(&*graph, 2).ok());
+  const ResultItem& second = graph->items[1];
+  ASSERT_FALSE(second.subgraph.nodes.empty());
+  EXPECT_EQ(graph->LabelOf(second),
+            "subgraph(" + std::to_string(second.subgraph.nodes.size()) + " nodes)");
+}
+
+// CONTAINS alone streams the phrase hits without a store lookup; joined
+// with CREATOR or XPATH it keeps one per hit, and those filters still
+// narrow the hits. A removed annotation is no hit at all.
+TEST_F(ExecutorTest, ContainsCombinedWithCreatorOrXPathStillFilters) {
+  AnnotationBuilder b;
+  b.Title("by alice").Creator("alice").Body("protease motif epsilon");
+  b.MarkInterval("flu:seg4", 1000, 1100, /*object_id=*/42);
+  auto alice = store_.Commit(b);
+  ASSERT_TRUE(alice.ok()) << alice.status().ToString();
+
+  auto by_creator =
+      Run("FIND CONTENTS WHERE { ?a CONTAINS \"protease\" ; ?a CREATOR \"alice\" }");
+  ASSERT_TRUE(by_creator.ok()) << by_creator.status().ToString();
+  ASSERT_EQ(by_creator->items.size(), 1u);
+  EXPECT_EQ(by_creator->items[0].content_id, *alice);
+
+  auto by_xpath = Run(
+      "FIND CONTENTS WHERE { ?a CONTAINS \"protease\" ; "
+      "?a XPATH \"/annotation[contains(body,'gamma')]\" }");
+  ASSERT_TRUE(by_xpath.ok()) << by_xpath.status().ToString();
+  ASSERT_EQ(by_xpath->items.size(), 1u);
+  EXPECT_EQ(by_xpath->items[0].content_id, ids_[2]);
+
+  ASSERT_TRUE(store_.Remove(ids_[0]).ok());
+  auto alone = Run("FIND CONTENTS WHERE { ?a CONTAINS \"protease\" }");
+  ASSERT_TRUE(alone.ok());
+  std::vector<AnnotationId> got;
+  for (const ResultItem& item : alone->items) got.push_back(item.content_id);
+  EXPECT_EQ(got, (std::vector<AnnotationId>{ids_[1], ids_[2], ids_[3], *alice}));
+}
+
+// A result keeps ids only and reads labels and substructures from the
+// version it pinned: held across a commit that removes its annotation, it
+// still reads the old title and the removed referent's substructure.
+TEST(ResultAccessorsTest, ReadThePinnedVersionAfterALaterRemoval) {
+  core::Graphitti g;
+  AnnotationBuilder b;
+  b.Title("pinned title").Body("ephemeral note");
+  b.MarkInterval("flu:seg7", 10, 20);
+  auto id = g.Commit(b);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  const std::string contents_query = "FIND CONTENTS WHERE { ?a CONTAINS \"ephemeral\" }";
+  const std::string referents_query = "FIND REFERENTS WHERE { ?s DOMAIN \"flu:seg7\" }";
+  auto contents = g.Query(contents_query);
+  auto referents = g.Query(referents_query);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  ASSERT_TRUE(referents.ok()) << referents.status().ToString();
+  ASSERT_EQ(contents->items.size(), 1u);
+  ASSERT_EQ(referents->items.size(), 1u);
+  const std::string want_sub =
+      substructure::Substructure::MakeInterval("flu:seg7", {10, 20}).ToString();
+  ASSERT_NE(referents->SubstructureOf(referents->items[0]), nullptr);
+  EXPECT_EQ(referents->SubstructureOf(referents->items[0])->ToString(), want_sub);
+
+  ASSERT_TRUE(g.RemoveAnnotation(*id).ok());
+  auto contents_now = g.Query(contents_query);
+  auto referents_now = g.Query(referents_query);
+  ASSERT_TRUE(contents_now.ok());
+  ASSERT_TRUE(referents_now.ok());
+  EXPECT_TRUE(contents_now->items.empty());
+  EXPECT_TRUE(referents_now->items.empty());
+
+  EXPECT_EQ(contents->LabelOf(contents->items[0]), "pinned title");
+  const substructure::Substructure* sub = referents->SubstructureOf(referents->items[0]);
+  ASSERT_NE(sub, nullptr);
+  EXPECT_EQ(sub->ToString(), want_sub);
+  EXPECT_EQ(referents->LabelOf(referents->items[0]), want_sub);
 }
 
 }  // namespace

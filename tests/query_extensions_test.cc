@@ -50,7 +50,7 @@ TEST_F(QueryExtensionsTest, CountTarget) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->items.size(), 1u);
   EXPECT_EQ(r->items[0].count, 3u);
-  EXPECT_EQ(r->items[0].label, "count(?a) = 3");
+  EXPECT_EQ(r->LabelOf(r->items[0]), "count(?a) = 3");
 }
 
 TEST_F(QueryExtensionsTest, CountDefaultsToFirstVariable) {
@@ -74,7 +74,7 @@ TEST_F(QueryExtensionsTest, ContainedInInterval) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Only [100,150] is fully inside [90,200]; [120,400] merely overlaps.
   ASSERT_EQ(r->items.size(), 1u);
-  EXPECT_EQ(r->items[0].substructure.interval(), spatial::Interval(100, 150));
+  EXPECT_EQ(r->SubstructureOf(r->items[0])->interval(), spatial::Interval(100, 150));
 }
 
 TEST_F(QueryExtensionsTest, OverlapsVersusContainedIn) {
