@@ -139,11 +139,51 @@ NodeKind ToNodeKind(VarKind kind) {
   return NodeKind::kContent;  // unreachable: kinds are resolved before use
 }
 
-/// Borrowed referent pointers memoized per execution, so constraint
-/// evaluation and candidate filters pay one store lookup per distinct
-/// referent instead of one per binding row.
+/// Borrowed referent pointers memoized per execution, so the join pays one
+/// store lookup per distinct bound referent and join-edge candidate instead
+/// of one per binding row.
 // lint: allow-map(per-query cache; hashed, sized by candidate count)
 using ReferentCache = std::unordered_map<uint64_t, const annotation::Referent*>;
+
+/// Evaluates one pairwise constraint on referents the join resolved once. A
+/// null referent (a node that is no live referent) fails every predicate.
+bool EvalPair(PairPredicate::Kind kind, const annotation::Referent* ra,
+              const annotation::Referent* rb) {
+  if (ra == nullptr || rb == nullptr) return false;
+  const substructure::Substructure& sa = ra->substructure;
+  const substructure::Substructure& sb = rb->substructure;
+  switch (kind) {
+    case PairPredicate::Kind::kSameDomain:
+      return sa.domain() == sb.domain() && sa.type() == sb.type();
+    case PairPredicate::Kind::kBefore:
+      if (sa.type() != substructure::SubType::kInterval ||
+          sb.type() != substructure::SubType::kInterval) {
+        return false;
+      }
+      return sa.interval().lo < sb.interval().lo;
+    case PairPredicate::Kind::kDisjoint: {
+      auto overlap = substructure::IfOverlap(sa, sb);
+      return overlap.ok() && !*overlap;
+    }
+    case PairPredicate::Kind::kOverlapping: {
+      auto overlap = substructure::IfOverlap(sa, sb);
+      return overlap.ok() && *overlap;
+    }
+  }
+  return false;
+}
+
+/// Sorts a GRAPH row's terminals in place. A row holds one terminal per
+/// query variable, a handful, so an insertion sort beats std::sort here.
+void SortRow(NodeRef* first, NodeRef* last) {
+  if (last - first < 2) return;
+  for (NodeRef* i = first + 1; i != last; ++i) {
+    NodeRef t = *i;
+    NodeRef* j = i;
+    for (; j != first && t < *(j - 1); --j) *j = *(j - 1);
+    *j = t;
+  }
+}
 
 StopReason ReasonFromStatus(const Status& s) {
   if (s.IsDeadlineExceeded()) return StopReason::kDeadline;
@@ -693,33 +733,6 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     return it->second;
   };
 
-  auto eval_pair = [&](const PairPredicate& p, NodeRef a, NodeRef b) -> bool {
-    const annotation::Referent* ra = referent_of(a);
-    const annotation::Referent* rb = referent_of(b);
-    if (ra == nullptr || rb == nullptr) return false;
-    const substructure::Substructure& sa = ra->substructure;
-    const substructure::Substructure& sb = rb->substructure;
-    switch (p.kind) {
-      case PairPredicate::Kind::kSameDomain:
-        return sa.domain() == sb.domain() && sa.type() == sb.type();
-      case PairPredicate::Kind::kBefore:
-        if (sa.type() != substructure::SubType::kInterval ||
-            sb.type() != substructure::SubType::kInterval) {
-          return false;
-        }
-        return sa.interval().lo < sb.interval().lo;
-      case PairPredicate::Kind::kDisjoint: {
-        auto overlap = substructure::IfOverlap(sa, sb);
-        return overlap.ok() && !*overlap;
-      }
-      case PairPredicate::Kind::kOverlapping: {
-        auto overlap = substructure::IfOverlap(sa, sb);
-        return overlap.ok() && *overlap;
-      }
-    }
-    return false;
-  };
-
   // ------------------------------------------------------------------
   // 4. Feasible order: bind variables most-selective-first, preferring
   //    variables connected to already-bound ones (joinable via a-graph).
@@ -787,6 +800,8 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   std::vector<NodeRef> domain_buf;
   std::vector<NodeRef> nbr_buf;
   std::vector<NodeRef> reduced_buf;  // a cartesian level's semi-join-reduced domain
+  // A constrained cartesian level's referents, aligned with its domain.
+  std::vector<const annotation::Referent*> cartesian_refs;
   // lint: allow-map(multi-edge join scratch; cleared per row, never shrinks)
   std::unordered_set<NodeRef, NodeRefHash> nbr_set;
   // Single-edge join domains memoized per level: many rows bind the same
@@ -847,11 +862,13 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     }
 
     // Pairwise constraints that become fully bound with v, with the other
-    // side's column resolved once per variable.
+    // side's column resolved once per variable and its referent once per
+    // parent row.
     struct BoundPred {
-      const PairPredicate* pred;
+      PairPredicate::Kind kind;
       size_t other_col;
       bool v_is_a;
+      const annotation::Referent* other = nullptr;
     };
     std::vector<BoundPred> bound_preds;
     for (const PairPredicate& p : pair_preds) {
@@ -867,7 +884,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       }
       auto it = var_column.find(*other);
       if (it == var_column.end()) continue;  // other not bound yet
-      bound_preds.push_back({&p, it->second, v_is_a});
+      bound_preds.push_back({p.kind, it->second, v_is_a});
     }
 
     const std::vector<NodeRef>* cartesian = nullptr;
@@ -914,6 +931,13 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
         if (stop != StopReason::kCompleted) break;
       }
     }
+    // A constrained cartesian level rescans one domain for every parent
+    // row, so its referents are resolved once here.
+    cartesian_refs.clear();
+    if (cartesian != nullptr && !bound_preds.empty()) {
+      cartesian_refs.reserve(cartesian->size());
+      for (NodeRef n : *cartesian) cartesian_refs.push_back(store.GetReferent(n.id));
+    }
 
     // Extend each parent row: compute the candidate domain, filter it
     // through the bound pairwise predicates and CONNECTED reachability, and
@@ -924,6 +948,7 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
     // well-defined and folds this level's size into the peaks.
     for (size_t row = 0; row < prev_rows && stop == StopReason::kCompleted; ++row) {
       table.ReadParentRow(row, &row_buf);
+      for (BoundPred& bp : bound_preds) bp.other = referent_of(row_buf[bp.other_col]);
 
       const std::vector<NodeRef>* domain = cartesian;
       if (join_edges.size() == 1) {
@@ -970,17 +995,22 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
         domain = &domain_buf;
       }
 
-      for (NodeRef cand : *domain) {
+      for (size_t i = 0; i < domain->size(); ++i) {
+        NodeRef cand = (*domain)[i];
         if (Tripped(&gate, &stop)) break;
-        // Pairwise constraints that become fully bound with v = cand.
+        // Pairwise constraints that become fully bound with v = cand, on
+        // cand's referent: resolved per level for a cartesian domain, once
+        // per candidate for a join-edge one.
         bool ok = true;
-        for (const BoundPred& bp : bound_preds) {
-          NodeRef other_node = row_buf[bp.other_col];
-          NodeRef a = bp.v_is_a ? cand : other_node;
-          NodeRef b = bp.v_is_a ? other_node : cand;
-          if (!eval_pair(*bp.pred, a, b)) {
-            ok = false;
-            break;
+        if (!bound_preds.empty()) {
+          const annotation::Referent* ref =
+              cartesian != nullptr ? cartesian_refs[i] : referent_of(cand);
+          for (const BoundPred& bp : bound_preds) {
+            if (!(bp.v_is_a ? EvalPair(bp.kind, ref, bp.other)
+                            : EvalPair(bp.kind, bp.other, ref))) {
+              ok = false;
+              break;
+            }
           }
         }
         if (!ok) continue;
@@ -1109,33 +1139,42 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
       // max_intermediate_rows default (2^20 rows) the odds are ~2^-25 per
       // query, accepted for the collation speed.
       //
-      // First sightings append their terminals to one flat buffer, and the
-      // items are sized once and filled from it after the loop, so no
-      // item is built or moved per row. The subgraphs themselves are NOT
-      // built here: MaterializePage runs the (batched) Steiner heuristic
-      // for just the rows of the requested page. Connectivity is therefore
-      // also decided lazily — a row whose terminals do not share a
-      // component keeps its handle and materializes to an empty subgraph,
-      // which LabelOf reads as "subgraph(disconnected)".
-      std::vector<NodeRef> flat;  // terminals of each distinct row, in order
-      std::vector<size_t> ends;   // end offset of each distinct row in flat
+      // The key set, the terminal pool and the row offsets are sized once
+      // from the final row count, which bounds the distinct rows; a row
+      // holds at most one terminal per column. First sightings append
+      // their terminals to the pool, and after the loop the pool moves into
+      // the result, immutable and shared by its copies, while `items` is
+      // sized once and each handle views its slice: no item, vector or
+      // copy per row. The subgraphs themselves are NOT built here:
+      // MaterializePage runs the (batched) Steiner heuristic for just the
+      // rows of the requested page. Connectivity is therefore also decided
+      // lazily — a row whose terminals do not share a component keeps its
+      // handle and materializes to an empty subgraph, which LabelOf reads
+      // as "subgraph(disconnected)".
+      std::vector<NodeRef> pool;  // terminals of each distinct row, in order
+      std::vector<size_t> ends;   // end offset of each distinct row in pool
+      pool.reserve(final_rows * table.num_columns());
+      ends.reserve(final_rows);
+      seen.Reserve(final_rows);
       for (size_t row = 0; row < final_rows; ++row) {
         if (Tripped(&gate, &stop)) break;
         table.ReadRow(row, &row_buf);
-        std::sort(row_buf.begin(), row_buf.end());
+        SortRow(row_buf.data(), row_buf.data() + row_buf.size());
         row_buf.erase(std::unique(row_buf.begin(), row_buf.end()), row_buf.end());
         uint64_t h = util::Mix64(0x51ab7c1ed15ull ^ row_buf.size());
         for (NodeRef t : row_buf) h = util::Mix64(h ^ NodeRefHash{}(t));
         if (!seen.Insert(h)) continue;
-        flat.insert(flat.end(), row_buf.begin(), row_buf.end());
-        ends.push_back(flat.size());
+        pool.insert(pool.end(), row_buf.begin(), row_buf.end());
+        ends.push_back(pool.size());
       }
+      auto shared = std::make_shared<const std::vector<NodeRef>>(std::move(pool));
       result.items.resize(ends.size());
       size_t begin = 0;
       for (size_t i = 0; i < ends.size(); ++i) {
-        result.items[i].terminals.assign(flat.data() + begin, flat.data() + ends[i]);
+        result.items[i].terminals = {shared->data() + begin, ends[i] - begin};
         begin = ends[i];
       }
+      result.terminal_pool = std::move(shared);
       break;
     }
   }
@@ -1213,6 +1252,9 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
   agraph::ConnectBatch& batch = *result->connect_batch;
   const size_t trees_before = batch.trees_built();
   util::GovernanceGate gate(options_.deadline, options_.cancel);
+  // ConnectBatch::Connect takes a vector: each row's view is copied into
+  // this one, reused across the page.
+  std::vector<NodeRef> row;
   for (size_t i = begin; i < end; ++i) {
     ResultItem& item = result->items[i];
     if (item.subgraph_ready) continue;
@@ -1226,7 +1268,8 @@ util::Status Executor::MaterializePage(QueryResult* result, size_t page) const {
         return gs;
       }
     }
-    auto sg = batch.Connect(item.terminals, options_.deadline, options_.cancel);
+    row.assign(item.terminals.begin(), item.terminals.end());
+    auto sg = batch.Connect(row, options_.deadline, options_.cancel);
     if (!sg.ok() && (sg.status().IsDeadlineExceeded() || sg.status().IsCancelled() ||
                      sg.status().IsResourceExhausted())) {
       // Governance abort mid-connect: not a disconnected row — leave the

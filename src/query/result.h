@@ -8,8 +8,9 @@
 // per answer, and only the rows a caller actually views pay for a label.
 //
 // GRAPH targets are paged lazily: `items` holds one lightweight row handle
-// (the row's sorted distinct terminal nodes) per distinct binding row, and
-// the connection subgraphs themselves are only materialized — via
+// (a view of the row's sorted distinct terminal nodes in one terminal pool
+// that the result owns) per distinct binding row, and the connection
+// subgraphs themselves are only materialized — via
 // Executor::MaterializePage, batched through agraph::ConnectBatch — for the
 // rows of the requested page. The paper's §III presents connection
 // subgraphs as the paged presentation layer over binding rows; building
@@ -34,6 +35,20 @@ class AnnotationStore;
 
 namespace query {
 
+/// Borrowed, iterable view of `count` contiguous elements starting at
+/// `first`: a result's current page (QueryResult::Page) and a GRAPH row
+/// handle (ResultItem::terminals).
+template <typename T>
+struct SpanView {
+  const T* first = nullptr;
+  size_t count = 0;
+  const T* begin() const { return first; }
+  const T* end() const { return first + count; }
+  size_t size() const { return count; }
+  bool empty() const { return count == 0; }
+  const T& operator[](size_t i) const { return first[i]; }
+};
+
 /// One result item; the populated fields depend on the query target.
 /// Collation emits one item per distinct target value (per distinct
 /// terminal set for kGraph, per XPath match for kFragments), in the order
@@ -48,9 +63,12 @@ struct ResultItem {
   // kFragments: one XPath match, serialized (an attribute match is its
   // value).
   std::string fragment;
-  // kGraph: the row handle — sorted distinct terminal nodes of the binding
-  // row. Filled for every item at collation, from one flat buffer.
-  std::vector<agraph::NodeRef> terminals;
+  // kGraph: the row handle — the binding row's sorted distinct terminal
+  // nodes, viewed in the result's terminal pool (QueryResult::terminal_pool).
+  // Filled for every item at collation. The view is valid while the result
+  // that collated it, or a copy of that result, lives; copy it out with
+  // std::vector<agraph::NodeRef>(t.begin(), t.end()) to keep it longer.
+  SpanView<agraph::NodeRef> terminals;
   // kGraph: the row's type-extended connection subgraph. Empty until the
   // item's page is materialized (subgraph_ready distinguishes "not yet
   // materialized" from "materialized but disconnected", which is the only
@@ -128,6 +146,11 @@ struct QueryResult {
   /// All items, pre-paging. For kGraph these are row handles; see
   /// ResultItem::terminals / subgraph_ready.
   std::vector<ResultItem> items;
+  /// kGraph: every item's terminals, back to back in item order; each
+  /// ResultItem::terminals views its slice. Immutable once collated and
+  /// shared by copies of the result, so an item copied along with its
+  /// result keeps a valid view after the original is moved or destroyed.
+  std::shared_ptr<const std::vector<agraph::NodeRef>> terminal_pool;
   /// Current page, 1-based; 0 when the result is empty (no pages exist).
   size_t page = 0;
   size_t page_size = 0;
@@ -174,15 +197,7 @@ struct QueryResult {
 
   /// Borrowed, iterable view of the current page's slice of `items`.
   /// Invalidated by anything that mutates `items`.
-  struct PageView {
-    const ResultItem* first = nullptr;
-    size_t count = 0;
-    const ResultItem* begin() const { return first; }
-    const ResultItem* end() const { return first + count; }
-    size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-    const ResultItem& operator[](size_t i) const { return first[i]; }
-  };
+  using PageView = SpanView<ResultItem>;
   PageView Page() const { return {items.data() + page_first, page_count}; }
 };
 

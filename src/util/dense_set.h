@@ -89,6 +89,14 @@ class KeySet {
 
   size_t size() const { return stored_ + (has_zero_ ? 1 : 0); }
 
+  /// Sizes an empty set once so that `n` keys fit without growth (a
+  /// no-op on a set that already holds keys).
+  void Reserve(size_t n) {
+    size_t slots = 16;
+    while (slots < 2 * n) slots *= 2;
+    if (stored_ == 0 && slots > slots_.size()) slots_.assign(slots, 0);
+  }
+
  private:
   void Grow() {
     std::vector<uint64_t> old = std::move(slots_);

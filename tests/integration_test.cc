@@ -255,7 +255,7 @@ TEST(IntegrationTest, Figure3PairCollationMatchesBruteForce) {
     if (!r.ok()) return size_t{0};
     std::vector<Row> got;
     for (const auto& item : r->items) {
-      const Row& t = item.terminals;
+      const Row t(item.terminals.begin(), item.terminals.end());
       EXPECT_TRUE(std::is_sorted(t.begin(), t.end())) << text;
       EXPECT_EQ(std::adjacent_find(t.begin(), t.end()), t.end()) << text;
       got.push_back(t);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 
 #include "annotation/annotation_store.h"
 #include "core/graphitti.h"
@@ -405,7 +407,8 @@ TEST_F(ExecutorTest, SemiJoinReducesReusedCartesianLevel) {
                                          agraph::NodeRef::Content(ids_[y]), mark(y)};
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
-    EXPECT_EQ(r->items[k].terminals, want) << "item " << k;
+    const auto& t = r->items[k].terminals;
+    EXPECT_EQ(std::vector<agraph::NodeRef>(t.begin(), t.end()), want) << "item " << k;
   }
 
   auto contents = Run(std::string("FIND CONTENTS ?b ") + where);
@@ -526,7 +529,8 @@ TEST_F(ExecutorTest, MaterializePageIsOrderIndependent) {
     // materialized first, and identical to a per-row Connect on the handle.
     EXPECT_EQ(direct->Page()[i].subgraph.nodes, flipped->Page()[i].subgraph.nodes);
     EXPECT_EQ(direct->Page()[i].subgraph.edges, flipped->Page()[i].subgraph.edges);
-    auto per_row = graph_.Connect(direct->Page()[i].terminals);
+    const auto& t = direct->Page()[i].terminals;
+    auto per_row = graph_.Connect(std::vector<agraph::NodeRef>(t.begin(), t.end()));
     ASSERT_TRUE(per_row.ok());
     EXPECT_EQ(direct->Page()[i].subgraph.nodes, per_row->nodes);
     EXPECT_EQ(direct->Page()[i].subgraph.edges, per_row->edges);
@@ -573,7 +577,9 @@ TEST_F(ExecutorTest, OrderingsAgreeOnMultiVariableJoins) {
 
   auto subgraph_keys = [](const QueryResult& r) {
     std::vector<std::vector<agraph::NodeRef>> keys;
-    for (const auto& item : r.items) keys.push_back(item.terminals);
+    for (const auto& item : r.items) {
+      keys.emplace_back(item.terminals.begin(), item.terminals.end());
+    }
     std::sort(keys.begin(), keys.end());
     return keys;
   };
@@ -647,8 +653,9 @@ TEST_F(ExecutorTest, LabelOfEveryTarget) {
   ASSERT_EQ(graph->items.size(), 7u);
   EXPECT_EQ(graph->LabelOf(graph->items[0]), "subgraph(1 nodes)");
   const ResultItem& last = graph->items.back();
-  EXPECT_EQ(last.terminals, (std::vector<agraph::NodeRef>{agraph::NodeRef::Content(ids_[0]),
-                                                          agraph::NodeRef::Content(*lone)}));
+  EXPECT_EQ(std::vector<agraph::NodeRef>(last.terminals.begin(), last.terminals.end()),
+            (std::vector<agraph::NodeRef>{agraph::NodeRef::Content(ids_[0]),
+                                          agraph::NodeRef::Content(*lone)}));
   EXPECT_EQ(graph->LabelOf(last), "");
   Executor ex(Context());
   ASSERT_TRUE(ex.MaterializePage(&*graph, 7).ok());
@@ -695,6 +702,219 @@ TEST_F(ExecutorTest, ContainsCombinedWithCreatorOrXPathStillFilters) {
 // A result keeps ids only and reads labels and substructures from the
 // version it pinned: held across a commit that removes its annotation, it
 // still reads the old title and the removed referent's substructure.
+// A GRAPH row handle views the terminal pool its result owns, and copies of
+// the result share that pool: a copy, moved on, keeps reading the same
+// nodes after the original is gone, and materializes the same subgraphs.
+TEST_F(ExecutorTest, GraphRowHandlesOutliveTheOriginalResult) {
+  const char* q = R"(FIND GRAPH WHERE {
+      ?a1 CONTAINS "protease" ; ?a2 CONTAINS "protease" ;
+      ?s1 IS REFERENT ; ?s2 IS REFERENT ;
+      ?a1 ANNOTATES ?s1 ; ?a2 ANNOTATES ?s2 ;
+    } LIMIT 3 PAGE 1)";
+  Executor ex(Context());
+  auto run = ex.ExecuteText(q);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto original = std::make_unique<QueryResult>(std::move(*run));
+  ASSERT_GT(original->total_pages, 2u);
+
+  QueryResult copy = *original;
+  QueryResult moved = std::move(copy);
+  EXPECT_EQ(moved.terminal_pool, original->terminal_pool);
+
+  std::vector<std::vector<agraph::NodeRef>> rows;
+  for (const ResultItem& item : original->items) {
+    rows.emplace_back(item.terminals.begin(), item.terminals.end());
+  }
+  std::vector<agraph::SubGraph> subgraphs;
+  for (size_t page = 1; page <= original->total_pages; ++page) {
+    ASSERT_TRUE(ex.MaterializePage(original.get(), page).ok());
+    for (const ResultItem& item : original->Page()) subgraphs.push_back(item.subgraph);
+  }
+  original.reset();
+
+  ASSERT_EQ(moved.items.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto& t = moved.items[i].terminals;
+    EXPECT_EQ(std::vector<agraph::NodeRef>(t.begin(), t.end()), rows[i]) << "item " << i;
+  }
+  size_t k = 0;
+  for (size_t page = 1; page <= moved.total_pages; ++page) {
+    ASSERT_TRUE(ex.MaterializePage(&moved, page).ok());
+    for (const ResultItem& item : moved.Page()) {
+      ASSERT_LT(k, subgraphs.size());
+      EXPECT_TRUE(item.subgraph_ready);
+      EXPECT_EQ(item.subgraph.nodes, subgraphs[k].nodes) << "item " << k;
+      EXPECT_EQ(item.subgraph.edges, subgraphs[k].edges) << "item " << k;
+      ++k;
+    }
+  }
+  EXPECT_EQ(k, subgraphs.size());
+}
+
+// Every CONSTRAIN kind against a brute force over referent pairs read from
+// the store. The corpus holds intervals in two domains and regions in one
+// coordinate system, some overlapping and some only touching (bounds are
+// closed, so touching counts as overlapping). Two shapes per kind: only
+// the constraint joins the referent variables (?s2 binds at a cartesian
+// level), and the Fig. 3 shape, where ?s2 binds through ?a2 ANNOTATES ?s2
+// (a join-edge level).
+class ConstraintDifferentialTest : public ::testing::Test {
+ protected:
+  ConstraintDifferentialTest() : store_(&indexes_, &graph_) {}
+
+  void SetUp() override {
+    ASSERT_TRUE(indexes_.coordinate_systems().RegisterCanonical("atlas", 2).ok());
+    using substructure::Substructure;
+    const std::vector<std::vector<Substructure>> marks = {
+        {Substructure::MakeInterval("segA", {0, 100})},
+        {Substructure::MakeInterval("segA", {100, 200})},  // touches the first
+        {Substructure::MakeInterval("segA", {150, 300})},
+        {Substructure::MakeInterval("segA", {400, 500}),
+         Substructure::MakeInterval("segB", {0, 100})},
+        {Substructure::MakeInterval("segA", {50, 60})},
+        {Substructure::MakeInterval("segB", {80, 120})},
+        {Substructure::MakeInterval("segB", {300, 310}),
+         Substructure::MakeRegion("atlas", spatial::Rect::Make2D(30, 30, 40, 40))},
+        {Substructure::MakeRegion("atlas", spatial::Rect::Make2D(0, 0, 10, 10))},
+        {Substructure::MakeRegion("atlas", spatial::Rect::Make2D(10, 10, 20, 20))},  // corner
+        {Substructure::MakeRegion("atlas", spatial::Rect::Make2D(5, 5, 15, 15))},
+    };
+    for (size_t i = 0; i < marks.size(); ++i) {
+      AnnotationBuilder b;
+      b.Title("mark" + std::to_string(i)).Body("marked region " + std::to_string(i));
+      for (const Substructure& sub : marks[i]) b.Mark(sub);
+      ASSERT_TRUE(store_.Commit(b).ok());
+    }
+  }
+
+  QueryContext Context() {
+    QueryContext ctx;
+    ctx.store = &store_;
+    ctx.indexes = &indexes_;
+    ctx.graph = &graph_;
+    return ctx;
+  }
+
+  // The constraint's meaning, from the geometry alone.
+  static bool Holds(const std::string& kind, const substructure::Substructure& a,
+                    const substructure::Substructure& b) {
+    const bool comparable = a.domain() == b.domain() && a.type() == b.type();
+    bool overlap = false;
+    if (comparable && a.type() == substructure::SubType::kInterval) {
+      overlap = a.interval().lo <= b.interval().hi && b.interval().lo <= a.interval().hi;
+    } else if (comparable && a.type() == substructure::SubType::kRegion) {
+      overlap = true;
+      for (int d = 0; d < a.rect().dims; ++d) {
+        overlap = overlap && a.rect().lo[d] <= b.rect().hi[d] && b.rect().lo[d] <= a.rect().hi[d];
+      }
+    }
+    if (kind == "samedomain") return comparable;
+    if (kind == "disjoint") return comparable && !overlap;
+    if (kind == "overlapping") return comparable && overlap;
+    // consecutive: same domain, both intervals, a starts before b.
+    return comparable && a.type() == substructure::SubType::kInterval &&
+           a.interval().lo < b.interval().lo;
+  }
+
+  spatial::IndexManager indexes_;
+  agraph::AGraph graph_;
+  annotation::AnnotationStore store_;
+};
+
+TEST_F(ConstraintDifferentialTest, EveryKindMatchesBruteForce) {
+  using agraph::NodeRef;
+  using Row = std::vector<NodeRef>;
+  // (annotation, referent) for every ANNOTATES edge, and every referent.
+  std::vector<std::pair<AnnotationId, annotation::ReferentId>> marks;
+  store_.ForEachAnnotation([&](AnnotationId id, const annotation::Annotation& ann) {
+    for (annotation::ReferentId r : ann.referents) marks.emplace_back(id, r);
+  });
+  std::vector<annotation::ReferentId> referents;
+  store_.ForEachReferent(
+      [&](annotation::ReferentId id, const annotation::Referent&) { referents.push_back(id); });
+  ASSERT_EQ(referents.size(), 12u);
+  auto sub = [&](annotation::ReferentId r) -> const substructure::Substructure& {
+    return store_.GetReferent(r)->substructure;
+  };
+  auto sorted_unique = [](Row row) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    return row;
+  };
+
+  Executor ex(Context());
+  for (const std::string kind : {"consecutive", "disjoint", "overlapping", "samedomain"}) {
+    const std::string constrain = " CONSTRAIN " + kind + "(?s1, ?s2)";
+    // Shape 1: only the constraint joins ?s1 and ?s2.
+    std::set<Row> want_rows;
+    std::set<annotation::ReferentId> want_s1, want_s2;
+    size_t kept = 0;
+    for (annotation::ReferentId r1 : referents) {
+      for (annotation::ReferentId r2 : referents) {
+        if (!Holds(kind, sub(r1), sub(r2))) continue;
+        ++kept;
+        want_rows.insert(sorted_unique({NodeRef::Referent(r1), NodeRef::Referent(r2)}));
+        want_s1.insert(r1);
+        want_s2.insert(r2);
+      }
+    }
+    // Shape 2: Fig. 3, each referent reached from the annotation marking it.
+    std::set<Row> want_rows2;
+    std::set<annotation::ReferentId> want2_s1, want2_s2;
+    for (const auto& [a1, r1] : marks) {
+      for (const auto& [a2, r2] : marks) {
+        if (!Holds(kind, sub(r1), sub(r2))) continue;
+        want_rows2.insert(sorted_unique({NodeRef::Content(a1), NodeRef::Referent(r1),
+                                         NodeRef::Content(a2), NodeRef::Referent(r2)}));
+        want2_s1.insert(r1);
+        want2_s2.insert(r2);
+      }
+    }
+    // The constraint keeps some pairs and drops others.
+    ASSERT_GT(kept, 0u) << kind;
+    ASSERT_LT(kept, referents.size() * referents.size()) << kind;
+
+    struct Shape {
+      std::string where;
+      std::vector<std::string> order;
+      const std::set<Row>* rows;
+      const std::set<annotation::ReferentId>* s1;
+      const std::set<annotation::ReferentId>* s2;
+    };
+    const Shape shapes[] = {
+        {"WHERE { ?s1 IS REFERENT ; ?s2 IS REFERENT }", {"s1", "s2"}, &want_rows, &want_s1,
+         &want_s2},
+        {"WHERE { ?a1 CONTAINS \"marked\" ; ?a2 CONTAINS \"marked\" ; ?s1 IS REFERENT ; "
+         "?s2 IS REFERENT ; ?a1 ANNOTATES ?s1 ; ?a2 ANNOTATES ?s2 }",
+         {"a1", "s1", "a2", "s2"}, &want_rows2, &want2_s1, &want2_s2},
+    };
+    for (const Shape& shape : shapes) {
+      const std::string text = "FIND GRAPH " + shape.where + constrain;
+      auto graph = ex.ExecuteText(text);
+      ASSERT_TRUE(graph.ok()) << text << ": " << graph.status().ToString();
+      EXPECT_EQ(graph->stats.binding_order, shape.order) << text;
+      std::vector<Row> got;
+      for (const ResultItem& item : graph->items) {
+        got.emplace_back(item.terminals.begin(), item.terminals.end());
+      }
+      std::set<Row> got_set(got.begin(), got.end());
+      EXPECT_EQ(got_set.size(), got.size()) << text << ": two items share a terminal set";
+      EXPECT_EQ(got_set, *shape.rows) << text;
+
+      for (const char* var : {"s1", "s2"}) {
+        const std::string rtext = "FIND REFERENTS ?" + std::string(var) + " " + shape.where +
+                                  constrain;
+        auto refs = ex.ExecuteText(rtext);
+        ASSERT_TRUE(refs.ok()) << rtext << ": " << refs.status().ToString();
+        std::set<annotation::ReferentId> got_ids;
+        for (const ResultItem& item : refs->items) got_ids.insert(item.referent_id);
+        EXPECT_EQ(got_ids.size(), refs->items.size()) << rtext;
+        EXPECT_EQ(got_ids, std::string(var) == "s1" ? *shape.s1 : *shape.s2) << rtext;
+      }
+    }
+  }
+}
+
 TEST(ResultAccessorsTest, ReadThePinnedVersionAfterALaterRemoval) {
   core::Graphitti g;
   AnnotationBuilder b;

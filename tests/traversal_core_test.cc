@@ -362,6 +362,20 @@ TEST(KeySetTest, KeysCollidingModuloTheTableSizeStayDistinct) {
   EXPECT_EQ(s.size(), 602u);
 }
 
+TEST(KeySetTest, ReservedSetDedupsAndStillGrowsPastItsSize) {
+  KeySet s;
+  s.Reserve(1000);
+  for (uint64_t k = 1; k <= 1000; ++k) EXPECT_TRUE(s.Insert(Mix64(k))) << k;
+  // Reserving a set that holds keys leaves them in place.
+  s.Reserve(4000);
+  for (uint64_t k = 1; k <= 1000; ++k) EXPECT_FALSE(s.Insert(Mix64(k))) << k;
+  // Past the reserved count the table grows as usual.
+  for (uint64_t k = 1001; k <= 3000; ++k) EXPECT_TRUE(s.Insert(Mix64(k))) << k;
+  for (uint64_t k = 1; k <= 3000; ++k) EXPECT_FALSE(s.Insert(Mix64(k))) << k;
+  EXPECT_TRUE(s.Insert(0));
+  EXPECT_EQ(s.size(), 3001u);
+}
+
 }  // namespace
 }  // namespace util
 }  // namespace graphitti
