@@ -148,7 +148,26 @@ const std::string& WalOnlyCorpusDir(size_t n) {
   return it->second;
 }
 
-// Default OpenDurable: the open is I/O-bound (read + CRC-verify the
+// One OpenDurable plus the first query, which forces deferred hydration:
+// the honest time to the first answer after a restart. The result pins the
+// restored version, so the result and the engine are both dropped while
+// the timer is paused; destroying that version is not part of the restart.
+void TimeOpenAndFirstQuery(benchmark::State& state, const std::string& dir) {
+  for (auto _ : state) {
+    auto g = Graphitti::OpenDurable(dir);
+    if (!g.ok()) std::abort();
+    {
+      auto r = (*g)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"gamma\" }");
+      if (!r.ok() || r->items.empty()) std::abort();
+      benchmark::DoNotOptimize(*r);
+      state.PauseTiming();
+    }
+    g->reset();
+    state.ResumeTiming();
+  }
+}
+
+// OpenDurable alone: the open is I/O-bound (read + CRC-verify the
 // snapshot, settle the WAL); the state build is deferred to first access.
 void BM_Recovery_SnapshotRestore(benchmark::State& state) {
   const std::string& dir = SnapshotCorpusDir(static_cast<size_t>(state.range(0)));
@@ -164,44 +183,11 @@ void BM_Recovery_SnapshotRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_Recovery_SnapshotRestore)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 
-// Open + the first query that forces deferred hydration: the honest
-// time-to-first-answer after a restart.
 void BM_Recovery_SnapshotRestoreFirstQuery(benchmark::State& state) {
-  const std::string& dir = SnapshotCorpusDir(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto g = Graphitti::OpenDurable(dir);
-    if (!g.ok()) std::abort();
-    auto r = (*g)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"gamma\" }");
-    if (!r.ok() || r->items.empty()) std::abort();
-    benchmark::DoNotOptimize(*r);
-    state.PauseTiming();
-    g->reset();
-    state.ResumeTiming();
-  }
+  TimeOpenAndFirstQuery(state, SnapshotCorpusDir(static_cast<size_t>(state.range(0))));
   state.counters["annotations"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_Recovery_SnapshotRestoreFirstQuery)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Unit(benchmark::kMillisecond);
-
-// eager_restore=true: the full state build inside the open (what the
-// deferred path pays at first access, measured in isolation).
-void BM_Recovery_SnapshotRestoreEager(benchmark::State& state) {
-  const std::string& dir = SnapshotCorpusDir(static_cast<size_t>(state.range(0)));
-  DurabilityOptions options;
-  options.eager_restore = true;
-  for (auto _ : state) {
-    auto g = Graphitti::OpenDurable(dir, options);
-    if (!g.ok()) std::abort();
-    benchmark::DoNotOptimize(*g);
-    state.PauseTiming();
-    g->reset();
-    state.ResumeTiming();
-  }
-  state.counters["annotations"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_Recovery_SnapshotRestoreEager)
     ->Arg(10000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
@@ -224,17 +210,7 @@ BENCHMARK(BM_Recovery_SnapshotPlusWalTail)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Recovery_SnapshotPlusWalTailFirstQuery(benchmark::State& state) {
-  const std::string& dir = SnapshotPlusTailDir(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto g = Graphitti::OpenDurable(dir);
-    if (!g.ok()) std::abort();
-    auto r = (*g)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"gamma\" }");
-    if (!r.ok() || r->items.empty()) std::abort();
-    benchmark::DoNotOptimize(*r);
-    state.PauseTiming();
-    g->reset();
-    state.ResumeTiming();
-  }
+  TimeOpenAndFirstQuery(state, SnapshotPlusTailDir(static_cast<size_t>(state.range(0))));
   state.counters["annotations"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_Recovery_SnapshotPlusWalTailFirstQuery)
@@ -247,17 +223,7 @@ BENCHMARK(BM_Recovery_SnapshotPlusWalTailFirstQuery)
 // (rather than to the batch) is paid n/10 times here.
 void BM_Recovery_SingleCommitTailFirstQuery(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const std::string& dir = SingleCommitTailDir(n);
-  for (auto _ : state) {
-    auto g = Graphitti::OpenDurable(dir);
-    if (!g.ok()) std::abort();
-    auto r = (*g)->Query("FIND CONTENTS WHERE { ?a CONTAINS \"gamma\" }");
-    if (!r.ok() || r->items.empty()) std::abort();
-    benchmark::DoNotOptimize(*r);
-    state.PauseTiming();
-    g->reset();
-    state.ResumeTiming();
-  }
+  TimeOpenAndFirstQuery(state, SingleCommitTailDir(n));
   state.counters["annotations"] = static_cast<double>(n);
   state.counters["tail_records"] = static_cast<double>(n / 10);
 }
@@ -266,20 +232,11 @@ BENCHMARK(BM_Recovery_SingleCommitTailFirstQuery)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
 
-// Eager on purpose: this measures the replay-through-the-commit-pipeline
-// cost that checkpoints exist to bound, not the deferred open.
+// Open plus the first query over a WAL with no snapshot: the first call
+// replays the whole log through the commit pipeline, the cost checkpoints
+// exist to bound.
 void BM_Recovery_WalReplay(benchmark::State& state) {
-  const std::string& dir = WalOnlyCorpusDir(static_cast<size_t>(state.range(0)));
-  DurabilityOptions options;
-  options.eager_restore = true;
-  for (auto _ : state) {
-    auto g = Graphitti::OpenDurable(dir, options);
-    if (!g.ok()) std::abort();
-    benchmark::DoNotOptimize(*g);
-    state.PauseTiming();
-    g->reset();
-    state.ResumeTiming();
-  }
+  TimeOpenAndFirstQuery(state, WalOnlyCorpusDir(static_cast<size_t>(state.range(0))));
   state.counters["annotations"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_Recovery_WalReplay)->Arg(10000)->Unit(benchmark::kMillisecond);

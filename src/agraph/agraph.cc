@@ -152,12 +152,11 @@ util::Result<uint32_t> AGraph::DenseIndex(NodeRef ref) const {
 }
 
 void AGraph::Reserve(size_t additional_nodes) {
-  // The four dense arrays grow in lockstep, so refs_ speaks for all of them.
+  // The three dense arrays grow in lockstep, so refs_ speaks for all of them.
   const size_t needed = refs_.size() + additional_nodes;
   if (needed <= refs_.capacity()) return;
   const size_t target = std::max(needed, 2 * refs_.capacity());
   refs_.reserve(target);
-  node_labels_.reserve(target);
   out_.reserve(target);
   in_.reserve(target);
   // unordered_map::reserve may also shrink the bucket array (libstdc++
@@ -167,37 +166,29 @@ void AGraph::Reserve(size_t additional_nodes) {
   }
 }
 
-uint32_t AGraph::InsertNodeUnchecked(NodeRef ref, std::string label) {
+uint32_t AGraph::InsertNodeUnchecked(NodeRef ref) {
   uint32_t idx = static_cast<uint32_t>(refs_.size());
   index_.emplace(ref, idx);
   refs_.push_back(ref);
-  node_labels_.push_back(std::move(label));
   out_.emplace_back();
   in_.emplace_back();
   return idx;
 }
 
-util::Status AGraph::AddNode(NodeRef ref, std::string label) {
+util::Status AGraph::AddNode(NodeRef ref) {
   if (index_.find(ref) != index_.end()) {
     return util::Status::AlreadyExists("node " + ref.ToString() + " already in a-graph");
   }
-  InsertNodeUnchecked(ref, std::move(label));
+  InsertNodeUnchecked(ref);
   return util::Status::OK();
 }
 
-void AGraph::EnsureNode(NodeRef ref, std::string_view label) {
-  (void)EnsureNodeIndex(ref, label);
-}
+void AGraph::EnsureNode(NodeRef ref) { (void)EnsureNodeIndex(ref); }
 
-uint32_t AGraph::EnsureNodeIndex(NodeRef ref, std::string_view label) {
+uint32_t AGraph::EnsureNodeIndex(NodeRef ref) {
   auto it = index_.find(ref);
-  if (it != index_.end()) {
-    if (!label.empty() && node_labels_[it->second].empty()) {
-      node_labels_[it->second] = std::string(label);
-    }
-    return it->second;
-  }
-  return InsertNodeUnchecked(ref, std::string(label));
+  if (it != index_.end()) return it->second;
+  return InsertNodeUnchecked(ref);
 }
 
 void AGraph::AddEdgeIndexed(uint32_t from, uint32_t to, uint32_t label_id) {
@@ -239,13 +230,11 @@ util::Status AGraph::RemoveNode(NodeRef ref) {
       }
     }
     refs_[idx] = refs_[last];
-    node_labels_[idx] = std::move(node_labels_[last]);
     out_[idx] = std::move(out_[last]);
     in_[idx] = std::move(in_[last]);
     index_[refs_[idx]] = idx;
   }
   refs_.pop_back();
-  node_labels_.pop_back();
   out_.pop_back();
   in_.pop_back();
   index_.erase(ref);
@@ -272,12 +261,6 @@ bool AGraph::HasEdge(NodeRef from, NodeRef to, std::string_view label) const {
     if (e.other == *ti && e.label == lit->second) return true;
   }
   return false;
-}
-
-std::string_view AGraph::NodeLabel(NodeRef ref) const {
-  auto idx = DenseIndex(ref);
-  if (!idx.ok()) return "";
-  return node_labels_[*idx];
 }
 
 std::vector<EdgeRecord> AGraph::OutEdges(NodeRef ref) const {
@@ -352,8 +335,8 @@ size_t AGraph::CountNodesOfKind(NodeKind kind) const {
   return n;
 }
 
-void AGraph::ForEachNode(const std::function<void(NodeRef, std::string_view)>& fn) const {
-  for (size_t i = 0; i < refs_.size(); ++i) fn(refs_[i], node_labels_[i]);
+void AGraph::ForEachNode(const std::function<void(NodeRef)>& fn) const {
+  for (const NodeRef& ref : refs_) fn(ref);
 }
 
 void AGraph::ForEachEdge(const std::function<void(const EdgeRecord&)>& fn) const {

@@ -154,8 +154,9 @@ class AGraph {
   /// grows on demand. Never shrinks.
   void Reserve(size_t additional_nodes);
 
-  /// Adds a node with a display label; AlreadyExists when present.
-  util::Status AddNode(NodeRef ref, std::string label = "");
+  /// Adds a node, which carries no text (see ToText); AlreadyExists when
+  /// present.
+  util::Status AddNode(NodeRef ref);
 
   // --- Index-based batch wiring -------------------------------------
   //
@@ -166,7 +167,7 @@ class AGraph {
   // compaction), so never hold them across mutations.
 
   /// EnsureNode that also returns the node's dense index.
-  uint32_t EnsureNodeIndex(NodeRef ref, std::string_view label = "");
+  uint32_t EnsureNodeIndex(NodeRef ref);
   /// Interns an edge label, returning its id for AddEdgeIndexed.
   uint32_t InternEdgeLabel(std::string_view label) { return InternLabel(label); }
   /// Adds an edge between dense indexes with a pre-interned label id —
@@ -174,7 +175,7 @@ class AGraph {
   void AddEdgeIndexed(uint32_t from, uint32_t to, uint32_t label_id);
 
   /// Idempotent node registration (no error when present).
-  void EnsureNode(NodeRef ref, std::string_view label = "");
+  void EnsureNode(NodeRef ref);
 
   bool HasNode(NodeRef ref) const { return index_.find(ref) != index_.end(); }
 
@@ -185,9 +186,6 @@ class AGraph {
   util::Status AddEdge(NodeRef from, NodeRef to, std::string_view label);
 
   bool HasEdge(NodeRef from, NodeRef to, std::string_view label) const;
-
-  /// Node display label ("" when absent).
-  std::string_view NodeLabel(NodeRef ref) const;
 
   std::vector<EdgeRecord> OutEdges(NodeRef ref) const;
   std::vector<EdgeRecord> InEdges(NodeRef ref) const;
@@ -215,8 +213,8 @@ class AGraph {
   /// Number of nodes of `kind` (one dense scan, no allocation).
   size_t CountNodesOfKind(NodeKind kind) const;
 
-  /// Visits every node.
-  void ForEachNode(const std::function<void(NodeRef, std::string_view)>& fn) const;
+  /// Visits every node in insertion (dense) order.
+  void ForEachNode(const std::function<void(NodeRef)>& fn) const;
   /// Visits every edge.
   void ForEachEdge(const std::function<void(const EdgeRecord&)>& fn) const;
 
@@ -229,7 +227,6 @@ class AGraph {
     AGraph copy;
     copy.index_ = index_;
     copy.refs_ = refs_;
-    copy.node_labels_ = node_labels_;
     copy.out_ = out_;
     copy.in_ = in_;
     copy.labels_ = labels_;
@@ -292,8 +289,9 @@ class AGraph {
                              size_t max_paths = 16) const;
 
   // --- serialization ---
-  /// Line-oriented text dump (stable across loads).
-  std::string ToText() const;
+  /// Line-oriented text dump (stable across loads). The graph stores no
+  /// node text: `label_of` supplies each node's label ("" prints none).
+  std::string ToText(const std::function<std::string(NodeRef)>& label_of) const;
 
  private:
   struct Edge {
@@ -305,8 +303,8 @@ class AGraph {
 
   uint32_t InternLabel(std::string_view label);
   /// Raw node insertion (no existence check); AddNode/EnsureNodeIndex's
-  /// shared tail, keeping the five parallel arrays in one place.
-  uint32_t InsertNodeUnchecked(NodeRef ref, std::string label);
+  /// shared tail, keeping the four parallel arrays in one place.
+  uint32_t InsertNodeUnchecked(NodeRef ref);
   /// Interned id for `label`, or kNoIndex when never seen.
   uint32_t FindLabelId(std::string_view label) const;
   util::Result<uint32_t> DenseIndex(NodeRef ref) const;
@@ -345,7 +343,6 @@ class AGraph {
   // lint: allow-map(node handle -> dense index; O(1) lookups dominate)
   std::unordered_map<NodeRef, uint32_t, NodeRefHash> index_;
   std::vector<NodeRef> refs_;          // dense -> NodeRef
-  std::vector<std::string> node_labels_;
   std::vector<std::vector<Edge>> out_;
   std::vector<std::vector<Edge>> in_;
   std::vector<std::string> labels_;    // interned edge labels

@@ -41,14 +41,15 @@ std::string EscapeLabel(std::string_view label) {
 
 }  // namespace
 
-std::string AGraph::ToText() const {
+std::string AGraph::ToText(const std::function<std::string(NodeRef)>& label_of) const {
   std::string out;
   out += "# a-graph v1\n";
-  ForEachNode([&](NodeRef ref, std::string_view label) {
+  ForEachNode([&](NodeRef ref) {
     out += "N ";
     out += KindCode(ref.kind);
     out += ' ';
     out += std::to_string(ref.id);
+    const std::string label = label_of(ref);
     if (!label.empty()) {
       out += ' ';
       out += EscapeLabel(label);

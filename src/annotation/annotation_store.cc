@@ -75,7 +75,7 @@ util::Result<ReferentId> AnnotationStore::InternReferent(
   referents_by_domain_[sub.domain()].push_back(id);
 
   agraph::NodeRef node = ReferentNode(id);
-  *node_index = graph_->EnsureNodeIndex(node, sub.ToString());
+  *node_index = graph_->EnsureNodeIndex(node);
   referent_by_key_.emplace(sub, id);
   if (object_id != 0) {
     agraph::NodeRef object_node = agraph::NodeRef::Object(object_id);
@@ -276,10 +276,7 @@ util::Result<std::vector<AnnotationId>> AnnotationStore::CommitBatchImpl(
     }
     ann.content = content[i];
 
-    agraph::NodeRef content_node = ContentNode(id);
-    const uint32_t content_idx = graph_->EnsureNodeIndex(
-        content_node, ann.dc.title.empty() ? ("annotation-" + std::to_string(id))
-                                           : ann.dc.title);
+    const uint32_t content_idx = graph_->EnsureNodeIndex(ContentNode(id));
 
     for (const auto& [sub, object_id] : b.marks()) {
       // Cannot fail: everything InternReferent checks was validated above.
@@ -684,9 +681,7 @@ util::Status AnnotationStore::RestoreSnapshotState(
       return util::Status::Internal("snapshot annotations not ascending by id");
     }
     prev_aid = id;
-    const uint32_t content_idx = graph_->EnsureNodeIndex(
-        ContentNode(id), ann.dc.title.empty() ? ("annotation-" + std::to_string(id))
-                                              : ann.dc.title);
+    const uint32_t content_idx = graph_->EnsureNodeIndex(ContentNode(id));
     for (ReferentId rid : ann.referents) {
       auto rit = ref_aux.find(rid);
       if (rit == ref_aux.end()) {
@@ -695,16 +690,12 @@ util::Status AnnotationStore::RestoreSnapshotState(
       }
       const RefAux& aux = rit->second;
       agraph::NodeRef rnode = ReferentNode(rid);
-      uint32_t ref_idx;
-      if (!graph_->HasNode(rnode)) {
-        ref_idx = graph_->EnsureNodeIndex(rnode, aux.ref->substructure.ToString());
-        if (aux.ref->object_id != 0 && aux.object_edge) {
-          agraph::NodeRef object_node = agraph::NodeRef::Object(aux.ref->object_id);
-          graph_->EnsureNode(object_node);
-          (void)graph_->AddEdge(rnode, object_node, kEdgeOfObject);
-        }
-      } else {
-        ref_idx = graph_->EnsureNodeIndex(rnode);
+      const bool first_use = !graph_->HasNode(rnode);
+      const uint32_t ref_idx = graph_->EnsureNodeIndex(rnode);
+      if (first_use && aux.ref->object_id != 0 && aux.object_edge) {
+        agraph::NodeRef object_node = agraph::NodeRef::Object(aux.ref->object_id);
+        graph_->EnsureNode(object_node);
+        (void)graph_->AddEdge(rnode, object_node, kEdgeOfObject);
       }
       graph_->AddEdgeIndexed(content_idx, ref_idx, annotates_label);
     }
@@ -715,9 +706,9 @@ util::Status AnnotationStore::RestoreSnapshotState(
         return util::Status::Internal("snapshot annotation " + std::to_string(id) +
                                       " references unknown term '" + qualified + "'");
       }
-      agraph::NodeRef tnode = agraph::NodeRef::Term(tit->second);
-      if (!graph_->HasNode(tnode)) graph_->EnsureNode(tnode, qualified);
-      graph_->AddEdgeIndexed(content_idx, graph_->EnsureNodeIndex(tnode), refers_to_label);
+      graph_->AddEdgeIndexed(content_idx,
+                             graph_->EnsureNodeIndex(agraph::NodeRef::Term(tit->second)),
+                             refers_to_label);
     }
     lower_text_.emplace(id, std::move(ra.lower_text));
     annotations_.emplace_hint(annotations_.end(), id, std::move(ann));
@@ -727,8 +718,7 @@ util::Status AnnotationStore::RestoreSnapshotState(
   // (edge-less) node in the original graph; recreate those too, appended
   // after everything else.
   for (size_t i = 0; i < term_names_.size(); ++i) {
-    agraph::NodeRef tnode = agraph::NodeRef::Term(i + 1);
-    if (!graph_->HasNode(tnode)) graph_->EnsureNode(tnode, term_names_[i]);
+    graph_->EnsureNode(agraph::NodeRef::Term(i + 1));
   }
 
   next_annotation_id_ = next_annotation_id;
@@ -745,7 +735,7 @@ agraph::NodeRef AnnotationStore::TermNode(const std::string& qualified) {
   term_names_.push_back(qualified);
   term_node_ids_.emplace(qualified, id);
   agraph::NodeRef node = agraph::NodeRef::Term(id);
-  graph_->EnsureNode(node, qualified);
+  graph_->EnsureNode(node);
   return node;
 }
 
@@ -764,6 +754,19 @@ std::string AnnotationStore::TermName(agraph::NodeRef ref) const {
     return "";
   }
   return term_names_[ref.id - 1];
+}
+
+std::string AnnotationStore::NodeLabel(agraph::NodeRef ref) const {
+  if (ref.kind == agraph::NodeKind::kContent) {
+    const Annotation* ann = Get(ref.id);
+    if (ann == nullptr) return "";
+    return ann->dc.title.empty() ? "annotation-" + std::to_string(ref.id) : ann->dc.title;
+  }
+  if (ref.kind == agraph::NodeKind::kReferent) {
+    const Referent* referent = GetReferent(ref.id);
+    return referent == nullptr ? "" : referent->substructure.ToString();
+  }
+  return TermName(ref);  // "" for an object node
 }
 
 std::unique_ptr<AnnotationStore> AnnotationStore::Clone(

@@ -273,6 +273,13 @@ class AnnotationStore {
   std::string TermName(agraph::NodeRef ref) const;
 
   // --- a-graph node helpers ---
+
+  /// An a-graph node's display label, derived from its record here: an
+  /// annotation's title ("annotation-N" when untitled), a referent's
+  /// Substructure::ToString, a term's qualified name; "" for object nodes
+  /// (core::ObjectInfo::label) and nodes with no record.
+  std::string NodeLabel(agraph::NodeRef ref) const;
+
   static agraph::NodeRef ContentNode(AnnotationId id) {
     return agraph::NodeRef::Content(id);
   }

@@ -893,12 +893,9 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
     persist::Env* env, const std::string& directory, const DurabilityOptions& options,
     persist::RecoveryPlan plan, bool attach_wal) {
   auto g = std::make_unique<Graphitti>();
-  // Installed before any restore work so both eager and deferred
-  // hydration honour it (an eager open cancelled mid-restore simply fails
-  // with kCancelled and the engine is discarded).
   g->hydrate_cancel_ = options.hydrate_cancel;
-  // The WAL is read (and its torn tail identified) now in either mode:
-  // every crash-safety decision happens at open. A torn tail was already
+  // The WAL is read (and its torn tail identified) now: every
+  // crash-safety decision happens at open. A torn tail was already
   // cut at the first bad length/CRC; everything before it is a committed
   // prefix and replays cleanly. This is the only read of the file: the
   // writer reopen below reuses `wal` for its generation check and torn-tail
@@ -911,11 +908,7 @@ Result<std::unique_ptr<Graphitti>> Graphitti::RecoverBinary(
   stash->has_snapshot = plan.has_snapshot;
   stash->snapshot_body = std::move(plan.snapshot_body);
   stash->wal_records = std::move(wal.records);
-  if (options.eager_restore) {
-    // The engine is brand new: its initial version has no observers, so
-    // recovery rebuilds it in place.
-    GRAPHITTI_RETURN_NOT_OK(g->RecoverInto(*stash, *g->CurrentState()));
-  } else if (stash->has_snapshot || !stash->wal_records.empty()) {
+  if (stash->has_snapshot || !stash->wal_records.empty()) {
     // Fast restart: the snapshot body is already CRC-verified, so decoding
     // it (and replaying the verified tail) is deferred to the first public
     // call — see EnsureHydrated/HydrateNow.

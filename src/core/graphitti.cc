@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <unordered_map>
 
 #include "core/durability.h"
 
@@ -260,21 +261,20 @@ util::Result<uint64_t> Graphitti::CommitRowInsert(std::string table, relational:
     util::MutexLock meta(meta_mu_);
     id = next_object_id_++;
   }
-  ObjectInfo info{id, table, rid, label};
+  ObjectInfo info{id, table, rid, std::move(label)};
   // The kObject record carries the row's values so replay can re-insert it
   // (the row and the registration are one logical mutation; see
   // ApplyWalRecord).
   std::string record;
   if (env_ != nullptr) record = walrec::EncodeObject(info, row);
   std::unique_ptr<EngineState> scratch = AcquireScratch();
-  EngineOp op = [table = std::move(table), row = std::move(row), label = std::move(label),
-                 id](EngineState& s) -> Status {
+  EngineOp op = [table = std::move(table), row = std::move(row), id](EngineState& s) -> Status {
     relational::Table* t = s.catalog.GetTable(table);
     if (t == nullptr) {
       return Status::Internal("table '" + table + "' missing during op replay");
     }
     GRAPHITTI_RETURN_NOT_OK(t->Insert(row).status());
-    s.graph.EnsureNode(agraph::NodeRef::Object(id), label);
+    s.graph.EnsureNode(agraph::NodeRef::Object(id));
     return Status::OK();
   };
   GRAPHITTI_RETURN_NOT_OK(op(*scratch));
@@ -516,7 +516,7 @@ util::Status Graphitti::RestoreObjectInto(EngineState& state, uint64_t object_id
   info.table = std::string(table);
   info.row = row;
   info.label = std::move(label);
-  state.graph.EnsureNode(agraph::NodeRef::Object(object_id), info.label);
+  state.graph.EnsureNode(agraph::NodeRef::Object(object_id));
   object_by_row_[info.table][row] = object_id;
   objects_.emplace(object_id, std::move(info));
   next_object_id_ = std::max(next_object_id_, object_id + 1);
@@ -762,7 +762,23 @@ SystemStats Graphitti::Stats() const {
 std::string Graphitti::ExportAGraph() const {
   (void)EnsureHydrated();
   util::EpochPin pin = epochs_->PinCurrent();
-  return static_cast<const EngineState*>(pin.get())->graph.ToText();
+  const auto& state = *static_cast<const EngineState*>(pin.get());
+  // Object labels are engine metadata. Copy out those of the objects whose
+  // row the pinned version holds (NumObjectsIn's cut), so the callback reads
+  // no meta_mu_-guarded member; any other object node prints no label.
+  std::unordered_map<uint64_t, std::string> object_labels;
+  {
+    util::MutexLock meta(meta_mu_);
+    for (const auto& [id, info] : objects_) {
+      const relational::Table* table = state.catalog.GetTable(info.table);
+      if (table != nullptr && info.row < table->size()) object_labels.emplace(id, info.label);
+    }
+  }
+  return state.graph.ToText([&](agraph::NodeRef ref) {
+    if (ref.kind != agraph::NodeKind::kDataObject) return state.store->NodeLabel(ref);
+    auto it = object_labels.find(ref.id);
+    return it == object_labels.end() ? std::string() : it->second;
+  });
 }
 
 util::Status Graphitti::ValidateIntegrity() const {
@@ -831,7 +847,7 @@ util::Status Graphitti::ValidateIntegrity() const {
   // 3. Every a-graph content/referent node has a backing record; object
   //    nodes have registrations.
   Status status = Status::OK();
-  state.graph.ForEachNode([&](agraph::NodeRef ref, std::string_view) {
+  state.graph.ForEachNode([&](agraph::NodeRef ref) {
     if (!status.ok()) return;
     switch (ref.kind) {
       case agraph::NodeKind::kContent:

@@ -165,18 +165,11 @@ struct DurabilityOptions {
   /// Filesystem seam; nullptr = the real filesystem (persist::Env::Default).
   /// Tests inject persist::FaultInjectionEnv here.
   persist::Env* env = nullptr;
-  /// Build the full in-memory state during OpenDurable instead of on first
-  /// access. The default (deferred hydration) makes restart I/O-bound: open
-  /// reads and CRC-verifies the snapshot and truncates any torn WAL tail,
-  /// then the first public call pays the decode + index/graph rebuild once.
-  /// Set true to move that cost back into OpenDurable (e.g. to front-load
-  /// it before serving traffic).
-  bool eager_restore = false;
-  /// Cooperative cancellation for the deferred hydration pass (and the
-  /// eager restore): RequestCancel() makes an in-flight snapshot decode /
-  /// WAL replay abort with kCancelled. Cancellation is NOT sticky — the
-  /// verified recovery input is restored, so Reset() + any public call
-  /// retries hydration from the start.
+  /// Cooperative cancellation for the deferred hydration pass:
+  /// RequestCancel() makes an in-flight snapshot decode / WAL replay abort
+  /// with kCancelled. Cancellation is NOT sticky — the verified recovery
+  /// input is restored, so Reset() + any public call retries hydration
+  /// from the start.
   util::CancellationToken hydrate_cancel;
 };
 
@@ -417,11 +410,10 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// generation 1. Refuses directories whose snapshot/WAL generations
   /// cannot be recovered faithfully.
   ///
-  /// Restart cost: by default the open itself is I/O-bound — it reads and
+  /// Restart cost: the open itself is I/O-bound — it reads and
   /// CRC-verifies the snapshot and settles the WAL (torn-tail truncation,
   /// generation checks) but defers the in-memory state build to the first
-  /// public call (options.eager_restore moves it back into the open).
-  /// Either way, every crash-safety decision is made before this returns.
+  /// public call. Every crash-safety decision is made before this returns.
   static util::Result<std::unique_ptr<Graphitti>> OpenDurable(
       const std::string& directory, const DurabilityOptions& options = {});
 
@@ -612,15 +604,14 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
 
   // --- Deferred recovery (the fast-restart path) ---
   //
-  // Unless DurabilityOptions::eager_restore is set, RecoverBinary performs
-  // only the crash-safety work at open — CRC-verify the snapshot, read the
-  // WAL and truncate its torn tail, refuse bad generations — and stashes
-  // the verified bytes here. The first public call (every one starts with
-  // EnsureHydrated()) decodes the snapshot and replays the WAL tail into
-  // the initial version in place, which is sound because no reader can
-  // have pinned it: hydration_pending_ stays true for the whole decode,
-  // so every other thread blocks in HydrateNow on hydrate_mu_ until the
-  // state is complete. A hydration failure (which a CRC-clean snapshot
+  // RecoverBinary performs only the crash-safety work at open — CRC-verify
+  // the snapshot, read the WAL and truncate its torn tail, refuse bad
+  // generations — and stashes the verified bytes here. The first public
+  // call (every one starts with EnsureHydrated()) decodes the snapshot and
+  // replays the WAL tail into the initial version in place, which is sound
+  // because no reader can have pinned it: hydration_pending_ stays true
+  // for the whole decode, so every other thread blocks in HydrateNow on
+  // hydrate_mu_ until the state is complete. A hydration failure (which a CRC-clean snapshot
   // makes effectively a logic bug) poisons the engine: the error is
   // sticky and every subsequent Status/Result entry point returns it.
 
@@ -631,15 +622,15 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
     std::vector<persist::WalRecord> wal_records;
   };
 
-  /// The one restore-then-replay routine, shared by eager open and
-  /// deferred hydration: decodes the tail's commit records, restores the
-  /// snapshot sized for snapshot plus tail, then replays the tail in log
-  /// order. Leaves `input` intact, so a cancelled hydration can retry.
+  /// The one restore-then-replay routine behind deferred hydration:
+  /// decodes the tail's commit records, restores the snapshot sized for
+  /// snapshot plus tail, then replays the tail in log order. Leaves
+  /// `input` intact, so a cancelled hydration can retry.
   /// Boot/recovery only, like RestoreFromSnapshotBody.
   util::Status RecoverInto(const PendingRestore& input, EngineState& state);
 
   /// Fast path for the per-call hook: one relaxed-cost atomic load when the
-  /// engine is hydrated (always, for non-durable/eager engines).
+  /// engine is hydrated (always, for non-durable engines).
   util::Status EnsureHydrated() const {
     if (!hydration_pending_.load(std::memory_order_acquire)) return util::Status::OK();
     return HydrateNow();

@@ -152,22 +152,23 @@ bool EvalPair(PairPredicate::Kind kind, const annotation::Referent* ra,
   if (ra == nullptr || rb == nullptr) return false;
   const substructure::Substructure& sa = ra->substructure;
   const substructure::Substructure& sb = rb->substructure;
+  // IfOverlap refuses a cross-type or cross-domain pair with a formatted
+  // error, which means false here; testing `same` first skips building it.
+  auto same = [&] { return sa.type() == sb.type() && sa.domain() == sb.domain(); };
   switch (kind) {
     case PairPredicate::Kind::kSameDomain:
-      return sa.domain() == sb.domain() && sa.type() == sb.type();
+      return same();
     case PairPredicate::Kind::kBefore:
       if (sa.type() != substructure::SubType::kInterval ||
           sb.type() != substructure::SubType::kInterval) {
         return false;
       }
       return sa.interval().lo < sb.interval().lo;
-    case PairPredicate::Kind::kDisjoint: {
-      auto overlap = substructure::IfOverlap(sa, sb);
-      return overlap.ok() && !*overlap;
-    }
+    case PairPredicate::Kind::kDisjoint:
     case PairPredicate::Kind::kOverlapping: {
+      if (!same()) return false;
       auto overlap = substructure::IfOverlap(sa, sb);
-      return overlap.ok() && *overlap;
+      return overlap.ok() && *overlap == (kind == PairPredicate::Kind::kOverlapping);
     }
   }
   return false;
@@ -491,7 +492,6 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   QueryResult& result = *out;
   result.target = query.target;
   result.store = ctx_.store;
-  result.graph = ctx_.graph;
   ExecutionStats& stats = result.stats;
   const annotation::AnnotationStore& store = *ctx_.store;
   const agraph::AGraph& graph = *ctx_.graph;

@@ -9,11 +9,11 @@ std::string QueryResult::LabelOf(const ResultItem& item) const {
   switch (target) {
     case Target::kContents:
     case Target::kFragments:
-      if (graph == nullptr) return "";
-      return std::string(graph->NodeLabel(agraph::NodeRef::Content(item.content_id)));
+      if (store == nullptr) return "";
+      return store->NodeLabel(agraph::NodeRef::Content(item.content_id));
     case Target::kReferents:
-      if (graph == nullptr) return "";
-      return std::string(graph->NodeLabel(agraph::NodeRef::Referent(item.referent_id)));
+      if (store == nullptr) return "";
+      return store->NodeLabel(agraph::NodeRef::Referent(item.referent_id));
     case Target::kCount:
       return "count(?" + target_var + ") = " + std::to_string(item.count);
     case Target::kGraph:

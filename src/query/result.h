@@ -163,17 +163,16 @@ struct QueryResult {
   ExecutionStats stats;
   /// Pin on the engine version this result was computed from (set by
   /// core::Graphitti::Query; empty for hand-wired QueryContexts). Keeps
-  /// every pointer the result borrows — `store`, `graph`, NodeRefs, and the
-  /// graph behind `connect_batch` — alive and frozen for the result's
-  /// lifetime, regardless of commits that land after the query returns.
+  /// every pointer the result borrows — `store`, NodeRefs, and the graph
+  /// behind `connect_batch` — alive and frozen for the result's lifetime,
+  /// regardless of commits that land after the query returns.
   util::EpochPin snapshot;
-  /// The store and a-graph the result was computed from, borrowed (set by
-  /// Executor::ExecuteInto). LabelOf and SubstructureOf read them. Through
-  /// core::Graphitti, `snapshot` keeps them alive and frozen; a caller that
-  /// wires a QueryContext by hand keeps them alive and unchanged for as
-  /// long as it reads labels, as it already does for `connect_batch`.
+  /// The store the result was computed from, borrowed (set by
+  /// Executor::ExecuteInto). LabelOf and SubstructureOf read it. Through
+  /// core::Graphitti, `snapshot` keeps it alive and frozen; a caller that
+  /// wires a QueryContext by hand keeps it alive and unchanged for as long
+  /// as it reads labels, as it already does for `connect_batch`.
   const annotation::AnnotationStore* store = nullptr;
-  const agraph::AGraph* graph = nullptr;
   /// Batched-connect state reused across MaterializePage flips: the
   /// per-terminal BFS trees built for one page survive into the next, so
   /// revisiting a page (or sharing terminals across pages) never rebuilds
@@ -182,13 +181,14 @@ struct QueryResult {
   std::shared_ptr<agraph::ConnectBatch> connect_batch;
 
   /// Display label of `item`, built from the result's version on each call:
-  ///   - kContents / kFragments: the annotation's a-graph label (its title,
-  ///     or "annotation-N" when it has none);
-  ///   - kReferents: the referent's a-graph label (its substructure key);
+  ///   - kContents / kFragments: the annotation's node label (its title,
+  ///     or "annotation-N" when it has none; AnnotationStore::NodeLabel);
+  ///   - kReferents: the referent's node label (its substructure key);
   ///   - kCount: "count(?v) = N";
   ///   - kGraph: "subgraph(N nodes)" or "subgraph(disconnected)" once the
   ///     item's page is materialized, and empty before.
-  /// Empty when the result borrows no graph (a default-constructed one).
+  /// kContents, kFragments and kReferents labels are empty when the result
+  /// borrows no store (a default-constructed one).
   std::string LabelOf(const ResultItem& item) const;
   /// The substructure a kReferents item's referent marks, borrowed from the
   /// result's version; nullptr for any other target, or when the result

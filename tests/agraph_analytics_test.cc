@@ -51,7 +51,7 @@ TEST(AGraphAnalyticsTest, CountByKind) {
 TEST(AGraphAnalyticsTest, DegreeStats) {
   AGraph g;
   // Star: hub with 3 spokes.
-  ASSERT_TRUE(g.AddNode(NodeRef::Referent(0), "hub").ok());
+  ASSERT_TRUE(g.AddNode(NodeRef::Referent(0)).ok());
   for (uint64_t i = 1; i <= 3; ++i) {
     ASSERT_TRUE(g.AddNode(NodeRef::Content(i)).ok());
     ASSERT_TRUE(g.AddEdge(NodeRef::Content(i), NodeRef::Referent(0), "annotates").ok());

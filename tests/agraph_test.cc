@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "agraph/agraph.h"
 
@@ -22,9 +24,8 @@ TEST(NodeRefTest, FactoriesAndOrdering) {
 
 TEST(AGraphTest, AddAndRemoveNodes) {
   AGraph g;
-  ASSERT_TRUE(g.AddNode(NodeRef::Content(1), "ann-1").ok());
+  ASSERT_TRUE(g.AddNode(NodeRef::Content(1)).ok());
   EXPECT_TRUE(g.HasNode(NodeRef::Content(1)));
-  EXPECT_EQ(g.NodeLabel(NodeRef::Content(1)), "ann-1");
   EXPECT_TRUE(g.AddNode(NodeRef::Content(1)).IsAlreadyExists());
   EXPECT_EQ(g.num_nodes(), 1u);
   ASSERT_TRUE(g.RemoveNode(NodeRef::Content(1)).ok());
@@ -34,14 +35,11 @@ TEST(AGraphTest, AddAndRemoveNodes) {
 
 TEST(AGraphTest, EnsureNodeIsIdempotent) {
   AGraph g;
-  g.EnsureNode(NodeRef::Content(1), "first");
-  g.EnsureNode(NodeRef::Content(1), "second");
+  g.EnsureNode(NodeRef::Content(1));
+  g.EnsureNode(NodeRef::Content(1));
   EXPECT_EQ(g.num_nodes(), 1u);
-  EXPECT_EQ(g.NodeLabel(NodeRef::Content(1)), "first");
-  // Empty label later filled in.
   g.EnsureNode(NodeRef::Content(2));
-  g.EnsureNode(NodeRef::Content(2), "late-label");
-  EXPECT_EQ(g.NodeLabel(NodeRef::Content(2)), "late-label");
+  EXPECT_EQ(g.num_nodes(), 2u);
 }
 
 TEST(AGraphTest, EdgesRequireEndpoints) {
@@ -234,18 +232,25 @@ TEST(AGraphTest, IndirectlyRelatedContents) {
 }
 
 // ToText is the line format ExportAGraph prints: nodes, then edges, with
-// '\n' and '\\' in labels escaped so every record stays on one line.
+// '\n' and '\\' in labels escaped so every record stays on one line. The
+// graph stores no node text; the caller's callback supplies each label.
 TEST(AGraphTest, ToTextFormat) {
   AGraph g;
-  ASSERT_TRUE(g.AddNode(NodeRef::Content(1), "my annotation").ok());
-  ASSERT_TRUE(g.AddNode(NodeRef::Referent(2), "interval@chr1[0,5]").ok());
-  ASSERT_TRUE(g.AddNode(NodeRef::Term(3), "line one\nline two\\end").ok());
-  ASSERT_TRUE(g.AddNode(NodeRef::Object(4), "").ok());
+  ASSERT_TRUE(g.AddNode(NodeRef::Content(1)).ok());
+  ASSERT_TRUE(g.AddNode(NodeRef::Referent(2)).ok());
+  ASSERT_TRUE(g.AddNode(NodeRef::Term(3)).ok());
+  ASSERT_TRUE(g.AddNode(NodeRef::Object(4)).ok());
   ASSERT_TRUE(g.AddEdge(NodeRef::Content(1), NodeRef::Referent(2), "annotates").ok());
   ASSERT_TRUE(g.AddEdge(NodeRef::Content(1), NodeRef::Term(3), "refers-to").ok());
   ASSERT_TRUE(g.AddEdge(NodeRef::Referent(2), NodeRef::Object(4), "of-object").ok());
+  const std::map<NodeRef, std::string> labels = {
+      {NodeRef::Content(1), "my annotation"},
+      {NodeRef::Referent(2), "interval@chr1[0,5]"},
+      {NodeRef::Term(3), "line one\nline two\\end"},
+      {NodeRef::Object(4), ""},
+  };
 
-  EXPECT_EQ(g.ToText(),
+  EXPECT_EQ(g.ToText([&](NodeRef ref) { return labels.at(ref); }),
             "# a-graph v1\n"
             "N C 1 my annotation\n"
             "N R 2 interval@chr1[0,5]\n"

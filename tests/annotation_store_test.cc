@@ -179,7 +179,7 @@ TEST_F(AnnotationStoreTest, AGraphWiring) {
 
   agraph::NodeRef content = AnnotationStore::ContentNode(*id);
   ASSERT_TRUE(graph_.HasNode(content));
-  EXPECT_EQ(graph_.NodeLabel(content), "wired");
+  EXPECT_EQ(store_.NodeLabel(content), "wired");
 
   auto neighbors = graph_.Neighbors(content);
   ASSERT_EQ(neighbors.size(), 2u);  // referent + term

@@ -52,7 +52,7 @@ class ConnectTest : public ::testing::Test {
   // Star topology: contents 1..4 each annotate referent 100 (hub), and each
   // content also has a private referent 10+i.
   void SetUp() override {
-    ASSERT_TRUE(g_.AddNode(NodeRef::Referent(100), "hub").ok());
+    ASSERT_TRUE(g_.AddNode(NodeRef::Referent(100)).ok());
     for (uint64_t i = 1; i <= 4; ++i) {
       ASSERT_TRUE(g_.AddNode(NodeRef::Content(i)).ok());
       ASSERT_TRUE(g_.AddNode(NodeRef::Referent(10 + i)).ok());
@@ -102,7 +102,7 @@ TEST_F(ConnectTest, DuplicateTerminalsCollapse) {
 }
 
 TEST_F(ConnectTest, DisconnectedTerminalsNotFound) {
-  ASSERT_TRUE(g_.AddNode(NodeRef::Content(99), "island").ok());
+  ASSERT_TRUE(g_.AddNode(NodeRef::Content(99)).ok());
   auto sg = g_.Connect({NodeRef::Content(1), NodeRef::Content(99)});
   EXPECT_TRUE(sg.status().IsNotFound());
 }

@@ -272,7 +272,7 @@ TEST(MutateTest, PublishesOneVersionAndKeepsPinnedResults) {
   // An error from the function publishes nothing; the next commit builds
   // on the mutated version.
   EXPECT_TRUE(g.Mutate([&](Graphitti::EngineState& s) {
-                 s.graph.EnsureNode(agraph::NodeRef::Content(999), "never published");
+                 s.graph.EnsureNode(agraph::NodeRef::Content(999));
                  return util::Status::Internal("abandon");
                }).IsInternal());
   EXPECT_EQ(g.engine_epoch(), epoch + 1);

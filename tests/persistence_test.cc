@@ -289,7 +289,7 @@ TEST(IntegrityTest, DetectsForeignAGraphNode) {
   (void)obj;
   // A content node that no stored annotation backs.
   ASSERT_TRUE(g.Mutate([](Graphitti::EngineState& s) {
-                 s.graph.EnsureNode(agraph::NodeRef::Content(999), "ghost");
+                 s.graph.EnsureNode(agraph::NodeRef::Content(999));
                  return util::Status::OK();
                }).ok());
   auto status = g.ValidateIntegrity();

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <tuple>
 
 #include "core/graphitti.h"
@@ -261,26 +262,6 @@ TEST(RecoveryTest, GroupCommitIntervalModeLosesOnlyUnsyncedTail) {
 
 // --- Deferred hydration (the fast-restart path) ---
 
-TEST(RecoveryTest, DeferredAndEagerRestoreAgree) {
-  FaultInjectionEnv env;
-  {
-    auto g = MustOpen(&env);
-    uint64_t seq = *g->IngestDnaSequence("AF9", "H1N1", "flu:seg4", "ACGT");
-    CommitOne(g.get(), "pre-checkpoint", seq);
-    ASSERT_TRUE(g->Checkpoint().ok());
-    CommitOne(g.get(), "wal tail");
-  }
-  auto lazy = MustOpen(&env);
-  DurabilityOptions eager_opts;
-  eager_opts.env = &env;
-  eager_opts.eager_restore = true;
-  auto eager = Graphitti::OpenDurable(kDir, eager_opts);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  EXPECT_EQ(lazy->Stats().ToString(), (*eager)->Stats().ToString());
-  EXPECT_EQ(lazy->ExportAGraph(), (*eager)->ExportAGraph());
-  EXPECT_EQ(lazy->generation(), (*eager)->generation());
-}
-
 TEST(RecoveryTest, CommitBeforeAnyReadHydratesFirst) {
   FaultInjectionEnv env;
   {
@@ -448,7 +429,7 @@ TEST(RecoveryTest, DurableEngineRefusesMutate) {
   bool ran = false;
   util::Status st = g->Mutate([&](Graphitti::EngineState& s) {
     ran = true;
-    s.graph.EnsureNode(agraph::NodeRef::Content(999), "unlogged");
+    s.graph.EnsureNode(agraph::NodeRef::Content(999));
     return util::Status::OK();
   });
   EXPECT_TRUE(st.IsUnsupported()) << st.ToString();
@@ -722,6 +703,74 @@ TEST_F(RecoveryFsTest, SavedDirectoryOpensDurablyAtGenerationOne) {
   EXPECT_EQ((*d)->annotations().Get(1)->dc.title, "logged");
 }
 
+// The `N` lines of ExportAGraph for every node kind. The graph stores no
+// text: each label comes from the record behind the node. They must read
+// the same live, after SaveTo/LoadFrom, and after a durable reopen that
+// replays a WAL tail.
+std::string NodeLines(const Graphitti& g) {
+  std::string out;
+  std::istringstream in(g.ExportAGraph());
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("N ", 0) == 0) out += line + "\n";
+  }
+  return out;
+}
+
+TEST_F(RecoveryFsTest, ExportAGraphLabelsEveryNodeKind) {
+  const std::string durable = (dir_ / "durable").string();
+  const std::string saved = (dir_ / "saved").string();
+  constexpr uint64_t kNeverRegistered = 77;
+  // Node order is insertion order, with a removed node's slot taken by the
+  // last node; a restore wires in commit order and replays the tail's
+  // removal, so every engine below lists the same order.
+  const std::string kExpected =
+      "N O 1 notes/row0\n"
+      "N C 1 titled\n"
+      "N R 1 interval@flu:seg1[10,20]\n"
+      "N T 1 go:GO:1\n"
+      "N C 2 annotation-2\n"
+      "N R 2 region@atlas[(0.000000,4.000000) x (0.000000,4.000000)]\n"
+      "N O 77\n"
+      "N T 2 go:GO:2\n";
+  {
+    auto opened = Graphitti::OpenDurable(durable);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Graphitti& g = **opened;
+    ASSERT_TRUE(g.RegisterCoordinateSystem("atlas", 2).ok());
+    ASSERT_TRUE(
+        g.CreateTable("notes", relational::SchemaBuilder().Str("text", false).Build()).ok());
+    auto note = g.IngestRecord("notes", {relational::Value::Str("first")});
+    ASSERT_TRUE(note.ok()) << note.status().ToString();
+    AnnotationBuilder titled;
+    titled.Title("titled").MarkInterval("flu:seg1", 10, 20, *note);
+    titled.OntologyReference("go", "GO:1");
+    ASSERT_TRUE(g.Commit(titled).ok());
+    ASSERT_TRUE(g.Checkpoint().ok());
+
+    // The WAL tail: an untitled annotation whose region marks an object id
+    // that is never registered, and a term whose only annotation goes.
+    AnnotationBuilder untitled;
+    untitled.Body("no title").MarkRegion("atlas", spatial::Rect::Make2D(0, 0, 4, 4),
+                                         kNeverRegistered);
+    untitled.OntologyReference("go", "GO:1");
+    ASSERT_TRUE(g.Commit(untitled).ok());
+    AnnotationBuilder doomed;
+    doomed.Title("doomed").MarkInterval("flu:seg1", 500, 600);
+    doomed.OntologyReference("go", "GO:2");
+    auto doomed_id = g.Commit(doomed);
+    ASSERT_TRUE(doomed_id.ok()) << doomed_id.status().ToString();
+    ASSERT_TRUE(g.RemoveAnnotation(*doomed_id).ok());
+    ASSERT_TRUE(g.SaveTo(saved).ok());
+    EXPECT_EQ(NodeLines(g), kExpected);
+  }
+  auto loaded = Graphitti::LoadFrom(saved);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(NodeLines(**loaded), kExpected);
+  auto reopened = Graphitti::OpenDurable(durable);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(NodeLines(**reopened), kExpected);
+}
+
 TEST_F(RecoveryFsTest, LoadFromAutoDetectsBinaryDirectory) {
   std::string stats_before;
   {
@@ -881,35 +930,31 @@ TEST_F(RecoveryFsTest, CommitRecordFieldsSurviveReplay) {
   const std::string live_save = ReadBytes(dir_ / "live" / persist::SnapshotFileName(1));
   ASSERT_FALSE(live_save.empty());
 
-  for (bool eager : {false, true}) {
-    SCOPED_TRACE(eager ? "eager" : "deferred");
-    DurabilityOptions opts;
-    opts.env = &env;
-    opts.eager_restore = eager;
-    auto opened = Graphitti::OpenDurable(kDir, opts);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    Graphitti& g = **opened;
-    EXPECT_TRUE(ImageOf(g) == live);
-    EXPECT_TRUE(g.ValidateIntegrity().ok());
-    const fs::path save = dir_ / (eager ? "eager" : "deferred");
-    ASSERT_TRUE(g.SaveTo(save.string()).ok());
-    EXPECT_TRUE(ReadBytes(save / persist::SnapshotFileName(1)) == live_save);
+  DurabilityOptions opts;
+  opts.env = &env;
+  auto opened = Graphitti::OpenDurable(kDir, opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Graphitti& g = **opened;
+  EXPECT_TRUE(ImageOf(g) == live);
+  EXPECT_TRUE(g.ValidateIntegrity().ok());
+  const fs::path save = dir_ / "reopened";
+  ASSERT_TRUE(g.SaveTo(save.string()).ok());
+  EXPECT_TRUE(ReadBytes(save / persist::SnapshotFileName(1)) == live_save);
 
-    // The tail's content stays unparsed until an XQuery reads the
-    // collection, which parses it: each document is the logged XML parsed.
-    auto hits = g.annotations().XQuerySearch(
-        "for $a in collection()/annotation where contains($a/body, 'quotes') return $a");
-    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-    std::vector<annotation::AnnotationId> expected = tail_kept;
-    expected.erase(std::remove(expected.begin(), expected.end(), tail_kept[3]), expected.end());
-    EXPECT_EQ(*hits, expected);
-    EngineImage hydrated = ImageOf(g);
-    EXPECT_EQ(hydrated.agraph, live.agraph);
-    EXPECT_TRUE(hydrated.referents == live.referents);
-    ASSERT_EQ(hydrated.contents.size(), live.contents.size());
-    for (const auto& [id, xml] : live.contents) {
-      EXPECT_EQ(hydrated.contents[id], xml) << "annotation " << id;
-    }
+  // The tail's content stays unparsed until an XQuery reads the
+  // collection, which parses it: each document is the logged XML parsed.
+  auto hits = g.annotations().XQuerySearch(
+      "for $a in collection()/annotation where contains($a/body, 'quotes') return $a");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  std::vector<annotation::AnnotationId> expected = tail_kept;
+  expected.erase(std::remove(expected.begin(), expected.end(), tail_kept[3]), expected.end());
+  EXPECT_EQ(*hits, expected);
+  EngineImage hydrated = ImageOf(g);
+  EXPECT_EQ(hydrated.agraph, live.agraph);
+  EXPECT_TRUE(hydrated.referents == live.referents);
+  ASSERT_EQ(hydrated.contents.size(), live.contents.size());
+  for (const auto& [id, xml] : live.contents) {
+    EXPECT_EQ(hydrated.contents[id], xml) << "annotation " << id;
   }
 }
 
