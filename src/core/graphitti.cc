@@ -37,6 +37,17 @@ struct BoundResolver : public query::ObjectResolver, public query::OntologyResol
     return engine_->ExpandTermBelow(qualified);  // metadata: append-only
   }
 
+  /// The executor's view of the pinned version, resolving through this.
+  query::QueryContext Context() const {
+    query::QueryContext ctx;
+    ctx.store = state_->store.get();
+    ctx.indexes = &state_->indexes;
+    ctx.graph = &state_->graph;
+    ctx.objects = this;
+    ctx.ontologies = this;
+    return ctx;
+  }
+
   const Graphitti* engine_;
   const Graphitti::EngineState* state_;
 };
@@ -525,10 +536,10 @@ util::Status Graphitti::RestoreObjectInto(EngineState& state, uint64_t object_id
 
 // --- Annotation ---
 
-util::Status Graphitti::AdmitCommit(util::AdmissionController::Ticket* ticket) {
+util::Status Graphitti::Admit(util::AdmissionController::WorkClass work_class,
+                              util::AdmissionController::Ticket* ticket) const {
   if (admission_ == nullptr) return Status::OK();
-  Status admit =
-      admission_->Admit(util::AdmissionController::WorkClass::kCommit, ticket);
+  Status admit = admission_->Admit(work_class, ticket);
   if (!admit.ok()) {
     gov_counters_.resource_exhausted.fetch_add(1, std::memory_order_relaxed);
   }
@@ -550,13 +561,27 @@ util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitBatch(
 util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitAnnotations(
     const annotation::AnnotationBuilder* builders, size_t count) {
   util::AdmissionController::Ticket ticket;
-  GRAPHITTI_RETURN_NOT_OK(AdmitCommit(&ticket));
+  GRAPHITTI_RETURN_NOT_OK(Admit(util::AdmissionController::WorkClass::kCommit, &ticket));
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
   // A refused batch is refused by the published version alike, so it
   // costs only this check and leaves the recyclable standby alone.
   GRAPHITTI_RETURN_NOT_OK(CurrentState()->store->ValidateBatch(builders, count).status());
+  {
+    // The store cannot see the object registry: a mark on an object no
+    // registration holds would leave an object node ValidateIntegrity
+    // refuses.
+    util::MutexLock meta(meta_mu_);
+    for (size_t i = 0; i < count; ++i) {
+      for (const auto& mark : builders[i].marks()) {
+        if (mark.second != 0 && objects_.count(mark.second) == 0) {
+          return Status::NotFound("builder " + std::to_string(i) + ": marked object " +
+                                  std::to_string(mark.second) + " is not registered");
+        }
+      }
+    }
+  }
   std::unique_ptr<EngineState> scratch = AcquireScratch();
   GRAPHITTI_ASSIGN_OR_RETURN(std::vector<annotation::AnnotationId> ids,
                              scratch->store->CommitBatch(builders, count));
@@ -586,7 +611,7 @@ util::Result<std::vector<annotation::AnnotationId>> Graphitti::CommitAnnotations
 
 util::Status Graphitti::RemoveAnnotation(annotation::AnnotationId id) {
   util::AdmissionController::Ticket ticket;
-  GRAPHITTI_RETURN_NOT_OK(AdmitCommit(&ticket));
+  GRAPHITTI_RETURN_NOT_OK(Admit(util::AdmissionController::WorkClass::kCommit, &ticket));
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::MutexLock commit(commit_mu_);
   GRAPHITTI_RETURN_NOT_OK(WalGuard());
@@ -634,29 +659,15 @@ util::Result<query::QueryResult> Graphitti::Query(
   // Admission is decided before any snapshot is pinned, so a shed query
   // costs nothing but the admission check itself.
   util::AdmissionController::Ticket ticket;
-  if (admission_ != nullptr) {
-    Status admit = admission_->Admit(
-        util::AdmissionController::WorkClass::kRead, &ticket);
-    if (!admit.ok()) {
-      gov_counters_.resource_exhausted.fetch_add(1, std::memory_order_relaxed);
-      return admit;
-    }
-  }
+  GRAPHITTI_RETURN_NOT_OK(Admit(util::AdmissionController::WorkClass::kRead, &ticket));
   // Pin once for the whole parse + execute + first-page materialization:
   // the executor sees one commit-consistent version and is never blocked
   // by (or blocks) writers. The pin rides along on the result so page
   // flips keep answering from the same snapshot.
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   util::EpochPin pin = epochs_->PinCurrent();
-  const auto& state = *static_cast<const EngineState*>(pin.get());
-  BoundResolver resolver(this, &state);
-  query::QueryContext ctx;
-  ctx.store = state.store.get();
-  ctx.indexes = &state.indexes;
-  ctx.graph = &state.graph;
-  ctx.objects = &resolver;
-  ctx.ontologies = &resolver;
-  query::Executor executor(ctx, options);
+  BoundResolver resolver(this, static_cast<const EngineState*>(pin.get()));
+  query::Executor executor(resolver.Context(), options);
   util::Result<query::QueryResult> result = executor.ExecuteText(query_text);
   if (result.ok()) {
     result->snapshot = std::move(pin);
@@ -672,27 +683,13 @@ util::Result<query::QueryResult> Graphitti::Query(
 
 util::Status Graphitti::MaterializePage(query::QueryResult* result, size_t page) const {
   util::AdmissionController::Ticket ticket;
-  if (admission_ != nullptr) {
-    Status admit = admission_->Admit(
-        util::AdmissionController::WorkClass::kRead, &ticket);
-    if (!admit.ok()) {
-      gov_counters_.resource_exhausted.fetch_add(1, std::memory_order_relaxed);
-      return admit;
-    }
-  }
+  GRAPHITTI_RETURN_NOT_OK(Admit(util::AdmissionController::WorkClass::kRead, &ticket));
   GRAPHITTI_RETURN_NOT_OK(EnsureHydrated());
   // Prefer the result's own pinned snapshot (results from Query always
   // carry one); fall back to the current version for hand-built results.
   util::EpochPin pin = result->snapshot ? result->snapshot : epochs_->PinCurrent();
-  const auto& state = *static_cast<const EngineState*>(pin.get());
-  BoundResolver resolver(this, &state);
-  query::QueryContext ctx;
-  ctx.store = state.store.get();
-  ctx.indexes = &state.indexes;
-  ctx.graph = &state.graph;
-  ctx.objects = &resolver;
-  ctx.ontologies = &resolver;
-  return query::Executor(ctx).MaterializePage(result, page);
+  BoundResolver resolver(this, static_cast<const EngineState*>(pin.get()));
+  return query::Executor(resolver.Context()).MaterializePage(result, page);
 }
 
 CorrelatedData Graphitti::Correlated(agraph::NodeRef node) const {

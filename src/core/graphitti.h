@@ -325,7 +325,8 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
   /// the annotation is appended to the WAL (and fsynced per the
   /// group-commit policy) before it is published: a post-return crash
   /// recovers it, and a WAL failure means the commit never becomes
-  /// visible at all.
+  /// visible at all. A mark on a non-zero object id that no registration
+  /// holds is refused with kNotFound.
   util::Result<annotation::AnnotationId> Commit(const annotation::AnnotationBuilder& builder);
   /// [commit] Commits a batch of annotations through the same routine as
   /// Commit: the commit lock is taken once for the whole batch (not per
@@ -532,12 +533,13 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
 
   /// The one annotation commit routine behind Commit and CommitBatch:
   /// admission and hydration, then under commit_mu_ the WAL guard,
-  /// validation against the published version (a refused batch never
-  /// touches the standby), the scratch version, the store's batch pipeline
-  /// over `count` builders at `builders`, one kCommitBatch WAL record, and
-  /// publication — with a replay op holding a copy of the builders, their
-  /// ids and their content objects when the batch has at most
-  /// kMaxReplayBatch of them.
+  /// validation against the published version and, under meta_mu_, the
+  /// object registry (a mark on an unregistered object is kNotFound; a
+  /// refused batch never touches the standby), the scratch version, the
+  /// store's batch pipeline over `count` builders at `builders`, one
+  /// kCommitBatch WAL record, and publication — with a replay op holding a
+  /// copy of the builders, their ids and their content objects when the
+  /// batch has at most kMaxReplayBatch of them.
   util::Result<std::vector<annotation::AnnotationId>> CommitAnnotations(
       const annotation::AnnotationBuilder* builders, size_t count);
 
@@ -568,11 +570,12 @@ class Graphitti : public query::ObjectResolver, public query::OntologyResolver {
 
   // --- Durability plumbing (core/durability.cc) ---
 
-  /// Admission gate for commit-class mutators: acquires a kCommit slot
-  /// into *ticket (empty when admission is unconfigured) and tallies
-  /// sheds. Called before commit_mu_ is taken so refused work never
+  /// Admission gate: acquires a `work_class` slot into *ticket (empty when
+  /// admission is unconfigured) and tallies sheds. Reads call it before
+  /// pinning a version, mutators before commit_mu_, so refused work never
   /// contends with admitted work.
-  util::Status AdmitCommit(util::AdmissionController::Ticket* ticket);
+  util::Status Admit(util::AdmissionController::WorkClass work_class,
+                     util::AdmissionController::Ticket* ticket) const;
 
   /// Refuses durable mutations after a WAL I/O failure (wal_failed_), so
   /// the durable log never silently develops a gap; OK on non-durable

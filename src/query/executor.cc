@@ -1,8 +1,6 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,6 +23,22 @@ using annotation::ReferentId;
 using util::Result;
 using util::Status;
 
+NodeKind ToNodeKind(VarKind kind) {
+  switch (kind) {
+    case VarKind::kContent:
+      return NodeKind::kContent;
+    case VarKind::kReferent:
+      return NodeKind::kReferent;
+    case VarKind::kTerm:
+      return NodeKind::kOntologyTerm;
+    case VarKind::kObject:
+      return NodeKind::kDataObject;
+    case VarKind::kAny:
+      break;
+  }
+  return NodeKind::kContent;  // unreachable: kinds are resolved before use
+}
+
 /// Per-variable compiled info. Constrained variables stream their
 /// candidates into `streamed` (sorted + deduplicated); the hash set for
 /// join membership is built lazily, only when the variable is actually
@@ -44,22 +58,54 @@ struct VarInfo {
   // lint: allow-map(join membership probe; built lazily, once per joined variable)
   std::unordered_set<NodeRef, NodeRefHash> candidate_set;
   bool set_ready = false;
+  size_t column = SIZE_MAX;  // binding-table column, once the join binds it
+
+  bool bound() const { return column != SIZE_MAX; }
+
+  /// Membership test for hash semi-joins: a candidate-set probe (after
+  /// EnsureSet), or a kind check when the variable is unconstrained
+  /// (a-graph neighbours of the right kind are committed store entries by
+  /// construction).
+  bool Admits(NodeRef n) const {
+    if (unconstrained) return n.kind == ToNodeKind(kind);
+    return candidate_set.count(n) > 0;
+  }
+  void EnsureSet() {
+    if (unconstrained || set_ready) return;
+    set_ready = true;
+    candidate_set.reserve(streamed.size());
+    candidate_set.insert(streamed.begin(), streamed.end());
+  }
 };
 
-/// Pairwise constraint predicate between two bound variables.
+/// Index of the variable called `name` in the name-sorted `vars`, or
+/// SIZE_MAX.
+size_t FindVar(const std::vector<VarInfo>& vars, const std::string& name) {
+  auto it = std::lower_bound(vars.begin(), vars.end(), name,
+                             [](const VarInfo& v, const std::string& n) { return v.name < n; });
+  return it != vars.end() && it->name == name ? static_cast<size_t>(it - vars.begin())
+                                              : SIZE_MAX;
+}
+
+/// The end of the pair (a, b) opposite variable v, or SIZE_MAX when v is
+/// neither end.
+size_t Opposite(size_t a, size_t b, size_t v) { return a == v ? b : (b == v ? a : SIZE_MAX); }
+
+/// Pairwise constraint predicate between two variables (indexes into
+/// Execution::vars).
 struct PairPredicate {
   enum class Kind { kBefore, kDisjoint, kOverlapping, kSameDomain };
   Kind kind;
-  std::string var_a;
-  std::string var_b;
+  size_t a;
+  size_t b;
 };
 
 /// Edge clause between two variables, normalized.
 struct EdgeInfo {
   const Clause* clause;
-  std::string var_a;  // clause->var
-  std::string var_b;  // clause->var2
-  std::string label;  // a-graph edge label ("" for CONNECTED)
+  size_t a;                // clause->var
+  size_t b;                // clause->var2
+  std::string_view label;  // a-graph edge label ("" for CONNECTED)
 };
 
 std::string_view EdgeLabelFor(Clause::Kind kind) {
@@ -123,27 +169,51 @@ Status MergeKind(VarInfo* info, VarKind kind) {
   return Status::OK();
 }
 
-NodeKind ToNodeKind(VarKind kind) {
-  switch (kind) {
-    case VarKind::kContent:
-      return NodeKind::kContent;
-    case VarKind::kReferent:
-      return NodeKind::kReferent;
-    case VarKind::kTerm:
-      return NodeKind::kOntologyTerm;
-    case VarKind::kObject:
-      return NodeKind::kDataObject;
-    case VarKind::kAny:
-      break;
-  }
-  return NodeKind::kContent;  // unreachable: kinds are resolved before use
-}
-
 /// Borrowed referent pointers memoized per execution, so the join pays one
 /// store lookup per distinct bound referent and join-edge candidate instead
 /// of one per binding row.
 // lint: allow-map(per-query cache; hashed, sized by candidate count)
 using ReferentCache = std::unordered_map<uint64_t, const annotation::Referent*>;
+
+/// Reachability memo for CONNECTED joins: one bounded BFS per distinct
+/// (bound node, hop limit) instead of one FindPath per row.
+class ReachCache {
+ public:
+  explicit ReachCache(const agraph::AGraph& graph) : graph_(graph) {}
+
+  /// Whether `to` lies within `hops` of `from`.
+  bool Reaches(NodeRef from, size_t hops, NodeRef to) {
+    auto [it, inserted] = cache_.try_emplace(Key{from, hops});
+    if (inserted) {
+      agraph::PathOptions popt;
+      popt.max_hops = hops;
+      buf_.clear();
+      graph_.AppendReachable(from, popt, &buf_);
+      it->second.insert(buf_.begin(), buf_.end());
+    }
+    return it->second.count(to) > 0;
+  }
+
+ private:
+  struct Key {
+    NodeRef node;
+    size_t hops;
+    bool operator==(const Key& o) const { return node == o.node && hops == o.hops; }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return static_cast<size_t>(
+          util::Mix64(NodeRefHash{}(k.node) ^ (k.hops * 0x9e3779b97f4a7c15ull)));
+    }
+  };
+  // lint: allow-map(reach set: probed once per CONNECTED candidate, one per memo entry)
+  using ReachSet = std::unordered_set<NodeRef, NodeRefHash>;
+
+  const agraph::AGraph& graph_;
+  // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
+  std::unordered_map<Key, ReachSet, KeyHash> cache_;
+  std::vector<NodeRef> buf_;
+};
 
 /// Evaluates one pairwise constraint on referents the join resolved once. A
 /// null referent (a node that is no live referent) fails every predicate.
@@ -469,6 +539,555 @@ Status ForEachCandidate(const QueryContext& ctx, const VarInfo& info, bool* emit
   return Status::Internal("unreachable: unresolved kind");
 }
 
+/// One query's execution state, threaded through the stages below. Each
+/// stage reads what the stages before it wrote and fills its own fields;
+/// any of them may record a governance stop.
+struct Execution {
+  Execution(const QueryContext& context, const ExecutorOptions& opts, const Query& q)
+      : ctx(context), options(opts), query(q), gate(opts.deadline, opts.cancel) {}
+
+  const QueryContext& ctx;
+  const ExecutorOptions& options;
+  const Query& query;
+  // One gate amortizes the deadline and cancellation checks of every loop,
+  // and `stop` records the first of deadline expiry, cancellation, the row
+  // limit or the byte budget.
+  util::GovernanceGate gate;
+  StopReason stop = StopReason::kCompleted;
+
+  // Sorted by name: the planner breaks ties in name order.
+  std::vector<VarInfo> vars;
+  std::vector<EdgeInfo> edges;  // in clause order
+  size_t target = SIZE_MAX;     // the collated variable; SIZE_MAX for GRAPH
+  xml::XPathExpr fragment_xpath;
+  std::vector<PairPredicate> pair_preds;
+  std::vector<size_t> order;  // binding order, as indexes into vars
+  BindingTable table;
+};
+
+/// Streams `info`'s candidates into info->streamed, ascending and
+/// duplicate-free.
+Status Materialize(Execution* ex, VarInfo* info) {
+  bool ordered = false;
+  info->streamed.reserve(info->candidate_count);
+  GRAPHITTI_RETURN_NOT_OK(ForEachCandidate(ex->ctx, *info, &ordered, &ex->gate, &ex->stop,
+                                           [info](NodeRef n) { info->streamed.push_back(n); }));
+  if (!ordered) {
+    std::sort(info->streamed.begin(), info->streamed.end());
+    info->streamed.erase(std::unique(info->streamed.begin(), info->streamed.end()),
+                         info->streamed.end());
+  }
+  info->streamed_ready = true;
+  return Status::OK();
+}
+
+/// Stage 1, the §II decomposition: collects the variables, infers their
+/// kinds, and splits clauses into per-variable subqueries and
+/// inter-variable edges. It also resolves the result target and the
+/// FRAGMENTS XPath, so an invalid target fails before any candidate
+/// streaming or join work (and before a governance stop that the join
+/// could hit first).
+Status Plan(Execution* ex) {
+  const Query& query = ex->query;
+  std::vector<VarInfo>& vars = ex->vars;
+  auto mention = [&](const std::string& name, size_t clause) {
+    VarInfo& info = vars.emplace_back();
+    info.name = name;
+    info.declaration_index = clause;
+  };
+  for (size_t i = 0; i < query.clauses.size(); ++i) {
+    mention(query.clauses[i].var, i);
+    if (!query.clauses[i].var2.empty()) mention(query.clauses[i].var2, i);
+  }
+  // Stable, so each name keeps its first mention.
+  std::stable_sort(vars.begin(), vars.end(),
+                   [](const VarInfo& x, const VarInfo& y) { return x.name < y.name; });
+  vars.erase(std::unique(vars.begin(), vars.end(),
+                         [](const VarInfo& x, const VarInfo& y) { return x.name == y.name; }),
+             vars.end());
+
+  for (const Clause& c : query.clauses) {
+    size_t subject = FindVar(vars, c.var);
+    KindExpectation expect = ExpectationFor(c);
+    GRAPHITTI_RETURN_NOT_OK(MergeKind(&vars[subject], expect.subject));
+    if (!c.var2.empty()) {
+      size_t object = FindVar(vars, c.var2);
+      GRAPHITTI_RETURN_NOT_OK(MergeKind(&vars[object], expect.object));
+      ex->edges.push_back({&c, subject, object, EdgeLabelFor(c.kind)});
+    } else if (c.kind != Clause::Kind::kIs) {
+      vars[subject].filters.push_back(&c);
+    }
+  }
+  for (const VarInfo& info : vars) {
+    if (info.kind == VarKind::kAny) {
+      return Status::InvalidArgument("cannot infer the kind of ?" + info.name +
+                                     "; add an IS clause");
+    }
+  }
+
+  if (!query.target_var.empty()) {
+    ex->target = FindVar(vars, query.target_var);
+    if (ex->target == SIZE_MAX) {
+      return Status::InvalidArgument("unknown target variable ?" + query.target_var);
+    }
+  } else if (query.target != Target::kGraph) {
+    // The first declared variable of the result kind; COUNT takes any kind.
+    // GRAPH has no target: all variables participate.
+    const bool any_kind = query.target == Target::kCount;
+    const VarKind want =
+        query.target == Target::kReferents ? VarKind::kReferent : VarKind::kContent;
+    for (size_t v = 0; v < vars.size(); ++v) {
+      if ((any_kind || vars[v].kind == want) &&
+          (ex->target == SIZE_MAX ||
+           vars[v].declaration_index < vars[ex->target].declaration_index)) {
+        ex->target = v;
+      }
+    }
+    if (ex->target == SIZE_MAX && !any_kind) {
+      return Status::InvalidArgument("no variable of the result kind in WHERE block");
+    }
+  }
+  if (query.target == Target::kFragments) {
+    GRAPHITTI_ASSIGN_OR_RETURN(ex->fragment_xpath, xml::XPathExpr::Compile(query.return_xpath));
+  }
+  return Status::OK();
+}
+
+/// Stage 2, the typed subqueries: each constrained variable streams its
+/// candidates. A variable with no narrowing filter never enumerates here:
+/// its domain is "every node of the kind", answered by a kind check during
+/// joins and a store count for ordering.
+Status StreamCandidates(Execution* ex) {
+  const annotation::AnnotationStore& store = *ex->ctx.store;
+  for (VarInfo& info : ex->vars) {
+    if (!info.filters.empty()) {
+      GRAPHITTI_RETURN_NOT_OK(Materialize(ex, &info));
+      if (ex->stop != StopReason::kCompleted) return Status::OK();
+      info.candidate_count = info.streamed.size();
+      continue;
+    }
+    info.unconstrained = true;
+    switch (info.kind) {
+      case VarKind::kContent:
+        info.candidate_count = store.size();
+        break;
+      case VarKind::kReferent:
+        info.candidate_count = store.num_referents();
+        break;
+      case VarKind::kTerm:
+      case VarKind::kObject:
+        info.candidate_count = ex->ctx.graph->CountNodesOfKind(ToNodeKind(info.kind));
+        break;
+      case VarKind::kAny:
+        return Status::Internal("unreachable: unresolved kind");
+    }
+  }
+  return Status::OK();
+}
+
+/// Stage 3: decomposes the CONSTRAIN conditions into pairwise predicates.
+Status DecomposeConstraints(Execution* ex) {
+  std::vector<size_t> args;  // one constraint's variables
+  for (const Constraint& cons : ex->query.constraints) {
+    args.clear();
+    for (const std::string& name : cons.vars) {
+      size_t v = FindVar(ex->vars, name);
+      if (v == SIZE_MAX) {
+        return Status::InvalidArgument("constraint references unknown variable ?" + name);
+      }
+      if (ex->vars[v].kind != VarKind::kReferent) {
+        return Status::TypeError("constraints apply to referent variables (?" + name + ")");
+      }
+      args.push_back(v);
+    }
+    switch (cons.kind) {
+      case Constraint::Kind::kConsecutive:
+      case Constraint::Kind::kSameDomain:
+        // Along the listed order; consecutive adds "before" to each pair.
+        for (size_t i = 0; i + 1 < args.size(); ++i) {
+          if (cons.kind == Constraint::Kind::kConsecutive) {
+            ex->pair_preds.push_back({PairPredicate::Kind::kBefore, args[i], args[i + 1]});
+          }
+          ex->pair_preds.push_back({PairPredicate::Kind::kSameDomain, args[i], args[i + 1]});
+        }
+        break;
+      case Constraint::Kind::kDisjoint:
+      case Constraint::Kind::kOverlapping: {
+        const PairPredicate::Kind kind = cons.kind == Constraint::Kind::kDisjoint
+                                             ? PairPredicate::Kind::kDisjoint
+                                             : PairPredicate::Kind::kOverlapping;
+        for (size_t i = 0; i < args.size(); ++i) {
+          for (size_t j = i + 1; j < args.size(); ++j) {
+            ex->pair_preds.push_back({kind, args[i], args[j]});
+          }
+        }
+        break;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Stage 4, the feasible order: binds variables most-selective-first,
+/// preferring variables connected to already-placed ones (joinable through
+/// the a-graph). The naive order is declaration order.
+void Order(Execution* ex) {
+  const std::vector<VarInfo>& vars = ex->vars;
+  std::vector<size_t>& order = ex->order;
+  if (!ex->options.use_selectivity_order) {
+    for (size_t v = 0; v < vars.size(); ++v) order.push_back(v);
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return vars[a].declaration_index < vars[b].declaration_index;
+    });
+    return;
+  }
+  std::vector<bool> placed(vars.size(), false);
+  auto connected_to_placed = [&](size_t v) {
+    for (const EdgeInfo& e : ex->edges) {
+      size_t other = Opposite(e.a, e.b, v);
+      if (other != SIZE_MAX && placed[other]) return true;
+    }
+    return false;
+  };
+  while (order.size() < vars.size()) {
+    size_t best = SIZE_MAX;
+    bool best_connected = false;
+    for (size_t v = 0; v < vars.size(); ++v) {
+      if (placed[v]) continue;
+      bool conn = connected_to_placed(v);
+      // Prefer connected variables; among equals, smaller candidate set.
+      if (best == SIZE_MAX || std::make_tuple(!conn, vars[v].candidate_count) <
+                                  std::make_tuple(!best_connected, vars[best].candidate_count)) {
+        best = v;
+        best_connected = conn;
+      }
+    }
+    order.push_back(best);
+    placed[best] = true;
+  }
+}
+
+/// Semi-join reduction of a reused cartesian level that binds `v`: before
+/// the domain is rescanned for every parent row, drop each candidate of v
+/// with no neighbour along a label edge to a not-yet-bound variable w that
+/// passes w's own membership test. A dropped candidate's rows would die
+/// when w is bound through that edge, so the final table, and every item,
+/// is unchanged; only the intermediate rows shrink. Each edge compacts
+/// `domain` in place, so the survivors stay ascending.
+void SemiJoinReduce(Execution* ex, size_t v, std::vector<NodeRef>* domain,
+                    std::vector<NodeRef>* nbr_buf) {
+  for (const EdgeInfo& e : ex->edges) {
+    if (ex->stop != StopReason::kCompleted) break;
+    size_t w = Opposite(e.a, e.b, v);
+    if (e.label.empty() || w == SIZE_MAX || w == v || ex->vars[w].bound()) continue;
+    VarInfo& winfo = ex->vars[w];
+    winfo.EnsureSet();
+    size_t kept = 0;
+    for (NodeRef cand : *domain) {
+      if (Tripped(&ex->gate, &ex->stop)) break;
+      nbr_buf->clear();
+      ex->ctx.graph->AppendNeighbors(cand, /*directed=*/false, e.label, nbr_buf);
+      if (std::any_of(nbr_buf->begin(), nbr_buf->end(),
+                      [&](NodeRef n) { return winfo.Admits(n); })) {
+        (*domain)[kept++] = cand;
+      }
+    }
+    domain->resize(kept);
+  }
+}
+
+/// Stage 5: the join on the columnar binding table, one level per variable
+/// in `order`. Extending a variable appends (value, parent) pairs to one
+/// column; prior bindings are shared through parent links and never
+/// copied. The level's column is recorded in the variable's `column`.
+Status Join(Execution* ex, ExecutionStats* stats) {
+  const annotation::AnnotationStore& store = *ex->ctx.store;
+  const agraph::AGraph& graph = *ex->ctx.graph;
+  const ExecutorOptions& options = ex->options;
+  BindingTable& table = ex->table;
+
+  // Join scratch, reused across rows and levels so steady-state per-row
+  // work allocates nothing.
+  std::vector<NodeRef> row_buf;
+  std::vector<NodeRef> domain_buf;  // a multi-edge level's semi-joined domain
+  std::vector<NodeRef> nbr_buf;
+  std::vector<NodeRef> reduced_buf;  // a cartesian level's semi-join-reduced domain
+  // A constrained cartesian level's referents, aligned with its domain.
+  std::vector<const annotation::Referent*> cartesian_refs;
+  // lint: allow-map(multi-edge join scratch; cleared per row, never shrinks)
+  std::unordered_set<NodeRef, NodeRefHash> nbr_set;
+  // Each level's first-edge domains, memoized on the bound node: many rows
+  // bind the same node in that edge's column, and the filtered+sorted
+  // neighbour domain is a pure function of that node.
+  // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
+  std::unordered_map<NodeRef, std::vector<NodeRef>, NodeRefHash> domain_cache;
+  ReachCache reach(graph);
+  ReferentCache referent_cache;
+  auto referent_of = [&](NodeRef n) -> const annotation::Referent* {
+    auto [it, inserted] = referent_cache.try_emplace(n.id, nullptr);
+    if (inserted) it->second = store.GetReferent(n.id);
+    return it->second;
+  };
+
+  // A pairwise constraint that becomes fully bound with the level's
+  // variable, with the other side's column resolved once per level and its
+  // referent once per parent row.
+  struct BoundPred {
+    PairPredicate::Kind kind;
+    size_t other_col;
+    bool v_is_a;
+    const annotation::Referent* other = nullptr;
+  };
+  std::vector<BoundPred> bound_preds;
+  // Edges from the level's variable to bound ones, with the bound column.
+  std::vector<std::pair<const EdgeInfo*, size_t>> join_edges;
+  std::vector<std::pair<const EdgeInfo*, size_t>> path_edges;  // CONNECTED joins
+
+  for (size_t v : ex->order) {
+    VarInfo& info = ex->vars[v];
+    stats->binding_order.push_back(info.name);
+    stats->candidate_counts.push_back(info.candidate_count);
+
+    join_edges.clear();
+    path_edges.clear();
+    for (const EdgeInfo& e : ex->edges) {
+      size_t other = Opposite(e.a, e.b, v);
+      if (other == SIZE_MAX || !ex->vars[other].bound()) continue;
+      auto& list = e.clause->kind == Clause::Kind::kConnected ? path_edges : join_edges;
+      list.emplace_back(&e, ex->vars[other].column);
+    }
+    bound_preds.clear();
+    for (const PairPredicate& p : ex->pair_preds) {
+      size_t other = Opposite(p.a, p.b, v);
+      if (other == SIZE_MAX || !ex->vars[other].bound()) continue;
+      bound_preds.push_back({p.kind, ex->vars[other].column, p.a == v});
+    }
+
+    // A level with no join edge extends every parent row by the variable's
+    // ascending candidates, materialized here if streaming skipped them.
+    const std::vector<NodeRef>* cartesian = nullptr;
+    if (join_edges.empty()) {
+      if (!info.streamed_ready) GRAPHITTI_RETURN_NOT_OK(Materialize(ex, &info));
+      cartesian = &info.streamed;
+    } else {
+      info.EnsureSet();
+    }
+    domain_cache.clear();  // keyed on bound node; valid for one level only
+
+    size_t prev_rows = table.BeginColumn();
+    if (prev_rows > UINT32_MAX) {
+      return Status::OutOfRange("binding table exceeds 2^32 rows per level");
+    }
+    // A first level (one parent row) is not reduced: there the pass would
+    // only move the neighbour scans of later levels earlier.
+    if (cartesian != nullptr && prev_rows > 1) {
+      reduced_buf.assign(cartesian->begin(), cartesian->end());
+      cartesian = &reduced_buf;
+      SemiJoinReduce(ex, v, &reduced_buf, &nbr_buf);
+    }
+    // A constrained cartesian level rescans one domain for every parent
+    // row, so its referents are resolved once here.
+    cartesian_refs.clear();
+    if (cartesian != nullptr && !bound_preds.empty()) {
+      cartesian_refs.reserve(cartesian->size());
+      for (NodeRef n : *cartesian) cartesian_refs.push_back(store.GetReferent(n.id));
+    }
+
+    // Extend each parent row: compute the candidate domain, filter it
+    // through the bound pairwise predicates and CONNECTED reachability, and
+    // append each surviving candidate to the open column, which grows while
+    // ReadParentRow reads only the columns before it. The row limit and the
+    // byte budget are checked as the column grows; a governance stop still
+    // closes the column, since EndColumn after partial appends is
+    // well-defined and folds this level's size into the peaks.
+    for (size_t row = 0; row < prev_rows && ex->stop == StopReason::kCompleted; ++row) {
+      table.ReadParentRow(row, &row_buf);
+      for (BoundPred& bp : bound_preds) bp.other = referent_of(row_buf[bp.other_col]);
+
+      // A join level's domain: the first edge's memoized one, hash
+      // semi-joined along any further edges in a copy.
+      const std::vector<NodeRef>* domain = cartesian;
+      if (!join_edges.empty()) {
+        const auto& [e, col] = join_edges.front();
+        NodeRef bound_node = row_buf[col];
+        auto [it, inserted] = domain_cache.try_emplace(bound_node);
+        if (inserted) {
+          nbr_buf.clear();
+          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &nbr_buf);
+          for (NodeRef n : nbr_buf) {
+            if (info.Admits(n)) it->second.push_back(n);
+          }
+          // Deterministic extension order.
+          std::sort(it->second.begin(), it->second.end());
+        }
+        domain = &it->second;
+        if (join_edges.size() > 1) {
+          domain_buf.assign(it->second.begin(), it->second.end());
+          for (size_t k = 1; k < join_edges.size() && !domain_buf.empty(); ++k) {
+            nbr_buf.clear();
+            graph.AppendNeighbors(row_buf[join_edges[k].second], /*directed=*/false,
+                                  join_edges[k].first->label, &nbr_buf);
+            nbr_set.clear();
+            nbr_set.insert(nbr_buf.begin(), nbr_buf.end());
+            domain_buf.erase(std::remove_if(domain_buf.begin(), domain_buf.end(),
+                                            [&](NodeRef n) { return nbr_set.count(n) == 0; }),
+                             domain_buf.end());
+          }
+          domain = &domain_buf;
+        }
+      }
+
+      for (size_t i = 0; i < domain->size(); ++i) {
+        NodeRef cand = (*domain)[i];
+        if (Tripped(&ex->gate, &ex->stop)) break;
+        // Pairwise constraints that become fully bound with v = cand, on
+        // cand's referent: resolved per level for a cartesian domain, once
+        // per candidate for a join-edge one.
+        bool ok = true;
+        if (!bound_preds.empty()) {
+          const annotation::Referent* ref =
+              cartesian != nullptr ? cartesian_refs[i] : referent_of(cand);
+          for (const BoundPred& bp : bound_preds) {
+            if (!(bp.v_is_a ? EvalPair(bp.kind, ref, bp.other)
+                            : EvalPair(bp.kind, bp.other, ref))) {
+              ok = false;
+              break;
+            }
+          }
+        }
+        if (!ok) continue;
+        // CONNECTED joins: path existence in the a-graph, answered by the
+        // per-bound-node reachability cache.
+        for (const auto& [e, col] : path_edges) {
+          size_t hops = e->clause->max_hops == SIZE_MAX ? options.default_connected_hops
+                                                        : e->clause->max_hops;
+          if (!reach.Reaches(row_buf[col], hops, cand)) {
+            ok = false;
+            break;
+          }
+        }
+        if (!ok) continue;
+
+        table.Append(cand, row);
+        if (table.OpenRows() > options.max_intermediate_rows) {
+          TripStop(&ex->stop, StopReason::kRowLimit);
+          break;
+        }
+        if (options.memory_budget_bytes != 0 && (table.OpenRows() & 63) == 0 &&
+            table.ByteSize() > options.memory_budget_bytes) {
+          TripStop(&ex->stop, StopReason::kMemoryBudget);
+          break;
+        }
+      }
+    }
+    table.EndColumn();
+    if (options.memory_budget_bytes != 0 && table.ByteSize() > options.memory_budget_bytes) {
+      TripStop(&ex->stop, StopReason::kMemoryBudget);
+    }
+    info.column = table.num_columns() - 1;
+    stats->level_rows.push_back(table.NumRows());
+    stats->rows_examined += table.NumRows();
+    if (ex->stop != StopReason::kCompleted || table.NumRows() == 0) break;
+  }
+  stats->peak_rows = table.peak_rows();
+  stats->peak_bytes = table.peak_bytes();
+  return Status::OK();
+}
+
+/// Stage 6: collates the final binding rows into items that carry ids
+/// only; labels and substructures are read on demand (QueryResult::LabelOf
+/// / SubstructureOf). One flat key set dedups every target: a NodeRef
+/// target keys on NodeRefHash, a splitmix64 bijection of an injective
+/// packing, so its dedup is exact; GRAPH keys on a row hash. A governance
+/// trip keeps the items collated so far (a partial page is still
+/// renderable).
+void Collate(Execution* ex, QueryResult* result) {
+  const annotation::AnnotationStore& store = *ex->ctx.store;
+  const BindingTable& table = ex->table;
+  const Target target = ex->query.target;
+  // Rows of the final (closed) column; a join level that emptied out (or a
+  // target variable the loop never reached) contributes no rows.
+  const size_t final_rows = table.num_columns() == 0 ? 1 : table.NumRows();
+  std::vector<NodeRef> row_buf;
+  util::KeySet seen;
+
+  if (target != Target::kGraph) {
+    // One item per distinct value of the target column (one per XPath
+    // match for FRAGMENTS); COUNT counts them instead.
+    const size_t col = ex->target == SIZE_MAX ? SIZE_MAX : ex->vars[ex->target].column;
+    if (col != SIZE_MAX && (target == Target::kContents || target == Target::kReferents)) {
+      result->items.reserve(final_rows);
+    }
+    for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
+      if (Tripped(&ex->gate, &ex->stop)) break;
+      table.ReadRow(row, &row_buf);
+      NodeRef n = row_buf[col];
+      if (!seen.Insert(NodeRefHash{}(n))) continue;
+      if (target == Target::kContents) {
+        result->items.emplace_back().content_id = n.id;
+      } else if (target == Target::kReferents) {
+        result->items.emplace_back().referent_id = n.id;
+      } else if (target == Target::kFragments) {
+        const annotation::Annotation* ann = store.Get(n.id);
+        if (ann == nullptr) continue;
+        const xml::XmlDocument& content = store.ContentOf(*ann);
+        if (content.root() == nullptr) continue;
+        for (const xml::XPathMatch& m : ex->fragment_xpath.Evaluate(content.root())) {
+          ResultItem& item = result->items.emplace_back();
+          item.content_id = n.id;
+          item.fragment = m.is_attribute ? m.value : m.node->ToString(/*pretty=*/false);
+        }
+      }
+    }
+    if (target == Target::kCount) result->items.emplace_back().count = seen.size();
+    return;
+  }
+
+  // GRAPH: one row handle per distinct binding row ("each connected
+  // subgraph forms a result page", §III). A row is sorted and deduplicated
+  // in place, and its distinctness is keyed on a splitmix64-combined hash
+  // of that terminal set: O(row) per row, no per-row allocation. A 64-bit
+  // collision would drop one subgraph; at the max_intermediate_rows
+  // default (2^20 rows) the odds are ~2^-25 per query, accepted for the
+  // collation speed.
+  //
+  // The key set, the terminal pool and the row offsets are sized once from
+  // the final row count, which bounds the distinct rows; a row holds at
+  // most one terminal per column. First sightings append their terminals
+  // to the pool, and after the loop the pool moves into the result,
+  // immutable and shared by its copies, while `items` is sized once and
+  // each handle views its slice: no item, vector or copy per row. The
+  // subgraphs themselves are NOT built here: MaterializePage runs the
+  // (batched) Steiner heuristic for just the rows of the requested page.
+  // Connectivity is therefore also decided lazily — a row whose terminals
+  // do not share a component keeps its handle and materializes to an empty
+  // subgraph, which LabelOf reads as "subgraph(disconnected)".
+  std::vector<NodeRef> pool;  // terminals of each distinct row, in order
+  std::vector<size_t> ends;   // end offset of each distinct row in pool
+  pool.reserve(final_rows * table.num_columns());
+  ends.reserve(final_rows);
+  seen.Reserve(final_rows);
+  for (size_t row = 0; row < final_rows; ++row) {
+    if (Tripped(&ex->gate, &ex->stop)) break;
+    table.ReadRow(row, &row_buf);
+    SortRow(row_buf.data(), row_buf.data() + row_buf.size());
+    row_buf.erase(std::unique(row_buf.begin(), row_buf.end()), row_buf.end());
+    uint64_t h = util::Mix64(0x51ab7c1ed15ull ^ row_buf.size());
+    for (NodeRef t : row_buf) h = util::Mix64(h ^ NodeRefHash{}(t));
+    if (!seen.Insert(h)) continue;
+    pool.insert(pool.end(), row_buf.begin(), row_buf.end());
+    ends.push_back(pool.size());
+  }
+  auto shared = std::make_shared<const std::vector<NodeRef>>(std::move(pool));
+  result->items.resize(ends.size());
+  size_t begin = 0;
+  for (size_t i = 0; i < ends.size(); ++i) {
+    result->items[i].terminals = {shared->data() + begin, ends[i] - begin};
+    begin = ends[i];
+  }
+  result->terminal_pool = std::move(shared);
+}
+
 }  // namespace
 
 Result<QueryResult> Executor::ExecuteText(std::string_view query_text) const {
@@ -493,699 +1112,37 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   result.target = query.target;
   result.store = ctx_.store;
   ExecutionStats& stats = result.stats;
-  const annotation::AnnotationStore& store = *ctx_.store;
-  const agraph::AGraph& graph = *ctx_.graph;
-
-  // Governance for every stage below: one gate amortizes the deadline and
-  // cancellation checks of all loops, and `stop` records the first of
-  // deadline expiry, cancellation, the row limit or the byte budget.
-  util::GovernanceGate gate(options_.deadline, options_.cancel);
-  StopReason stop = StopReason::kCompleted;
+  Execution ex(ctx_, options_, query);
+  // Records the execution's stop reason; true when it is a governance stop.
+  auto stopped = [&] {
+    stats.stop_reason = ex.stop;
+    return ex.stop != StopReason::kCompleted;
+  };
 
   // Unamortized entry check: a query arriving with an expired deadline or a
   // pre-cancelled token must stop before any work, regardless of corpus
   // size — the amortized checks below only read the clock every
   // kCheckStride iterations, which a small scan may never reach.
-  {
-    Status gs = gate.CheckNow();
-    if (!gs.ok()) {
-      stats.stop_reason = ReasonFromStatus(gs);
-      return Status::OK();
-    }
-  }
-
-  // ------------------------------------------------------------------
-  // 1. Collect variables, infer kinds, split clauses into per-variable
-  //    subqueries and inter-variable edges (the §II decomposition).
-  // ------------------------------------------------------------------
-  // lint: allow-map(query vars: a handful per statement, ordered iteration)
-  std::map<std::string, VarInfo> vars;
-  std::vector<EdgeInfo> edges;
-
-  auto touch = [&](const std::string& name, size_t decl) -> VarInfo* {
-    auto [it, inserted] = vars.try_emplace(name);
-    if (inserted) {
-      it->second.name = name;
-      it->second.declaration_index = decl;
-    }
-    return &it->second;
-  };
-
-  for (size_t i = 0; i < query.clauses.size(); ++i) {
-    const Clause& c = query.clauses[i];
-    VarInfo* subject = touch(c.var, i);
-    KindExpectation expect = ExpectationFor(c);
-    GRAPHITTI_RETURN_NOT_OK(MergeKind(subject, expect.subject));
-    if (!c.var2.empty()) {
-      VarInfo* object = touch(c.var2, i);
-      GRAPHITTI_RETURN_NOT_OK(MergeKind(object, expect.object));
-      edges.push_back({&c, c.var, c.var2, std::string(EdgeLabelFor(c.kind))});
-    } else if (c.kind != Clause::Kind::kIs) {
-      subject->filters.push_back(&c);
-    }
-  }
-
-  for (auto& [name, info] : vars) {
-    if (info.kind == VarKind::kAny) {
-      return Status::InvalidArgument("cannot infer the kind of ?" + name +
-                                     "; add an IS clause");
-    }
-  }
-
-  // Resolve the result target now, so an invalid target fails before any
-  // candidate streaming or join work (and before a governance stop that
-  // the join could hit first).
-  std::string target_var = query.target_var;
-  if (target_var.empty()) {
-    if (query.target == Target::kCount) {
-      // COUNT defaults to the first declared variable of any kind.
-      size_t best_decl = SIZE_MAX;
-      for (const auto& [name, info] : vars) {
-        if (info.declaration_index < best_decl) {
-          best_decl = info.declaration_index;
-          target_var = name;
-        }
-      }
-    } else if (query.target != Target::kGraph) {
-      // kGraph keeps "" (all variables participate).
-      VarKind want = VarKind::kContent;
-      if (query.target == Target::kReferents) want = VarKind::kReferent;
-      size_t best_decl = SIZE_MAX;
-      for (const auto& [name, info] : vars) {
-        if (info.kind == want && info.declaration_index < best_decl) {
-          best_decl = info.declaration_index;
-          target_var = name;
-        }
-      }
-      if (target_var.empty()) {
-        return Status::InvalidArgument("no variable of the result kind in WHERE block");
-      }
-    }
-  } else if (vars.find(target_var) == vars.end()) {
-    return Status::InvalidArgument("unknown target variable ?" + target_var);
-  }
-  result.target_var = target_var;
-  xml::XPathExpr fragment_xpath;
-  if (query.target == Target::kFragments) {
-    GRAPHITTI_ASSIGN_OR_RETURN(fragment_xpath, xml::XPathExpr::Compile(query.return_xpath));
-  }
-
-  // ------------------------------------------------------------------
-  // 2. Candidate enumeration per variable (the typed subqueries), streamed
-  //    into membership sets. Variables with no narrowing filter never
-  //    enumerate: their domain is "every node of the kind", answered by a
-  //    kind check during joins and a store count for ordering.
-  // ------------------------------------------------------------------
-  for (auto& [name, info] : vars) {
-    if (info.filters.empty()) {
-      info.unconstrained = true;
-      switch (info.kind) {
-        case VarKind::kContent:
-          info.candidate_count = store.size();
-          break;
-        case VarKind::kReferent:
-          info.candidate_count = store.num_referents();
-          break;
-        case VarKind::kTerm:
-          info.candidate_count = graph.CountNodesOfKind(NodeKind::kOntologyTerm);
-          break;
-        case VarKind::kObject:
-          info.candidate_count = graph.CountNodesOfKind(NodeKind::kDataObject);
-          break;
-        case VarKind::kAny:
-          return Status::Internal("unreachable: unresolved kind");
-      }
-      continue;
-    }
-    bool ordered = false;
-    GRAPHITTI_RETURN_NOT_OK(ForEachCandidate(
-        ctx_, info, &ordered, &gate, &stop,
-        [&info = info](NodeRef n) { info.streamed.push_back(n); }));
-    if (stop != StopReason::kCompleted) {
-      stats.stop_reason = stop;
-      return Status::OK();
-    }
-    if (!ordered) {
-      std::sort(info.streamed.begin(), info.streamed.end());
-      info.streamed.erase(std::unique(info.streamed.begin(), info.streamed.end()),
-                          info.streamed.end());
-    }
-    info.streamed_ready = true;
-    info.candidate_count = info.streamed.size();
-  }
-
-  // Membership test for hash semi-joins: candidate-set probe (built lazily
-  // at bind time), or a kind check when the variable is unconstrained
-  // (a-graph neighbours of the right kind are committed store entries by
-  // construction).
-  auto is_candidate = [&](const VarInfo& info, NodeRef n) {
-    if (info.unconstrained) return n.kind == ToNodeKind(info.kind);
-    return info.candidate_set.count(n) > 0;
-  };
-  auto ensure_candidate_set = [&](VarInfo& info) {
-    if (info.unconstrained || info.set_ready) return;
-    info.set_ready = true;
-    info.candidate_set.reserve(info.streamed.size());
-    info.candidate_set.insert(info.streamed.begin(), info.streamed.end());
-  };
-
-  // Sorted candidate vector for variables bound without a join edge
-  // (cartesian extension needs a deterministic ascending order). For
-  // unconstrained variables it materializes lazily from the stores.
-  auto sorted_candidates = [&](VarInfo& info) -> const std::vector<NodeRef>& {
-    if (info.streamed_ready) return info.streamed;
-    info.streamed_ready = true;
-    switch (info.kind) {
-      case VarKind::kContent:
-        info.streamed.reserve(store.size());
-        store.ForEachAnnotation([&](AnnotationId id, const annotation::Annotation&) {
-          info.streamed.push_back(NodeRef::Content(id));  // ascending by id
-        });
-        break;
-      case VarKind::kReferent:
-        info.streamed.reserve(store.num_referents());
-        store.ForEachReferent([&](ReferentId id, const annotation::Referent&) {
-          info.streamed.push_back(NodeRef::Referent(id));  // ascending by id
-        });
-        break;
-      case VarKind::kTerm:
-      case VarKind::kObject:
-        graph.ForEachNodeOfKind(ToNodeKind(info.kind),
-                                [&](NodeRef n) { info.streamed.push_back(n); });
-        std::sort(info.streamed.begin(), info.streamed.end());
-        break;
-      case VarKind::kAny:
-        break;
-    }
-    return info.streamed;
-  };
-
-  // ------------------------------------------------------------------
-  // 3. Decompose constraints into pairwise predicates.
-  // ------------------------------------------------------------------
-  std::vector<PairPredicate> pair_preds;
-  for (const Constraint& cons : query.constraints) {
-    for (const std::string& v : cons.vars) {
-      auto it = vars.find(v);
-      if (it == vars.end()) {
-        return Status::InvalidArgument("constraint references unknown variable ?" + v);
-      }
-      if (it->second.kind != VarKind::kReferent) {
-        return Status::TypeError("constraints apply to referent variables (?" + v + ")");
-      }
-    }
-    switch (cons.kind) {
-      case Constraint::Kind::kConsecutive:
-        for (size_t i = 0; i + 1 < cons.vars.size(); ++i) {
-          pair_preds.push_back({PairPredicate::Kind::kBefore, cons.vars[i], cons.vars[i + 1]});
-          pair_preds.push_back(
-              {PairPredicate::Kind::kSameDomain, cons.vars[i], cons.vars[i + 1]});
-        }
-        break;
-      case Constraint::Kind::kDisjoint:
-        for (size_t i = 0; i < cons.vars.size(); ++i) {
-          for (size_t j = i + 1; j < cons.vars.size(); ++j) {
-            pair_preds.push_back({PairPredicate::Kind::kDisjoint, cons.vars[i], cons.vars[j]});
-          }
-        }
-        break;
-      case Constraint::Kind::kOverlapping:
-        for (size_t i = 0; i < cons.vars.size(); ++i) {
-          for (size_t j = i + 1; j < cons.vars.size(); ++j) {
-            pair_preds.push_back(
-                {PairPredicate::Kind::kOverlapping, cons.vars[i], cons.vars[j]});
-          }
-        }
-        break;
-      case Constraint::Kind::kSameDomain:
-        for (size_t i = 0; i + 1 < cons.vars.size(); ++i) {
-          pair_preds.push_back(
-              {PairPredicate::Kind::kSameDomain, cons.vars[i], cons.vars[i + 1]});
-        }
-        break;
-    }
-  }
-
-  ReferentCache referent_cache;
-  auto referent_of = [&](NodeRef n) -> const annotation::Referent* {
-    auto [it, inserted] = referent_cache.try_emplace(n.id, nullptr);
-    if (inserted) it->second = store.GetReferent(n.id);
-    return it->second;
-  };
-
-  // ------------------------------------------------------------------
-  // 4. Feasible order: bind variables most-selective-first, preferring
-  //    variables connected to already-bound ones (joinable via a-graph).
-  // ------------------------------------------------------------------
-  std::vector<std::string> order;
-  {
-    // lint: allow-map(planner: a handful of variable names, ordered iteration)
-    std::set<std::string> remaining;
-    for (const auto& [name, _] : vars) remaining.insert(name);
-    // lint: allow-map(planner: a handful of variable names)
-    std::set<std::string> bound;
-
-    auto connected_to_bound = [&](const std::string& v) {
-      for (const EdgeInfo& e : edges) {
-        if ((e.var_a == v && bound.count(e.var_b) > 0) ||
-            (e.var_b == v && bound.count(e.var_a) > 0)) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    if (options_.use_selectivity_order) {
-      while (!remaining.empty()) {
-        std::string best;
-        size_t best_size = SIZE_MAX;
-        bool best_connected = false;
-        for (const std::string& v : remaining) {
-          bool conn = connected_to_bound(v);
-          size_t size = vars[v].candidate_count;
-          // Prefer connected variables; among equals, smaller candidate set.
-          if (std::make_tuple(!conn, size) < std::make_tuple(!best_connected, best_size) ||
-              best.empty()) {
-            best = v;
-            best_size = size;
-            best_connected = conn;
-          }
-        }
-        order.push_back(best);
-        bound.insert(best);
-        remaining.erase(best);
-      }
-    } else {
-      // Naive: declaration order.
-      std::vector<std::string> decl(remaining.begin(), remaining.end());
-      std::sort(decl.begin(), decl.end(), [&](const std::string& a, const std::string& b) {
-        return vars[a].declaration_index < vars[b].declaration_index;
-      });
-      order = std::move(decl);
-    }
-  }
-
-  // ------------------------------------------------------------------
-  // 5. Execute the join on the columnar binding table: extending a variable
-  //    appends (value, parent) pairs to one column; prior bindings are
-  //    shared through parent links and never copied.
-  // ------------------------------------------------------------------
-  // lint: allow-map(result columns: a handful per query, ordered header)
-  std::map<std::string, size_t> var_column;
-  BindingTable table;
-
-  // Join scratch, reused across rows and levels so steady-state per-row
-  // work allocates nothing; collation (step 6) reuses row_buf.
-  std::vector<NodeRef> row_buf;
-  std::vector<NodeRef> domain_buf;
-  std::vector<NodeRef> nbr_buf;
-  std::vector<NodeRef> reduced_buf;  // a cartesian level's semi-join-reduced domain
-  // A constrained cartesian level's referents, aligned with its domain.
-  std::vector<const annotation::Referent*> cartesian_refs;
-  // lint: allow-map(multi-edge join scratch; cleared per row, never shrinks)
-  std::unordered_set<NodeRef, NodeRefHash> nbr_set;
-  // Single-edge join domains memoized per level: many rows bind the same
-  // node in the join column, and the filtered+sorted neighbour domain is a
-  // pure function of that node.
-  // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
-  std::unordered_map<NodeRef, std::vector<NodeRef>, NodeRefHash> domain_cache;
-
-  // Reachability cache for CONNECTED joins: one bounded BFS per distinct
-  // (bound node, hop limit) instead of one FindPath per row.
-  struct ReachKey {
-    NodeRef node;
-    size_t hops;
-    bool operator==(const ReachKey& o) const { return node == o.node && hops == o.hops; }
-  };
-  struct ReachKeyHash {
-    size_t operator()(const ReachKey& k) const {
-      return static_cast<size_t>(util::Mix64(NodeRefHash{}(k.node) ^ (k.hops * 0x9e3779b97f4a7c15ull)));
-    }
-  };
-  // lint: allow-map(reach set: probed once per CONNECTED candidate, one per memo entry)
-  using ReachSet = std::unordered_set<NodeRef, NodeRefHash>;
-  // lint: allow-map(per-query memo; hashed, bounded by visited nodes)
-  std::unordered_map<ReachKey, ReachSet, ReachKeyHash> reach_cache;
-  std::vector<NodeRef> reach_buf;
-
-  auto reachable_from = [&](NodeRef node, size_t hops) -> const ReachSet& {
-    auto [it, inserted] = reach_cache.try_emplace(ReachKey{node, hops});
-    if (inserted) {
-      agraph::PathOptions popt;
-      popt.max_hops = hops;
-      reach_buf.clear();
-      graph.AppendReachable(node, popt, &reach_buf);
-      it->second.insert(reach_buf.begin(), reach_buf.end());
-    }
-    return it->second;
-  };
-
-  for (const std::string& v : order) {
-    VarInfo& info = vars[v];
-    stats.binding_order.push_back(v);
-    stats.candidate_counts.push_back(info.candidate_count);
-
-    // Edges from v to already-bound variables, with the bound column
-    // resolved once per variable instead of per row.
-    std::vector<std::pair<const EdgeInfo*, size_t>> join_edges;
-    std::vector<std::pair<const EdgeInfo*, size_t>> path_edges;  // CONNECTED joins
-    for (const EdgeInfo& e : edges) {
-      const std::string& other = (e.var_a == v) ? e.var_b : (e.var_b == v ? e.var_a : "");
-      if (other.empty()) continue;
-      auto col = var_column.find(other);
-      if (col == var_column.end()) continue;
-      if (e.clause->kind == Clause::Kind::kConnected) {
-        path_edges.emplace_back(&e, col->second);
-      } else {
-        join_edges.emplace_back(&e, col->second);
-      }
-    }
-
-    // Pairwise constraints that become fully bound with v, with the other
-    // side's column resolved once per variable and its referent once per
-    // parent row.
-    struct BoundPred {
-      PairPredicate::Kind kind;
-      size_t other_col;
-      bool v_is_a;
-      const annotation::Referent* other = nullptr;
-    };
-    std::vector<BoundPred> bound_preds;
-    for (const PairPredicate& p : pair_preds) {
-      const std::string* other = nullptr;
-      bool v_is_a = false;
-      if (p.var_a == v) {
-        other = &p.var_b;
-        v_is_a = true;
-      } else if (p.var_b == v) {
-        other = &p.var_a;
-      } else {
-        continue;
-      }
-      auto it = var_column.find(*other);
-      if (it == var_column.end()) continue;  // other not bound yet
-      bound_preds.push_back({p.kind, it->second, v_is_a});
-    }
-
-    const std::vector<NodeRef>* cartesian = nullptr;
-    if (join_edges.empty()) {
-      cartesian = &sorted_candidates(info);
-    } else {
-      ensure_candidate_set(info);
-    }
-    domain_cache.clear();  // keyed on bound node; valid for one level only
-
-    size_t prev_rows = table.BeginColumn();
-    if (prev_rows > UINT32_MAX) {
-      return Status::OutOfRange("binding table exceeds 2^32 rows per level");
-    }
-
-    // Semi-join reduction of a reused cartesian level: before the domain is
-    // rescanned for every parent row, drop each candidate of v with no
-    // neighbour along a label edge to a not-yet-bound variable w that
-    // passes w's own membership test. A dropped candidate's rows would die
-    // when w is bound through that edge, so the final table, and every
-    // item, is unchanged; only the intermediate rows shrink. A first level
-    // (one parent row) is left alone: there the pass would only move w's
-    // neighbour scans earlier.
-    if (cartesian != nullptr && prev_rows > 1) {
-      reduced_buf.assign(cartesian->begin(), cartesian->end());
-      cartesian = &reduced_buf;
-      for (const EdgeInfo& e : edges) {
-        const std::string& w = (e.var_a == v) ? e.var_b : (e.var_b == v ? e.var_a : v);
-        if (e.label.empty() || w == v || var_column.count(w) > 0) continue;
-        VarInfo& winfo = vars[w];
-        ensure_candidate_set(winfo);
-        // Compacts in place, so the survivors stay ascending.
-        size_t kept = 0;
-        for (NodeRef cand : reduced_buf) {
-          if (Tripped(&gate, &stop)) break;
-          nbr_buf.clear();
-          graph.AppendNeighbors(cand, /*directed=*/false, e.label, &nbr_buf);
-          if (std::any_of(nbr_buf.begin(), nbr_buf.end(),
-                          [&](NodeRef n) { return is_candidate(winfo, n); })) {
-            reduced_buf[kept++] = cand;
-          }
-        }
-        reduced_buf.resize(kept);
-        if (stop != StopReason::kCompleted) break;
-      }
-    }
-    // A constrained cartesian level rescans one domain for every parent
-    // row, so its referents are resolved once here.
-    cartesian_refs.clear();
-    if (cartesian != nullptr && !bound_preds.empty()) {
-      cartesian_refs.reserve(cartesian->size());
-      for (NodeRef n : *cartesian) cartesian_refs.push_back(store.GetReferent(n.id));
-    }
-
-    // Extend each parent row: compute the candidate domain, filter it
-    // through the bound pairwise predicates and CONNECTED reachability, and
-    // append each surviving candidate to the open column, which grows while
-    // ReadParentRow reads only the columns before it. The row limit and the
-    // byte budget are checked as the column grows; a governance stop still
-    // closes the column, since EndColumn after partial appends is
-    // well-defined and folds this level's size into the peaks.
-    for (size_t row = 0; row < prev_rows && stop == StopReason::kCompleted; ++row) {
-      table.ReadParentRow(row, &row_buf);
-      for (BoundPred& bp : bound_preds) bp.other = referent_of(row_buf[bp.other_col]);
-
-      const std::vector<NodeRef>* domain = cartesian;
-      if (join_edges.size() == 1) {
-        // Single-edge join: the filtered+sorted neighbour domain depends
-        // only on the bound node, so memoize it per level.
-        const auto& [e, col] = join_edges.front();
-        NodeRef bound_node = row_buf[col];
-        auto [it, inserted] = domain_cache.try_emplace(bound_node);
-        if (inserted) {
-          nbr_buf.clear();
-          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &nbr_buf);
-          for (NodeRef n : nbr_buf) {
-            if (is_candidate(info, n)) it->second.push_back(n);
-          }
-          // Deterministic extension order.
-          std::sort(it->second.begin(), it->second.end());
-        }
-        domain = &it->second;
-      } else if (!join_edges.empty()) {
-        // Expand along the first edge (hash-filtered against v's candidate
-        // domain), then hash semi-join along the rest.
-        bool first = true;
-        for (const auto& [e, col] : join_edges) {
-          NodeRef bound_node = row_buf[col];
-          nbr_buf.clear();
-          graph.AppendNeighbors(bound_node, /*directed=*/false, e->label, &nbr_buf);
-          if (first) {
-            domain_buf.clear();
-            for (NodeRef n : nbr_buf) {
-              if (is_candidate(info, n)) domain_buf.push_back(n);
-            }
-            first = false;
-          } else {
-            nbr_set.clear();
-            nbr_set.insert(nbr_buf.begin(), nbr_buf.end());
-            domain_buf.erase(std::remove_if(domain_buf.begin(), domain_buf.end(),
-                                            [&](NodeRef n) { return nbr_set.count(n) == 0; }),
-                             domain_buf.end());
-          }
-          if (domain_buf.empty()) break;
-        }
-        // Deterministic extension order.
-        std::sort(domain_buf.begin(), domain_buf.end());
-        domain = &domain_buf;
-      }
-
-      for (size_t i = 0; i < domain->size(); ++i) {
-        NodeRef cand = (*domain)[i];
-        if (Tripped(&gate, &stop)) break;
-        // Pairwise constraints that become fully bound with v = cand, on
-        // cand's referent: resolved per level for a cartesian domain, once
-        // per candidate for a join-edge one.
-        bool ok = true;
-        if (!bound_preds.empty()) {
-          const annotation::Referent* ref =
-              cartesian != nullptr ? cartesian_refs[i] : referent_of(cand);
-          for (const BoundPred& bp : bound_preds) {
-            if (!(bp.v_is_a ? EvalPair(bp.kind, ref, bp.other)
-                            : EvalPair(bp.kind, bp.other, ref))) {
-              ok = false;
-              break;
-            }
-          }
-        }
-        if (!ok) continue;
-        // CONNECTED joins: path existence in the a-graph, answered by the
-        // per-bound-node reachability cache.
-        for (const auto& [e, col] : path_edges) {
-          NodeRef other_node = row_buf[col];
-          size_t hops = e->clause->max_hops == SIZE_MAX ? options_.default_connected_hops
-                                                        : e->clause->max_hops;
-          if (reachable_from(other_node, hops).count(cand) == 0) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
-
-        table.Append(cand, row);
-        if (table.OpenRows() > options_.max_intermediate_rows) {
-          TripStop(&stop, StopReason::kRowLimit);
-          break;
-        }
-        if (options_.memory_budget_bytes != 0 && (table.OpenRows() & 63) == 0 &&
-            table.ByteSize() > options_.memory_budget_bytes) {
-          TripStop(&stop, StopReason::kMemoryBudget);
-          break;
-        }
-      }
-    }
-    table.EndColumn();
-    if (options_.memory_budget_bytes != 0 &&
-        table.ByteSize() > options_.memory_budget_bytes) {
-      TripStop(&stop, StopReason::kMemoryBudget);
-    }
-    var_column[v] = var_column.size();
-    stats.level_rows.push_back(table.NumRows());
-    stats.rows_examined += table.NumRows();
-    if (stop != StopReason::kCompleted) break;
-    if (table.NumRows() == 0) break;
-  }
-  stats.peak_rows = table.peak_rows();
-  stats.peak_bytes = table.peak_bytes();
-  if (stop != StopReason::kCompleted) {
-    stats.stop_reason = stop;
+  Status gs = ex.gate.CheckNow();
+  if (!gs.ok()) {
+    stats.stop_reason = ReasonFromStatus(gs);
     return Status::OK();
   }
 
-  // ------------------------------------------------------------------
-  // 6. Collate results per target into items that carry ids only; labels
-  //    and substructures are read on demand (QueryResult::LabelOf /
-  //    SubstructureOf). One flat key set dedups every target: a NodeRef
-  //    target keys on NodeRefHash, a splitmix64 bijection of an injective
-  //    packing, so its dedup is exact; GRAPH keys on a row hash. A
-  //    governance trip keeps the items collated so far (a partial page is
-  //    still renderable).
-  // ------------------------------------------------------------------
-  // Rows of the final (closed) column; a join level that emptied out (or a
-  // target variable the loop never reached) contributes no rows.
-  size_t final_rows = table.num_columns() == 0 ? 1 : table.NumRows();
-  auto target_col = [&]() -> size_t {
-    auto it = var_column.find(target_var);
-    return it == var_column.end() ? SIZE_MAX : it->second;
-  };
-  util::KeySet seen;
-
-  switch (query.target) {
-    case Target::kContents: {
-      size_t col = target_col();
-      if (col != SIZE_MAX) result.items.reserve(final_rows);
-      for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (Tripped(&gate, &stop)) break;
-        table.ReadRow(row, &row_buf);
-        NodeRef n = row_buf[col];
-        if (!seen.Insert(NodeRefHash{}(n))) continue;
-        result.items.emplace_back().content_id = n.id;
-      }
-      break;
-    }
-    case Target::kReferents: {
-      size_t col = target_col();
-      if (col != SIZE_MAX) result.items.reserve(final_rows);
-      for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (Tripped(&gate, &stop)) break;
-        table.ReadRow(row, &row_buf);
-        NodeRef n = row_buf[col];
-        if (!seen.Insert(NodeRefHash{}(n))) continue;
-        result.items.emplace_back().referent_id = n.id;
-      }
-      break;
-    }
-    case Target::kFragments: {
-      size_t col = target_col();
-      for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (Tripped(&gate, &stop)) break;
-        table.ReadRow(row, &row_buf);
-        NodeRef n = row_buf[col];
-        if (!seen.Insert(NodeRefHash{}(n))) continue;
-        const annotation::Annotation* ann = store.Get(n.id);
-        if (ann == nullptr) continue;
-        const xml::XmlDocument& content = store.ContentOf(*ann);
-        if (content.root() == nullptr) continue;
-        for (const xml::XPathMatch& m : fragment_xpath.Evaluate(content.root())) {
-          ResultItem item;
-          item.content_id = n.id;
-          item.fragment = m.is_attribute ? m.value : m.node->ToString(/*pretty=*/false);
-          result.items.push_back(std::move(item));
-        }
-      }
-      break;
-    }
-    case Target::kCount: {
-      size_t col = target_col();
-      for (size_t row = 0; col != SIZE_MAX && row < final_rows; ++row) {
-        if (Tripped(&gate, &stop)) break;
-        table.ReadRow(row, &row_buf);
-        seen.Insert(NodeRefHash{}(row_buf[col]));
-      }
-      result.items.emplace_back().count = seen.size();
-      break;
-    }
-    case Target::kGraph: {
-      // One row handle per distinct binding row ("each connected subgraph
-      // forms a result page", §III). A row is sorted and deduplicated in
-      // place, and its distinctness is keyed on a splitmix64-combined hash
-      // of that terminal set: O(row) per row, no per-row allocation. A
-      // 64-bit collision would drop one subgraph; at the
-      // max_intermediate_rows default (2^20 rows) the odds are ~2^-25 per
-      // query, accepted for the collation speed.
-      //
-      // The key set, the terminal pool and the row offsets are sized once
-      // from the final row count, which bounds the distinct rows; a row
-      // holds at most one terminal per column. First sightings append
-      // their terminals to the pool, and after the loop the pool moves into
-      // the result, immutable and shared by its copies, while `items` is
-      // sized once and each handle views its slice: no item, vector or
-      // copy per row. The subgraphs themselves are NOT built here:
-      // MaterializePage runs the (batched) Steiner heuristic for just the
-      // rows of the requested page. Connectivity is therefore also decided
-      // lazily — a row whose terminals do not share a component keeps its
-      // handle and materializes to an empty subgraph, which LabelOf reads
-      // as "subgraph(disconnected)".
-      std::vector<NodeRef> pool;  // terminals of each distinct row, in order
-      std::vector<size_t> ends;   // end offset of each distinct row in pool
-      pool.reserve(final_rows * table.num_columns());
-      ends.reserve(final_rows);
-      seen.Reserve(final_rows);
-      for (size_t row = 0; row < final_rows; ++row) {
-        if (Tripped(&gate, &stop)) break;
-        table.ReadRow(row, &row_buf);
-        SortRow(row_buf.data(), row_buf.data() + row_buf.size());
-        row_buf.erase(std::unique(row_buf.begin(), row_buf.end()), row_buf.end());
-        uint64_t h = util::Mix64(0x51ab7c1ed15ull ^ row_buf.size());
-        for (NodeRef t : row_buf) h = util::Mix64(h ^ NodeRefHash{}(t));
-        if (!seen.Insert(h)) continue;
-        pool.insert(pool.end(), row_buf.begin(), row_buf.end());
-        ends.push_back(pool.size());
-      }
-      auto shared = std::make_shared<const std::vector<NodeRef>>(std::move(pool));
-      result.items.resize(ends.size());
-      size_t begin = 0;
-      for (size_t i = 0; i < ends.size(); ++i) {
-        result.items[i].terminals = {shared->data() + begin, ends[i] - begin};
-        begin = ends[i];
-      }
-      result.terminal_pool = std::move(shared);
-      break;
-    }
-  }
-
+  GRAPHITTI_RETURN_NOT_OK(Plan(&ex));
+  if (ex.target != SIZE_MAX) result.target_var = ex.vars[ex.target].name;
+  GRAPHITTI_RETURN_NOT_OK(StreamCandidates(&ex));
+  if (stopped()) return Status::OK();
+  GRAPHITTI_RETURN_NOT_OK(DecomposeConstraints(&ex));
+  Order(&ex);
+  GRAPHITTI_RETURN_NOT_OK(Join(&ex, &stats));
+  if (stopped()) return Status::OK();
+  Collate(&ex, &result);
   stats.items_produced = result.items.size();
 
-  // ------------------------------------------------------------------
-  // 7. Paging: slice the requested page and materialize it (for GRAPH
-  //    targets this is where — and the only place where — connection
-  //    subgraphs get built).
-  // ------------------------------------------------------------------
+  // Paging: slice the requested page and materialize it (for GRAPH targets
+  // this is where — and the only place where — connection subgraphs get
+  // built).
   size_t page_size = query.limit;
   if (page_size == SIZE_MAX) {
     page_size = (query.target == Target::kGraph) ? 1 : result.items.size();
@@ -1193,20 +1150,15 @@ util::Status Executor::ExecuteInto(const Query& query, QueryResult* out) const {
   if (page_size == 0) page_size = 1;
   result.page_size = page_size;
   result.total_pages = (result.items.size() + page_size - 1) / page_size;
-  if (stop != StopReason::kCompleted) {
-    // Collation tripped: keep the partial items but skip materialization —
-    // the budget is already gone.
-    stats.stop_reason = stop;
-    return Status::OK();
-  }
+  // A tripped collation keeps its partial items but skips materialization:
+  // the budget is already gone.
+  if (stopped()) return Status::OK();
   Status ms = MaterializePage(&result, query.page);
   if (!ms.ok()) {
     StopReason r = ReasonFromStatus(ms);
     if (r == StopReason::kCompleted) return ms;  // hard error, not governance
     stats.stop_reason = r;
-    return Status::OK();
   }
-  stats.stop_reason = StopReason::kCompleted;
   return Status::OK();
 }
 

@@ -283,6 +283,11 @@ TEST(EpochTest, RefusedMutationsKeepTheStandby) {
   EXPECT_TRUE(g.Commit(empty_tag).status().IsInvalidArgument());
   EXPECT_EQ(g.live_engine_versions(), 2u);
 
+  annotation::AnnotationBuilder unregistered_object;
+  unregistered_object.Title("refused").MarkInterval("chrK", 0, 1, *first_object + 100);
+  EXPECT_TRUE(g.Commit(unregistered_object).status().IsNotFound());
+  EXPECT_EQ(g.live_engine_versions(), 2u);
+
   EXPECT_TRUE(g.RemoveAnnotation(999).IsNotFound());
   EXPECT_EQ(g.live_engine_versions(), 2u);
 

@@ -207,6 +207,40 @@ TEST_F(ExecutorTest, FragmentsTarget) {
   EXPECT_EQ(r->items[0].fragment, "<dc:title>ann0</dc:title>");
 }
 
+TEST_F(ExecutorTest, FragmentsAttributeMatchIsItsValue) {
+  auto r = Run(
+      "FIND FRAGMENTS ?a XPATH \"/annotation/@id\" WHERE { ?a CONTAINS \"protease\" }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->items.size(), 4u);
+  for (const ResultItem& item : r->items) {
+    EXPECT_EQ(item.fragment, std::to_string(item.content_id));
+  }
+}
+
+// ?s is bound through two join edges: the level keeps only the referent
+// both ?a and ?b annotate.
+TEST_F(ExecutorTest, VariableBoundThroughTwoJoinEdges) {
+  AnnotationBuilder shared;
+  shared.Title("shared").Body("shared mark").MarkInterval("flu:seg4", 100, 200,
+                                                          /*object_id=*/42);
+  ASSERT_TRUE(store_.Commit(shared).ok());
+  const char* text =
+      "FIND REFERENTS ?s WHERE { ?a CONTAINS \"protease\" ; ?b CONTAINS \"shared\" ; "
+      "?a ANNOTATES ?s ; ?b ANNOTATES ?s }";
+  for (bool selectivity : {true, false}) {
+    ExecutorOptions opts;
+    opts.use_selectivity_order = selectivity;
+    auto r = Executor(Context(), opts).ExecuteText(text);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->items.size(), 1u);
+    EXPECT_EQ(r->SubstructureOf(r->items[0])->interval(), spatial::Interval(100, 200));
+    if (!selectivity) {
+      // Declaration order binds ?s last, through both edges.
+      EXPECT_EQ(r->stats.binding_order, (std::vector<std::string>{"a", "b", "s"}));
+    }
+  }
+}
+
 TEST_F(ExecutorTest, PagingSlicesItems) {
   auto r = Run("FIND CONTENTS WHERE { ?a CONTAINS \"protease\" } LIMIT 3 PAGE 1");
   ASSERT_TRUE(r.ok());

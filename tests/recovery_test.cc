@@ -730,7 +730,6 @@ TEST_F(RecoveryFsTest, ExportAGraphLabelsEveryNodeKind) {
       "N T 1 go:GO:1\n"
       "N C 2 annotation-2\n"
       "N R 2 region@atlas[(0.000000,4.000000) x (0.000000,4.000000)]\n"
-      "N O 77\n"
       "N T 2 go:GO:2\n";
   {
     auto opened = Graphitti::OpenDurable(durable);
@@ -747,11 +746,15 @@ TEST_F(RecoveryFsTest, ExportAGraphLabelsEveryNodeKind) {
     ASSERT_TRUE(g.Commit(titled).ok());
     ASSERT_TRUE(g.Checkpoint().ok());
 
-    // The WAL tail: an untitled annotation whose region marks an object id
-    // that is never registered, and a term whose only annotation goes.
+    // The WAL tail: an untitled annotation, and a term whose only
+    // annotation goes. A mark on an object id that is never registered is
+    // refused, so the untitled region marks no object.
+    AnnotationBuilder unregistered;
+    unregistered.Body("no title").MarkRegion("atlas", spatial::Rect::Make2D(0, 0, 4, 4),
+                                             kNeverRegistered);
+    EXPECT_TRUE(g.Commit(unregistered).status().IsNotFound());
     AnnotationBuilder untitled;
-    untitled.Body("no title").MarkRegion("atlas", spatial::Rect::Make2D(0, 0, 4, 4),
-                                         kNeverRegistered);
+    untitled.Body("no title").MarkRegion("atlas", spatial::Rect::Make2D(0, 0, 4, 4));
     untitled.OntologyReference("go", "GO:1");
     ASSERT_TRUE(g.Commit(untitled).ok());
     AnnotationBuilder doomed;
@@ -762,13 +765,16 @@ TEST_F(RecoveryFsTest, ExportAGraphLabelsEveryNodeKind) {
     ASSERT_TRUE(g.RemoveAnnotation(*doomed_id).ok());
     ASSERT_TRUE(g.SaveTo(saved).ok());
     EXPECT_EQ(NodeLines(g), kExpected);
+    EXPECT_TRUE(g.ValidateIntegrity().ok());
   }
   auto loaded = Graphitti::LoadFrom(saved);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(NodeLines(**loaded), kExpected);
+  EXPECT_TRUE((*loaded)->ValidateIntegrity().ok());
   auto reopened = Graphitti::OpenDurable(durable);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(NodeLines(**reopened), kExpected);
+  EXPECT_TRUE((*reopened)->ValidateIntegrity().ok());
 }
 
 TEST_F(RecoveryFsTest, LoadFromAutoDetectsBinaryDirectory) {
